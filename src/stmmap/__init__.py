@@ -42,7 +42,6 @@ from .mapgraph import (
     MapQueryResult,
     PriorConfig,
     STMMap,
-    build_map,
     incremental_update,
     map_height,
     query_map,

@@ -207,49 +207,8 @@ def export_ply(stm: STMMap, path: str) -> None:
     for v, (x, y) in enumerate(grid.vertex_coords):
         lines.append(f"{x:.8g} {y:.8g} {q.vertex_mean[v]:.8g} {q.vertex_std[v]:.8g}")
     for s in grid.surfels:
-        state = stm.surfels[s.sid]
-        dev = state.belief_nu.scale / state.belief_nu.shape
         ids = " ".join(str(v) for v in s.vertex_ids)
-        lines.append(f"3 {ids} {dev:.8g} {state.n_meas_total}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def export_elevation_ply(elev: ElevationMap, path: str) -> None:
-    """Elevation-map export in the mesh schema: faces carry mean and variance."""
-    grid = elev.grid
-    vert_sum = np.zeros(grid.n_vertices)
-    vert_n = np.zeros(grid.n_vertices)
-    for s in grid.surfels:
-        cell = elev.cells[s.sid]
-        if not cell.observed:
-            continue
-        for v in s.vertex_ids:
-            vert_sum[v] += cell.mean
-            vert_n[v] += 1
-    vert_z = np.divide(vert_sum, vert_n, out=np.zeros_like(vert_sum), where=vert_n > 0)
-    lines = [
-        "ply",
-        "format ascii 1.0",
-        f"comment format_version {FORMAT_VERSION}",
-        f"element vertex {grid.n_vertices}",
-        "property float x",
-        "property float y",
-        "property float z",
-        f"element face {grid.n_surfels}",
-        "property list uchar int vertex_indices",
-        "property float mean",
-        "property float variance",
-        "end_header",
-    ]
-    for v, (x, y) in enumerate(grid.vertex_coords):
-        lines.append(f"{x:.8g} {y:.8g} {vert_z[v]:.8g}")
-    for s in grid.surfels:
-        cell = elev.cells[s.sid]
-        mean = cell.mean if cell.observed else 0.0
-        var = cell.variance if cell.observed else -1.0
-        ids = " ".join(str(v) for v in s.vertex_ids)
-        lines.append(f"3 {ids} {mean:.8g} {var:.8g}")
+        lines.append(f"3 {ids} {q.expected_deviation[s.sid]:.8g} {q.n_meas[s.sid]}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -10,6 +10,11 @@ inverse-gamma with shape a and scale b has exponent a + 1.
 Factors created by division may be non-normalizable (indefinite information
 matrix, non-positive exponent). These are legal intermediates; only terminal
 belief queries require normalizability.
+
+Scope rule: a Gaussian product or quotient keeps its first factor's label
+order, and aligning a factor to its own scope (`extend` or `reorder` to the
+labels it already has) returns it unchanged. Factors that share one scope in
+one order therefore combine without any re-alignment.
 """
 
 from __future__ import annotations
@@ -129,6 +134,8 @@ class GaussianCanonical:
 
     def extend(self, labels: Sequence[Hashable]) -> "GaussianCanonical":
         """Embed this factor in a larger scope, zero-padding new variables."""
+        if tuple(labels) == self.labels:
+            return self
         labels = _as_labels(labels)
         missing = [l for l in self.labels if l not in labels]
         if missing:
@@ -142,6 +149,8 @@ class GaussianCanonical:
         return GaussianCanonical(xi, omega, labels)
 
     def reorder(self, labels: Sequence[Hashable]) -> "GaussianCanonical":
+        if tuple(labels) == self.labels:
+            return self
         labels = _as_labels(labels)
         if set(labels) != set(self.labels):
             raise ValueError("reorder must keep the same variable set")

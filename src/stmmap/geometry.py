@@ -278,9 +278,3 @@ class TriGrid:
         a, v0 = self.element_affine(sid)
         ainv = np.diag(1.0 / np.diag(a))
         return GaussianMoment(ainv @ g.mu + v0, ainv @ g.sigma @ ainv.T)
-
-    def element_point(self, sid: int, alpha: float, beta: float) -> tuple[float, float]:
-        """Submap (alpha, beta) of a unit-element coordinate pair."""
-        a, v0 = self.element_affine(sid)
-        scale = a[0, 0]
-        return (alpha / scale + v0[0], beta / scale + v0[1])

@@ -111,7 +111,6 @@ class ConvergenceReport:
     messages: int
     n_measurements: int
     n_skipped_outside: int
-    surfel_converged: np.ndarray
 
 
 @dataclass
@@ -201,15 +200,6 @@ def enforce_rip(grid: TriGrid) -> list[tuple]:
             else:
                 parent[ra] = rb
     return [tuple(sorted(k)) for k in keep]
-
-
-def build_map(
-    grid: TriGrid,
-    prior: PriorConfig,
-    window: int = 1,
-    convergence: ConvergenceConfig = ConvergenceConfig(),
-) -> STMMap:
-    return STMMap(grid, prior, window=window, convergence=convergence)
 
 
 def _gauss_divergence(new: GaussianCanonical, old: GaussianCanonical) -> float:
@@ -314,9 +304,8 @@ def run_inference(stm: STMMap, batch: list[Measurement]) -> ConvergenceReport:
             new_in = GaussianCanonical.vacuous(state.labels)
             for sep in stm.incident_sepsets(sid):
                 new_in = gauss_product(new_in, sep.msg_to(sid))
-            new_in = new_in.reorder(state.labels)
             ratio = gauss_divide(new_in, state.neighbor_in_msg)
-            state.belief_h = gauss_product(state.belief_h, ratio).reorder(state.labels)
+            state.belief_h = gauss_product(state.belief_h, ratio)
             state.neighbor_in_msg = new_in
 
             # VMP: refit likelihood clusters. A cluster whose messages are
@@ -376,7 +365,6 @@ def run_inference(stm: STMMap, batch: list[Measurement]) -> ConvergenceReport:
         messages=stm.metrics.message_count - messages_before,
         n_measurements=n_used,
         n_skipped_outside=skipped,
-        surfel_converged=stm._converged.copy(),
     )
 
 
@@ -393,9 +381,7 @@ def incremental_update(stm: STMMap, batch: list[Measurement]) -> ConvergenceRepo
         fold = [c for c in state.clusters if c.batch <= cutoff]
         keep = [c for c in state.clusters if c.batch > cutoff]
         for cluster in fold:
-            state.prior_h = gauss_product(state.prior_h, cluster.out_msg_h).reorder(
-                state.labels
-            )
+            state.prior_h = gauss_product(state.prior_h, cluster.out_msg_h)
             state.prior_nu = InverseGammaFactor(
                 state.prior_nu.exponent + cluster.out_msg_nu.exponent,
                 state.prior_nu.scale + cluster.out_msg_nu.scale,

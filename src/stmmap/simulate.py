@@ -308,9 +308,7 @@ def _belief_change_kls(stm: STMMap, before: list) -> np.ndarray:
 
 def _run_step(stm: STMMap, batch: list, step: int) -> StepRecord:
     before = _belief_snapshot(stm)
-    msg0 = stm.metrics.message_count
-    incremental_update(stm, batch)
-    messages = stm.metrics.message_count - msg0
+    messages = incremental_update(stm, batch).messages
     kls = _belief_change_kls(stm, before)
     n_new = len(batch)
     return StepRecord(

@@ -91,6 +91,9 @@ class SurfelState:
     ref_belief_nu: InverseGammaFactor = None
 
     def __post_init__(self):
+        # Every factor of a surfel shares the prior's label order, so
+        # products and quotients inside the surfel never re-align.
+        self.prior_h = self.prior_h.reorder(self.labels)
         if self.neighbor_in_msg is None:
             self.neighbor_in_msg = GaussianCanonical.vacuous(self.labels)
         if self.belief_h is None or self.belief_nu is None:
@@ -103,7 +106,7 @@ class SurfelState:
         for c in self.clusters:
             h = gauss_product(h, c.out_msg_h)
             nu = ig_product(nu, c.out_msg_nu)
-        self.belief_h = h.reorder(self.labels)
+        self.belief_h = h
         self.belief_nu = nu
 
     def expected_deviation(self) -> float:
@@ -240,7 +243,7 @@ def update_mean_plane_factor(
     xi_out = xi[:3] - in_h.xi - ohm @ sol_x
     new_out = GaussianCanonical(xi_out, omega_out, state.labels)
     cluster.out_msg_h = new_out
-    state.belief_h = gauss_product(in_h, new_out).reorder(state.labels)
+    state.belief_h = gauss_product(in_h, new_out)
     return new_out
 
 

@@ -92,6 +92,24 @@ class TestGaussProduct:
         g2 = GaussianMoment([2.0], [[1.0]]).to_canonical(("b",))
         out = gauss_product(g1, g2)
         assert set(out.labels) == {"a", "b"}
+        assert out.labels == ("a", "b")
+        # the first factor's order holds when the second factor's scope is
+        # a subset in another order
+        rng = np.random.default_rng(3)
+        big = random_gaussian(rng, ("c", "a", "b"))
+        sub = random_gaussian(rng, ("b", "c"))
+        assert gauss_product(big, sub).labels == ("c", "a", "b")
+        assert gauss_product(sub, big).labels == ("b", "c", "a")
+        quotient = gauss_divide(big, sub)
+        assert quotient.labels == ("c", "a", "b")
+        back = gauss_product(quotient, sub)
+        np.testing.assert_allclose(back.xi, big.xi, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(back.omega, big.omega, rtol=1e-12, atol=1e-12)
+        # aligning a factor to its own scope leaves it bitwise unchanged
+        for aligned in (big.extend(big.labels), big.reorder(list(big.labels))):
+            assert aligned.labels == big.labels
+            assert aligned.xi.tobytes() == big.xi.tobytes()
+            assert aligned.omega.tobytes() == big.omega.tobytes()
 
 
 class TestGaussDivide:

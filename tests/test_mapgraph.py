@@ -13,7 +13,6 @@ from stmmap.mapgraph import (
     ConvergenceConfig,
     PriorConfig,
     STMMap,
-    build_map,
     enforce_rip,
     incremental_update,
     map_height,
@@ -97,7 +96,7 @@ class TestBuildMap:
             PriorConfig(sigma2=-1.0)
 
     def test_fresh_map_query_zero_means(self):
-        stm = build_map(TriGrid.triangle(2), PriorConfig())
+        stm = STMMap(TriGrid.triangle(2), PriorConfig())
         q = query_map(stm)
         np.testing.assert_allclose(q.vertex_mean, 0.0, atol=1e-12)
         np.testing.assert_allclose(
@@ -143,7 +142,7 @@ class TestEnforceRIP:
 
 class TestNeighborMessage:
     def test_vacuous_map_messages(self):
-        stm = build_map(TriGrid.triangle(1), PriorConfig())
+        stm = STMMap(TriGrid.triangle(1), PriorConfig())
         for sep in stm.sepsets:
             msg = neighbor_out_message(stm, sep, sep.s)
             # prior-only map: messages carry prior information only, and
@@ -185,14 +184,14 @@ class TestNeighborMessage:
 
 class TestRunInference:
     def test_empty_batch(self):
-        stm = build_map(TriGrid.triangle(2), PriorConfig())
+        stm = STMMap(TriGrid.triangle(2), PriorConfig())
         report = run_inference(stm, [])
         assert report.converged
         assert report.messages == 0
         assert report.n_measurements == 0
 
     def test_outside_measurements_skipped(self):
-        stm = build_map(TriGrid.triangle(1), PriorConfig())
+        stm = STMMap(TriGrid.triangle(1), PriorConfig())
         meas = [Measurement([0.9, 0.9, 1.0], 0.01 * np.eye(3), 0)]
         report = run_inference(stm, meas)
         assert report.n_skipped_outside == 1
