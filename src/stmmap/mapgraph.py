@@ -324,8 +324,8 @@ def run_inference(stm: STMMap, batch: list[Measurement]) -> ConvergenceReport:
                     continue
                 old_h = cluster.out_msg_h
                 old_nu = cluster.out_msg_nu
-                update_mean_plane_factor(state, cluster)
-                update_planar_deviation_factor(state, cluster)
+                joint = update_mean_plane_factor(state, cluster)
+                update_planar_deviation_factor(state, cluster, joint)
                 stm.metrics.message_count += 1
                 any_refit = True
                 cluster.converged = (

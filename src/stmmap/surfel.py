@@ -40,6 +40,9 @@ ALPHA_BETA_PRIOR_VAR = 1e4
 # Exponent carried by every likelihood cluster's deviation message.
 NU_MSG_EXPONENT = 0.5
 
+# A cluster's fused joint: (xi, omega, incoming h message, incoming nu message).
+FusedJoint = tuple[np.ndarray, np.ndarray, GaussianCanonical, InverseGammaFactor]
+
 
 @dataclass(frozen=True)
 class Measurement:
@@ -188,14 +191,13 @@ def compute_incoming_message(
 
 def _fused_cluster_joint(
     state: SurfelState, cluster: LikelihoodClusterState
-) -> tuple[np.ndarray, np.ndarray, GaussianCanonical]:
+) -> FusedJoint:
     """Fused 6-D canonical joint over (h, alpha, beta, gamma) for one cluster.
 
     Builds the linearized prediction joint from the incoming-message context,
     then adds the measurement information on the (alpha, beta, gamma) block.
-    Returns (xi, omega, incoming h message).
     """
-    in_h = gauss_divide(state.belief_h, cluster.out_msg_h)
+    in_h, in_nu = compute_incoming_message(state, cluster)
     nu_bar = ig_expected_deviation(state.belief_nu)
 
     sigma_in = inv_psd(in_h.omega)
@@ -223,19 +225,21 @@ def _fused_cluster_joint(
     omega[3:, 3:] += prec_z
     xi = xi_bar.copy()
     xi[3:] += prec_z @ z
-    return xi, omega, in_h
+    return xi, omega, in_h, in_nu
 
 
 def update_mean_plane_factor(
     state: SurfelState, cluster: LikelihoodClusterState
-) -> GaussianCanonical:
+) -> FusedJoint:
     """Refit the cluster's height message and the surfel height belief.
 
     Marginalizes (alpha, beta, gamma) out of the fused joint with the
     incoming message divided out, and recomposes the belief from the new
-    outgoing message. Returns the updated outgoing height message.
+    outgoing message. Returns the fused joint it built, which the refit
+    leaves unchanged, for `update_planar_deviation_factor`.
     """
-    xi, omega, in_h = _fused_cluster_joint(state, cluster)
+    joint = _fused_cluster_joint(state, cluster)
+    xi, omega, in_h, _ = joint
     ohm = omega[:3, 3:]
     sol_o = solve_psd(omega[3:, 3:], ohm.T)
     sol_x = solve_psd(omega[3:, 3:], xi[3:])
@@ -244,25 +248,30 @@ def update_mean_plane_factor(
     new_out = GaussianCanonical(xi_out, omega_out, state.labels)
     cluster.out_msg_h = new_out
     state.belief_h = gauss_product(in_h, new_out)
-    return new_out
+    return joint
 
 
 def update_planar_deviation_factor(
-    state: SurfelState, cluster: LikelihoodClusterState
+    state: SurfelState,
+    cluster: LikelihoodClusterState,
+    joint: FusedJoint,
 ) -> InverseGammaFactor:
     """Refit the cluster's deviation message and the surfel deviation belief.
 
     The message scale is half the linearized expectation of the squared
     residual gamma - f under the fused joint belief, linearized at its mean.
+    `joint` is the cluster's `_fused_cluster_joint` as returned by
+    `update_mean_plane_factor`: the height refit moves the cluster's message
+    and the belief together, so the incoming messages, and with them the
+    joint, stay as they were up to rounding.
     """
-    xi, omega, _ = _fused_cluster_joint(state, cluster)
+    xi, omega, _, in_nu = joint
     sigma = inv_psd(omega)
     mu = sigma @ xi
     f_row = jacobian_f(mu[:5])
     f_aug = np.append(-f_row, 1.0)  # gradient of the residual gamma - f
     resid = mu[5] - mean_plane_eval(mu[3], mu[4], mu[:3])
     scale = 0.5 * float(f_aug @ sigma @ f_aug) + 0.5 * resid**2
-    in_nu = ig_divide(state.belief_nu, cluster.out_msg_nu)
     new_out = InverseGammaFactor(NU_MSG_EXPONENT, max(scale, 1e-300))
     cluster.out_msg_nu = new_out
     state.belief_nu = ig_product(in_nu, new_out)

@@ -21,6 +21,7 @@ from stmmap.surfel import (
     NU_MSG_EXPONENT,
     Measurement,
     SurfelState,
+    _fused_cluster_joint,
     apportion_nu_scales,
     compute_incoming_message,
     init_likelihood_cluster,
@@ -192,6 +193,23 @@ class TestIncomingMessage:
             np.testing.assert_allclose(in_h.xi, direct.xi, atol=1e-9)
             np.testing.assert_allclose(in_h.omega, direct.omega, atol=1e-9)
 
+    def test_refit_leaves_fused_joint_unchanged(self):
+        # the deviation refit reuses the joint the mean-plane refit built
+        def rel(a, b):
+            return np.max(np.abs(a - b)) / np.max(np.abs(a))
+
+        state = self._three_cluster_state(40)
+        for _ in range(3):
+            for c in state.clusters:
+                joint = update_mean_plane_factor(state, c)
+                xi, omega, in_h, in_nu = _fused_cluster_joint(state, c)
+                assert rel(joint[0], xi) < 1e-10
+                assert rel(joint[1], omega) < 1e-10
+                assert rel(joint[2].xi, in_h.xi) < 1e-10
+                assert rel(joint[2].omega, in_h.omega) < 1e-10
+                assert joint[3] == in_nu
+                update_planar_deviation_factor(state, c, joint)
+
 
 class TestMeanPlaneUpdate:
     def test_corner_measurement_conjugate_posterior(self):
@@ -248,8 +266,8 @@ class TestDeviationUpdate:
 
     def test_exponent_is_half(self):
         state = self._converged_state([0.3, 0.3, 1.0], 0.05 * np.eye(3))
-        update_mean_plane_factor(state, state.clusters[0])
-        update_planar_deviation_factor(state, state.clusters[0])
+        joint = update_mean_plane_factor(state, state.clusters[0])
+        update_planar_deviation_factor(state, state.clusters[0], joint)
         assert state.clusters[0].out_msg_nu.exponent == 0.5
 
     def test_deterministic_residual(self):
@@ -260,8 +278,9 @@ class TestDeviationUpdate:
         m = Measurement([0.25, 0.25, 2.0], np.diag([1e-14, 1e-14, 1e-14]), 0)
         state.clusters.append(init_likelihood_cluster(m, LABELS, 1.0))
         state.recompute_beliefs()
-        update_planar_deviation_factor(state, state.clusters[0])
-        assert state.clusters[0].out_msg_nu.scale == pytest.approx(2.0, rel=1e-3)
+        c = state.clusters[0]
+        update_planar_deviation_factor(state, c, _fused_cluster_joint(state, c))
+        assert c.out_msg_nu.scale == pytest.approx(2.0, rel=1e-3)
 
     def test_monte_carlo_expected_residual(self):
         # b tracks half the expected squared residual of the fused joint
@@ -270,12 +289,10 @@ class TestDeviationUpdate:
         m = Measurement([0.3, 0.4, 0.8], np.diag([0.001, 0.001, 0.05]), 0)
         state.clusters.append(init_likelihood_cluster(m, LABELS, 0.2))
         state.recompute_beliefs()
-        update_mean_plane_factor(state, state.clusters[0])
-        update_planar_deviation_factor(state, state.clusters[0])
+        joint = update_mean_plane_factor(state, state.clusters[0])
+        update_planar_deviation_factor(state, state.clusters[0], joint)
 
-        from stmmap.surfel import _fused_cluster_joint
-
-        xi, omega, _ = _fused_cluster_joint(state, state.clusters[0])
+        xi, omega, _, _ = joint
         sigma = np.linalg.inv(omega)
         mu = sigma @ xi
         draws = rng.multivariate_normal(mu, sigma, size=200_000)
@@ -302,8 +319,8 @@ class TestBeliefBookkeeping:
         state.recompute_beliefs()
         for _ in range(5):
             for c in state.clusters:
-                update_mean_plane_factor(state, c)
-                update_planar_deviation_factor(state, c)
+                joint = update_mean_plane_factor(state, c)
+                update_planar_deviation_factor(state, c, joint)
                 # additive bookkeeping: belief = prior * neighbors * messages
                 direct = gauss_product(state.prior_h, state.neighbor_in_msg)
                 nu = state.prior_nu
@@ -336,6 +353,6 @@ class TestBeliefBookkeeping:
         state.recompute_beliefs()
         for _ in range(3):
             for c in state.clusters:
-                update_mean_plane_factor(state, c)
-                update_planar_deviation_factor(state, c)
+                joint = update_mean_plane_factor(state, c)
+                update_planar_deviation_factor(state, c, joint)
         assert state.belief_nu.shape == pytest.approx(a_p + n / 2)
