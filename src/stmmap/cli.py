@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .baseline import ElevationMap
-from .geometry import MAX_DEPTH, OutsideSubmap, TriGrid, make_relative_irf
+from .geometry import MAX_DEPTH, DegenerateLandmarks, TriGrid, make_relative_irf
 from .mapgraph import (
     ConvergenceConfig,
     PriorConfig,
@@ -260,12 +260,20 @@ _FULL_COLS = ["x", "y", "z", "sxx", "syy", "szz", "sxy", "sxz", "syz"]
 _ISO_COLS = ["x", "y", "z", "sigma"]
 
 
+def _finite_floats(fields) -> list[float]:
+    """The fields as floats; ValueError unless every one is a finite number."""
+    vals = [float(c) for c in fields]
+    if not np.isfinite(vals).all():
+        raise ValueError("non-finite value")
+    return vals
+
+
 def parse_points_csv(path: str) -> ParseResult:
     """Parse a point-cloud CSV with per-point covariance.
 
     Accepts the 9-column form x,y,z,sxx,syy,szz,sxy,sxz,syz or the
-    4-column isotropic form x,y,z,sigma. Malformed rows are skipped with
-    line-numbered warnings.
+    4-column isotropic form x,y,z,sigma. Malformed rows, including rows
+    with a NaN or infinite field, are skipped with line-numbered warnings.
     """
     means, covs, warnings = [], [], []
     n_rows = 0
@@ -289,7 +297,7 @@ def parse_points_csv(path: str) -> ParseResult:
                 continue
             n_rows += 1
             try:
-                vals = [float(c) for c in row]
+                vals = _finite_floats(row)
                 if len(vals) != len(header):
                     raise ValueError(f"expected {len(header)} columns, got {len(vals)}")
                 if iso:
@@ -319,7 +327,8 @@ def parse_points_csv(path: str) -> ParseResult:
 
 def parse_landmarks_csv(path: str) -> np.ndarray:
     """Three landmark rows id,x,y,z defining the submap frame, in order
-    origin, alpha axis, beta axis."""
+    origin, alpha axis, beta axis. The id is a free label; x, y and z must
+    be finite numbers."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -330,12 +339,22 @@ def parse_landmarks_csv(path: str) -> np.ndarray:
             if not row or all(not c.strip() for c in row):
                 continue
             try:
-                rows.append([float(c) for c in row[1:4]])
-            except (ValueError, IndexError) as exc:
+                _, x, y, z = row
+                rows.append(_finite_floats((x, y, z)))
+            except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad landmark row: {exc}")
     if len(rows) != 3:
         raise ConfigError(f"{path}: expected exactly 3 landmarks, got {len(rows)}")
     return np.asarray(rows)
+
+
+def parse_global_frame(text: str) -> np.ndarray:
+    """Frame landmarks of a --global-frame X0,Y0,X1,Y1 rectangle."""
+    try:
+        x0, y0, x1, y1 = _finite_floats(text.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"--global-frame {text}: {exc}") from exc
+    return np.array([[x0, y0, 0.0], [x1, y0, 0.0], [x0, y1, 0.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +457,11 @@ def _cmd_build(args) -> int:
     if args.landmarks:
         landmarks = parse_landmarks_csv(args.landmarks)
     else:
-        x0, y0, x1, y1 = (float(v) for v in args.global_frame.split(","))
-        landmarks = np.array([[x0, y0, 0.0], [x1, y0, 0.0], [x0, y1, 0.0]])
-    irf = make_relative_irf(*landmarks)
+        landmarks = parse_global_frame(args.global_frame)
+    try:
+        irf = make_relative_irf(*landmarks)
+    except DegenerateLandmarks as exc:
+        raise ConfigError(f"submap frame: {exc}") from exc
     b_inv = np.linalg.inv(irf.basis)
 
     measurements = []

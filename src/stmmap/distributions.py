@@ -11,21 +11,21 @@ Factors created by division may be non-normalizable (indefinite information
 matrix, non-positive exponent). These are legal intermediates; only terminal
 belief queries require normalizability.
 
-Scope rule: a Gaussian product or quotient keeps its first factor's label
-order, and aligning a factor to its own scope (`extend` or `reorder` to the
-labels it already has) returns it unchanged. Factors that share one scope in
-one order therefore combine without any re-alignment.
+Scope rule: Gaussian factors are positional, without variable names; the
+caller fixes which variable sits at which position. Products, quotients and
+KL divergences take factors of equal size and work position by position;
+`embed` places a factor at given positions of a larger scope and
+`gauss_marginalize` keeps given positions in the given order. Factors are
+immutable (read-only arrays), so one factor object may have many holders.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Hashable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
-
-Labels = tuple[Hashable, ...]
 
 _JITTER_REL = 1e-12
 
@@ -40,13 +40,6 @@ class SingularMarginalization(Exception):
 
 class NotPSD(Exception):
     """Raised when a covariance square root fails."""
-
-
-def _as_labels(labels: Sequence[Hashable]) -> Labels:
-    labels = tuple(labels)
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"duplicate variable labels: {labels}")
-    return labels
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
@@ -82,40 +75,34 @@ def inv_psd(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianCanonical:
-    """Gaussian factor in canonical form over labelled variables.
+    """Gaussian factor in canonical form over n positional variables.
 
-    xi is the information vector and omega the information matrix. omega is
-    symmetrized on construction. A vacuous factor has xi = 0 and omega = 0.
+    xi is the information vector and omega the information matrix, both
+    private read-only copies; omega is symmetrized on construction. A
+    vacuous factor has xi = 0 and omega = 0.
     """
 
     xi: np.ndarray
     omega: np.ndarray
-    labels: Labels
 
     def __post_init__(self):
-        xi = np.asarray(self.xi, dtype=float).reshape(-1)
+        xi = np.array(self.xi, dtype=float).reshape(-1)
         omega = np.asarray(self.omega, dtype=float)
-        labels = _as_labels(self.labels)
-        n = len(labels)
-        if xi.shape != (n,) or omega.shape != (n, n):
-            raise ValueError(
-                f"shape mismatch: xi {xi.shape}, omega {omega.shape}, {n} labels"
-            )
+        if omega.shape != (xi.size, xi.size):
+            raise ValueError(f"shape mismatch: xi {xi.shape}, omega {omega.shape}")
         omega = _symmetrize(omega)
         xi.flags.writeable = False
         omega.flags.writeable = False
         object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "labels", labels)
 
     @classmethod
-    def vacuous(cls, labels: Sequence[Hashable]) -> "GaussianCanonical":
-        n = len(tuple(labels))
-        return cls(np.zeros(n), np.zeros((n, n)), tuple(labels))
+    def vacuous(cls, n: int) -> "GaussianCanonical":
+        return cls(np.zeros(n), np.zeros((n, n)))
 
     @property
     def dim(self) -> int:
-        return len(self.labels)
+        return self.xi.size
 
     def is_vacuous(self, tol: float = 0.0) -> bool:
         return bool(
@@ -132,30 +119,16 @@ class GaussianCanonical:
         except np.linalg.LinAlgError:
             return False
 
-    def extend(self, labels: Sequence[Hashable]) -> "GaussianCanonical":
-        """Embed this factor in a larger scope, zero-padding new variables."""
-        if tuple(labels) == self.labels:
-            return self
-        labels = _as_labels(labels)
-        missing = [l for l in self.labels if l not in labels]
-        if missing:
-            raise ValueError(f"extension drops variables: {missing}")
-        n = len(labels)
-        idx = [labels.index(l) for l in self.labels]
+    def embed(self, positions: Sequence[int], n: int) -> "GaussianCanonical":
+        """This factor placed at `positions` of an n-variable scope, zero elsewhere."""
+        idx = _positions(positions, n)
+        if len(idx) != self.dim:
+            raise ValueError(f"{len(idx)} positions for a {self.dim}-variable factor")
         xi = np.zeros(n)
         omega = np.zeros((n, n))
         xi[idx] = self.xi
         omega[np.ix_(idx, idx)] = self.omega
-        return GaussianCanonical(xi, omega, labels)
-
-    def reorder(self, labels: Sequence[Hashable]) -> "GaussianCanonical":
-        if tuple(labels) == self.labels:
-            return self
-        labels = _as_labels(labels)
-        if set(labels) != set(self.labels):
-            raise ValueError("reorder must keep the same variable set")
-        idx = [self.labels.index(l) for l in labels]
-        return GaussianCanonical(self.xi[idx], self.omega[np.ix_(idx, idx)], labels)
+        return GaussianCanonical(xi, omega)
 
     def to_moments(self) -> "GaussianMoment":
         if not self.is_normalizable():
@@ -193,9 +166,9 @@ class GaussianMoment:
     def dim(self) -> int:
         return self.mu.size
 
-    def to_canonical(self, labels: Sequence[Hashable]) -> GaussianCanonical:
+    def to_canonical(self) -> GaussianCanonical:
         omega = inv_psd(self.sigma)
-        return GaussianCanonical(omega @ self.mu, omega, tuple(labels))
+        return GaussianCanonical(omega @ self.mu, omega)
 
     def log_density(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float).reshape(-1)
@@ -207,33 +180,37 @@ class GaussianMoment:
         return -0.5 * (self.dim * math.log(2.0 * math.pi) + logdet + maha)
 
 
+def _positions(positions: Sequence[int], n: int) -> list[int]:
+    idx = [int(i) for i in positions]
+    if len(set(idx)) != len(idx) or not all(0 <= i < n for i in idx):
+        raise ValueError(f"positions {idx} are not distinct positions below {n}")
+    return idx
+
+
+def _same_size(g1: GaussianCanonical, g2: GaussianCanonical, op: str) -> None:
+    if g1.dim != g2.dim:
+        raise ValueError(f"{op} of factors over {g1.dim} and {g2.dim} variables")
+
+
 def gauss_product(g1: GaussianCanonical, g2: GaussianCanonical) -> GaussianCanonical:
-    """Product of Gaussian factors: natural-parameter addition over the label union."""
-    labels = g1.labels + tuple(l for l in g2.labels if l not in g1.labels)
-    a = g1.extend(labels)
-    b = g2.extend(labels)
-    return GaussianCanonical(a.xi + b.xi, a.omega + b.omega, labels)
+    """Product of Gaussian factors of one scope: natural-parameter addition."""
+    _same_size(g1, g2, "product")
+    return GaussianCanonical(g1.xi + g2.xi, g1.omega + g2.omega)
 
 
 def gauss_divide(g1: GaussianCanonical, g2: GaussianCanonical) -> GaussianCanonical:
-    """Division: natural-parameter subtraction; g2's scope must lie within g1's."""
-    if not set(g2.labels) <= set(g1.labels):
-        raise ValueError("divisor scope is not a subset of the dividend scope")
-    b = g2.extend(g1.labels)
-    return GaussianCanonical(g1.xi - b.xi, g1.omega - b.omega, g1.labels)
+    """Division of Gaussian factors of one scope: natural-parameter subtraction."""
+    _same_size(g1, g2, "quotient")
+    return GaussianCanonical(g1.xi - g2.xi, g1.omega - g2.omega)
 
 
-def gauss_marginalize(
-    g: GaussianCanonical, keep: Sequence[Hashable]
-) -> GaussianCanonical:
-    """Marginalize onto `keep` via the Schur complement of the discarded block."""
-    keep = _as_labels(keep)
-    if not set(keep) <= set(g.labels):
-        raise ValueError("keep set contains unknown labels")
-    if set(keep) == set(g.labels):
-        return g.reorder(keep)
-    ki = [g.labels.index(l) for l in keep]
-    di = [i for i, l in enumerate(g.labels) if l not in keep]
+def gauss_marginalize(g: GaussianCanonical, keep: Sequence[int]) -> GaussianCanonical:
+    """Marginal over the positions `keep`, in that order, via the Schur
+    complement of the discarded block."""
+    ki = _positions(keep, g.dim)
+    di = [i for i in range(g.dim) if i not in ki]
+    if not di:
+        return GaussianCanonical(g.xi[ki], g.omega[np.ix_(ki, ki)])
     okk = g.omega[np.ix_(ki, ki)]
     okd = g.omega[np.ix_(ki, di)]
     odd = g.omega[np.ix_(di, di)]
@@ -241,14 +218,12 @@ def gauss_marginalize(
     sol_x = solve_psd(odd, g.xi[di])
     omega = okk - okd @ sol_o
     xi = g.xi[ki] - okd @ sol_x
-    return GaussianCanonical(xi, omega, keep)
+    return GaussianCanonical(xi, omega)
 
 
 def kl_gaussian(q: GaussianCanonical, p: GaussianCanonical) -> float:
-    """Exclusive KL divergence KL(q || p) for normalizable Gaussians."""
-    if set(q.labels) != set(p.labels):
-        raise ValueError("KL requires matching variable sets")
-    p = p.reorder(q.labels)
+    """Exclusive KL divergence KL(q || p) for normalizable Gaussians of one scope."""
+    _same_size(q, p, "KL divergence")
     qm = q.to_moments()
     pm = p.to_moments()
     n = qm.dim

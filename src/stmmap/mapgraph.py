@@ -15,12 +15,13 @@ until a neighbor sends it a changed message.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import (
     GaussianCanonical,
+    GaussianMoment,
     InverseGammaFactor,
     gauss_divide,
     gauss_marginalize,
@@ -38,7 +39,6 @@ from .surfel import (
     update_mean_plane_factor,
     update_planar_deviation_factor,
 )
-from .distributions import GaussianMoment
 
 
 @dataclass(frozen=True)
@@ -70,20 +70,19 @@ class ConvergenceConfig:
 
 @dataclass
 class Sepset:
-    """Interior-edge interface between two surfel clusters."""
+    """Interior-edge interface between two surfel clusters. Messages are over
+    `variables` (sorted vertex ids), found at pos_s and pos_c in the surfels."""
 
     s: int
     c: int
-    shared: tuple[int, int]
     variables: tuple
-    msg_to_s: GaussianCanonical = None
-    msg_to_c: GaussianCanonical = None
+    pos_s: tuple
+    pos_c: tuple
+    msg_to_s: GaussianCanonical
+    msg_to_c: GaussianCanonical
 
-    def __post_init__(self):
-        if self.msg_to_s is None:
-            self.msg_to_s = GaussianCanonical.vacuous(self.variables)
-        if self.msg_to_c is None:
-            self.msg_to_c = GaussianCanonical.vacuous(self.variables)
+    def positions(self, sid: int) -> tuple:
+        return self.pos_s if sid == self.s else self.pos_c
 
     def msg_to(self, sid: int) -> GaussianCanonical:
         return self.msg_to_s if sid == self.s else self.msg_to_c
@@ -141,22 +140,26 @@ class STMMap:
         self.metrics = Metrics()
         self.batch = 0
 
-        sigma_p = prior.height_covariance()
-        omega_p = np.linalg.inv(sigma_p)
+        # Factors are immutable, so every surfel and sepset shares the same
+        # prior, empty messages and initial belief until it is updated.
+        prior_h = GaussianCanonical(np.zeros(3), np.linalg.inv(prior.height_covariance()))
         prior_nu = InverseGammaFactor.normalized(prior.a_p, prior.b_p)
-        self.surfels: list[SurfelState] = []
-        for s in grid.surfels:
-            labels = s.vertex_ids
-            prior_h = GaussianCanonical(np.zeros(3), omega_p, labels)
-            self.surfels.append(
-                SurfelState(sid=s.sid, labels=labels, prior_h=prior_h, prior_nu=prior_nu)
-            )
+        vacuous = [GaussianCanonical.vacuous(n) for n in range(4)]
+        belief_h = gauss_product(prior_h, vacuous[3])
+        self.surfels: list[SurfelState] = [
+            SurfelState(sid=s.sid, labels=s.vertex_ids, prior_h=prior_h, prior_nu=prior_nu,
+                        neighbor_in_msg=vacuous[3], belief_h=belief_h, belief_nu=prior_nu)
+            for s in grid.surfels
+        ]
 
         var_lists = enforce_rip(grid)
         self.sepsets: list[Sepset] = []
         self._incident: list[list[Sepset]] = [[] for _ in grid.surfels]
-        for (a, b, shared), variables in zip(grid.adjacency, var_lists):
-            sep = Sepset(a, b, shared, variables)
+        for (a, b, _), variables in zip(grid.adjacency, var_lists):
+            ids_a, ids_b = grid.surfels[a].vertex_ids, grid.surfels[b].vertex_ids
+            empty = vacuous[len(variables)]
+            sep = Sepset(a, b, variables, tuple(ids_a.index(v) for v in variables),
+                         tuple(ids_b.index(v) for v in variables), empty, empty)
             self.sepsets.append(sep)
             if variables:
                 self._incident[a].append(sep)
@@ -229,10 +232,10 @@ def neighbor_out_message(stm: STMMap, sep: Sepset, sid: int) -> GaussianCanonica
 
     Marginal of the surfel height belief divided by the reverse message.
     """
-    state = stm.surfels[sid]
-    reverse = sep.msg_to(sid)
-    ratio = gauss_divide(state.belief_h, reverse)
-    msg = gauss_marginalize(ratio, sep.variables)
+    pos = sep.positions(sid)
+    reverse = sep.msg_to(sid).embed(pos, 3)
+    ratio = gauss_divide(stm.surfels[sid].belief_h, reverse)
+    msg = gauss_marginalize(ratio, pos)
     stm.metrics.message_count += 1
     return msg
 
@@ -279,7 +282,7 @@ def run_inference(stm: STMMap, batch: list[Measurement]) -> ConvergenceReport:
         )
         for m in ms:
             state.clusters.append(
-                init_likelihood_cluster(m, state.labels, nu_scale, batch=stm.batch)
+                init_likelihood_cluster(m, nu_scale, batch=stm.batch)
             )
         state.n_meas_total += len(ms)
         state.recompute_beliefs()
@@ -301,9 +304,9 @@ def run_inference(stm: STMMap, batch: list[Measurement]) -> ConvergenceReport:
             belief_nu_start = state.belief_nu
 
             # LBP: refresh the incoming neighbor message and ratio-update.
-            new_in = GaussianCanonical.vacuous(state.labels)
+            new_in = GaussianCanonical.vacuous(3)
             for sep in stm.incident_sepsets(sid):
-                new_in = gauss_product(new_in, sep.msg_to(sid))
+                new_in = gauss_product(new_in, sep.msg_to(sid).embed(sep.positions(sid), 3))
             ratio = gauss_divide(new_in, state.neighbor_in_msg)
             state.belief_h = gauss_product(state.belief_h, ratio)
             state.neighbor_in_msg = new_in

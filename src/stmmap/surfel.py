@@ -80,7 +80,7 @@ class SurfelState:
     """Belief state of a single surfel."""
 
     sid: int
-    labels: tuple
+    labels: tuple  # vertex ids, in the position order of the height factors
     prior_h: GaussianCanonical
     prior_nu: InverseGammaFactor
     clusters: list[LikelihoodClusterState] = field(default_factory=list)
@@ -94,11 +94,8 @@ class SurfelState:
     ref_belief_nu: InverseGammaFactor = None
 
     def __post_init__(self):
-        # Every factor of a surfel shares the prior's label order, so
-        # products and quotients inside the surfel never re-align.
-        self.prior_h = self.prior_h.reorder(self.labels)
         if self.neighbor_in_msg is None:
-            self.neighbor_in_msg = GaussianCanonical.vacuous(self.labels)
+            self.neighbor_in_msg = GaussianCanonical.vacuous(3)
         if self.belief_h is None or self.belief_nu is None:
             self.recompute_beliefs()
 
@@ -130,7 +127,6 @@ def jacobian_f(mu_c) -> np.ndarray:
 
 def init_likelihood_cluster(
     measurement: Measurement,
-    labels: tuple,
     nu_scale: float,
     batch: int = 0,
 ) -> LikelihoodClusterState:
@@ -145,7 +141,7 @@ def init_likelihood_cluster(
     xi = omega @ np.full(3, gamma)
     return LikelihoodClusterState(
         measurement=measurement,
-        out_msg_h=GaussianCanonical(xi, omega, labels),
+        out_msg_h=GaussianCanonical(xi, omega),
         out_msg_nu=InverseGammaFactor(NU_MSG_EXPONENT, float(nu_scale)),
         batch=batch,
     )
@@ -245,7 +241,7 @@ def update_mean_plane_factor(
     sol_x = solve_psd(omega[3:, 3:], xi[3:])
     omega_out = omega[:3, :3] - in_h.omega - ohm @ sol_o
     xi_out = xi[:3] - in_h.xi - ohm @ sol_x
-    new_out = GaussianCanonical(xi_out, omega_out, state.labels)
+    new_out = GaussianCanonical(xi_out, omega_out)
     cluster.out_msg_h = new_out
     state.belief_h = gauss_product(in_h, new_out)
     return joint

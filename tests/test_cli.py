@@ -11,6 +11,7 @@ from stmmap.cli import (
     load_config,
     main,
     make_emulation_case,
+    parse_global_frame,
     parse_landmarks_csv,
     parse_points_csv,
     write_manifest,
@@ -135,13 +136,16 @@ class TestParsePoints:
 
     def test_bad_rows_warned_with_line_numbers(self, tmp_path):
         p = tmp_path / "pts.csv"
-        p.write_text("x,y,z,sigma\n1,2,3,0.5\n1,2,nope,0.5\n1,2,3,-1\n4,5,6,1\n")
+        p.write_text(
+            "x,y,z,sigma\n1,2,3,0.5\n1,2,nope,0.5\n1,2,3,-1\n4,5,6,1\n"
+            "1,2,3,nan\nnan,2,3,0.5\n1,2,nan,0.5\n1,2,inf,0.5\n"
+        )
         res = parse_points_csv(str(p))
         assert len(res.means) == 2
-        assert len(res.warnings) == 2
-        assert ":3:" in res.warnings[0]
-        assert ":4:" in res.warnings[1]
-        assert res.n_total_rows == 4
+        assert len(res.warnings) == 6
+        for k, line in enumerate((3, 4, 6, 7, 8, 9)):
+            assert f":{line}:" in res.warnings[k]
+        assert res.n_total_rows == 8
 
     def test_non_psd_covariance_skipped(self, tmp_path):
         p = tmp_path / "pts.csv"
@@ -186,6 +190,21 @@ class TestParseLandmarks:
         p.write_text("x,y,z\n0,0,0\n")
         with pytest.raises(ConfigError, match="id,x,y,z"):
             parse_landmarks_csv(str(p))
+
+    @pytest.mark.parametrize("row", ["1,1,0", "1,1,0,0,0", "1,1,0,nan", "1,inf,0,0"])
+    def test_bad_row(self, tmp_path, row):
+        p = tmp_path / "lm.csv"
+        p.write_text(f"id,x,y,z\n0,0,0,0\n{row}\n2,0,2,0\n")
+        with pytest.raises(ConfigError, match=":3: bad landmark row"):
+            parse_landmarks_csv(str(p))
+
+    def test_global_frame(self):
+        np.testing.assert_allclose(
+            parse_global_frame("0,1,2,3"), [[0, 1, 0], [2, 1, 0], [0, 3, 0]]
+        )
+        for text in ("0,0,1", "0,0,a,1", "0,0,1,1,1", "0,0,nan,1", "0,0,1,inf"):
+            with pytest.raises(ConfigError, match="--global-frame"):
+                parse_global_frame(text)
 
 
 def write_plane_points(path, rng, n=200, sigma=0.05):
@@ -246,6 +265,42 @@ class TestBuildCommand:
         ])
         assert code == 4
         assert "unparseable" in capsys.readouterr().err
+
+    def test_non_finite_row_skipped(self, tmp_path):
+        pts = tmp_path / "pts.csv"
+        write_plane_points(pts, np.random.default_rng(3), n=50)
+        clean = pts.read_text()
+        outputs = []
+        for name, text in (("clean", clean), ("nan", clean + "0.2,0.2,0.1,nan\n")):
+            path = tmp_path / f"{name}.csv"
+            path.write_text(text)
+            code = main([
+                "build", "--points", str(path), "--global-frame", "0,0,1,1",
+                "--depth", "1", "--out", str(tmp_path / name),
+            ])
+            assert code == 0
+            outputs.append([(tmp_path / f"{name}{ext}").read_bytes()
+                            for ext in (".map.json", ".ply")])
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--global-frame", "0,0,1"),
+        ("--global-frame", "0,0,a,1"),
+        ("--global-frame", "0,0,0,1"),
+        ("--landmarks", "1,1,0"),
+        ("--landmarks", "1,1,0,nan"),
+    ])
+    def test_bad_frame_exit_2(self, tmp_path, capsys, flag, value):
+        pts = tmp_path / "pts.csv"
+        write_plane_points(pts, np.random.default_rng(4), n=10)
+        if flag == "--landmarks":  # value is the second landmark row
+            lm = tmp_path / "lm.csv"
+            lm.write_text(f"id,x,y,z\n0,0,0,0\n{value}\n2,0,1,0\n")
+            value = str(lm)
+        code = main(["build", "--points", str(pts), flag, value, "--depth", "0",
+                     "--out", str(tmp_path / "m")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_missing_config_exit_2(self, tmp_path, capsys):
         pts = tmp_path / "pts.csv"

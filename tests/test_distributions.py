@@ -25,30 +25,40 @@ from stmmap.distributions import (
 )
 
 
-def random_gaussian(rng, labels):
-    n = len(labels)
+def random_gaussian(rng, n):
     a = rng.normal(size=(n, n))
     sigma = a @ a.T + n * np.eye(n)
     mu = rng.normal(size=n)
-    return GaussianMoment(mu, sigma).to_canonical(labels)
+    return GaussianMoment(mu, sigma).to_canonical()
 
 
 class TestGaussianCanonical:
     def test_vacuous_is_zero(self):
-        g = GaussianCanonical.vacuous(("a", "b"))
+        g = GaussianCanonical.vacuous(2)
         assert g.is_vacuous()
         assert not g.is_normalizable()
 
     def test_symmetrization_on_construction(self):
         omega = np.array([[2.0, 0.1], [0.1 + 1e-13, 2.0]])
-        g = GaussianCanonical(np.zeros(2), omega, ("a", "b"))
+        g = GaussianCanonical(np.zeros(2), omega)
         assert np.array_equal(g.omega, g.omega.T)
+
+    def test_arrays_are_private_and_read_only(self):
+        xi, omega = np.ones(2), np.eye(2)
+        g = GaussianCanonical(xi, omega)
+        xi[0] = omega[0, 0] = 5.0
+        np.testing.assert_array_equal(g.xi, [1.0, 1.0])
+        np.testing.assert_array_equal(g.omega, np.eye(2))
+        with pytest.raises(ValueError):
+            g.xi[0] = 2.0
+        with pytest.raises(ValueError):
+            g.omega[0, 0] = 2.0
 
     def test_moment_round_trip(self):
         rng = np.random.default_rng(0)
-        g = random_gaussian(rng, ("a", "b", "c"))
+        g = random_gaussian(rng, 3)
         mom = g.to_moments()
-        back = mom.to_canonical(g.labels).to_moments()
+        back = mom.to_canonical().to_moments()
         np.testing.assert_allclose(back.mu, mom.mu, atol=1e-9)
         np.testing.assert_allclose(back.sigma, mom.sigma, atol=1e-9)
 
@@ -56,15 +66,15 @@ class TestGaussianCanonical:
 class TestGaussProduct:
     def test_vacuous_identity(self):
         rng = np.random.default_rng(1)
-        g = random_gaussian(rng, ("a", "b"))
-        out = gauss_product(GaussianCanonical.vacuous(("a", "b")), g)
+        g = random_gaussian(rng, 2)
+        out = gauss_product(GaussianCanonical.vacuous(2), g)
         np.testing.assert_array_equal(out.xi, g.xi)
         np.testing.assert_array_equal(out.omega, g.omega)
 
     def test_1d_unit_variance_pair(self):
         # N(0,1) * N(2,1) has canonical parameters xi=2, omega=2
-        g1 = GaussianMoment([0.0], [[1.0]]).to_canonical(("x",))
-        g2 = GaussianMoment([2.0], [[1.0]]).to_canonical(("x",))
+        g1 = GaussianMoment([0.0], [[1.0]]).to_canonical()
+        g2 = GaussianMoment([2.0], [[1.0]]).to_canonical()
         out = gauss_product(g1, g2)
         np.testing.assert_allclose(out.xi, [2.0])
         np.testing.assert_allclose(out.omega, [[2.0]])
@@ -75,8 +85,8 @@ class TestGaussProduct:
     def test_density_product_on_grid(self):
         # product equals pointwise density product up to a constant
         rng = np.random.default_rng(2)
-        g1 = random_gaussian(rng, ("a", "b", "c"))
-        g2 = random_gaussian(rng, ("a", "b", "c"))
+        g1 = random_gaussian(rng, 3)
+        g2 = random_gaussian(rng, 3)
         prod = gauss_product(g1, g2)
         pts = np.stack(
             np.meshgrid(*[np.linspace(-1, 1, 5)] * 3), axis=-1
@@ -87,81 +97,90 @@ class TestGaussProduct:
         ]
         assert np.ptp(log_ratio) < 1e-9
 
-    def test_label_union(self):
-        g1 = GaussianMoment([1.0], [[1.0]]).to_canonical(("a",))
-        g2 = GaussianMoment([2.0], [[1.0]]).to_canonical(("b",))
-        out = gauss_product(g1, g2)
-        assert set(out.labels) == {"a", "b"}
-        assert out.labels == ("a", "b")
-        # the first factor's order holds when the second factor's scope is
-        # a subset in another order
+    def test_embed_positions(self):
         rng = np.random.default_rng(3)
-        big = random_gaussian(rng, ("c", "a", "b"))
-        sub = random_gaussian(rng, ("b", "c"))
-        assert gauss_product(big, sub).labels == ("c", "a", "b")
-        assert gauss_product(sub, big).labels == ("b", "c", "a")
-        quotient = gauss_divide(big, sub)
-        assert quotient.labels == ("c", "a", "b")
-        back = gauss_product(quotient, sub)
+        big = random_gaussian(rng, 3)
+        sub = random_gaussian(rng, 2)
+        # embed places xi and omega at the given positions, zero elsewhere
+        wide = sub.embed((2, 0), 3)
+        np.testing.assert_array_equal(wide.xi[[2, 0]], sub.xi)
+        np.testing.assert_array_equal(wide.omega[np.ix_([2, 0], [2, 0])], sub.omega)
+        assert wide.xi[1] == 0.0
+        assert not wide.omega[1].any() and not wide.omega[:, 1].any()
+        with pytest.raises(ValueError):
+            sub.embed((0,), 3)
+        with pytest.raises(ValueError):
+            sub.embed((1, 1), 3)
+        # an embedded factor divides out and multiplies back in
+        back = gauss_product(gauss_divide(big, wide), wide)
         np.testing.assert_allclose(back.xi, big.xi, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(back.omega, big.omega, rtol=1e-12, atol=1e-12)
-        # aligning a factor to its own scope leaves it bitwise unchanged
-        for aligned in (big.extend(big.labels), big.reorder(list(big.labels))):
-            assert aligned.labels == big.labels
-            assert aligned.xi.tobytes() == big.xi.tobytes()
-            assert aligned.omega.tobytes() == big.omega.tobytes()
+        # marginals come back in the given position order
+        mom = big.to_moments()
+        for keep in ((2, 0), (1, 2, 0)):
+            out = gauss_marginalize(big, keep).to_moments()
+            np.testing.assert_allclose(out.mu, mom.mu[list(keep)], atol=1e-9)
+            np.testing.assert_allclose(
+                out.sigma, mom.sigma[np.ix_(keep, keep)], atol=1e-9
+            )
 
 
 class TestGaussDivide:
     def test_self_division_vacuous(self):
         rng = np.random.default_rng(3)
-        g = random_gaussian(rng, ("a", "b"))
+        g = random_gaussian(rng, 2)
         assert gauss_divide(g, g).is_vacuous()
 
     def test_group_inverse(self):
         rng = np.random.default_rng(4)
-        g1 = random_gaussian(rng, ("a", "b"))
-        g2 = random_gaussian(rng, ("a", "b"))
+        g1 = random_gaussian(rng, 2)
+        g2 = random_gaussian(rng, 2)
         out = gauss_divide(gauss_product(g1, g2), g2)
         np.testing.assert_allclose(out.xi, g1.xi, atol=1e-12)
         np.testing.assert_allclose(out.omega, g1.omega, atol=1e-12)
 
     def test_1d_subtraction(self):
         # N(1, 0.5) / N(2, 1) leaves canonical (xi=0, omega=1) = N(0, 1)
-        g1 = GaussianMoment([1.0], [[0.5]]).to_canonical(("x",))
-        g2 = GaussianMoment([2.0], [[1.0]]).to_canonical(("x",))
+        g1 = GaussianMoment([1.0], [[0.5]]).to_canonical()
+        g2 = GaussianMoment([2.0], [[1.0]]).to_canonical()
         out = gauss_divide(g1, g2)
         np.testing.assert_allclose(out.xi, [0.0], atol=1e-12)
         np.testing.assert_allclose(out.omega, [[1.0]], atol=1e-12)
 
     def test_scope_must_be_subset(self):
-        g1 = GaussianCanonical.vacuous(("a",))
-        g2 = GaussianCanonical.vacuous(("b",))
+        g1 = GaussianCanonical.vacuous(1)
+        g2 = GaussianCanonical.vacuous(2)
         with pytest.raises(ValueError):
             gauss_divide(g1, g2)
+        with pytest.raises(ValueError):
+            gauss_divide(g2, g1)
+        with pytest.raises(ValueError):
+            gauss_product(g1, g2)
+        with pytest.raises(ValueError):
+            kl_gaussian(g1, g2)
 
 
 class TestGaussMarginalize:
     def test_marginalize_nothing_is_identity(self):
         rng = np.random.default_rng(5)
-        g = random_gaussian(rng, ("a", "b"))
-        out = gauss_marginalize(g, ("a", "b"))
+        g = random_gaussian(rng, 2)
+        out = gauss_marginalize(g, (0, 1))
         np.testing.assert_array_equal(out.xi, g.xi)
 
     def test_block_diagonal(self):
         rng = np.random.default_rng(6)
-        ga = random_gaussian(rng, ("a",))
-        gb = random_gaussian(rng, ("b",))
-        joint = gauss_product(ga, gb)
-        out = gauss_marginalize(joint, ("a",))
+        ga = random_gaussian(rng, 1)
+        gb = random_gaussian(rng, 1)
+        joint = gauss_product(ga.embed((0,), 2), gb.embed((1,), 2))
+        out = gauss_marginalize(joint, (0,))
         np.testing.assert_allclose(out.xi, ga.xi, atol=1e-12)
         np.testing.assert_allclose(out.omega, ga.omega, atol=1e-12)
 
     def test_matches_covariance_submatrix(self):
         rng = np.random.default_rng(7)
-        g = random_gaussian(rng, ("a", "b", "c"))
+        g = random_gaussian(rng, 3)
         mom = g.to_moments()
-        out = gauss_marginalize(g, ("a", "c")).to_moments()
+        out = gauss_marginalize(g, (0, 2)).to_moments()
         np.testing.assert_allclose(out.mu, mom.mu[[0, 2]], atol=1e-9)
         np.testing.assert_allclose(
             out.sigma, mom.sigma[np.ix_([0, 2], [0, 2])], atol=1e-9
@@ -171,31 +190,31 @@ class TestGaussMarginalize:
         # an indefinite discarded block (legal in improper factors) cannot
         # be regularized away
         omega = np.array([[1.0, 0.0], [0.0, -1.0]])
-        g = GaussianCanonical(np.zeros(2), omega, ("a", "b"))
+        g = GaussianCanonical(np.zeros(2), omega)
         with pytest.raises(SingularMarginalization):
-            gauss_marginalize(g, ("a",))
+            gauss_marginalize(g, (0,))
 
     def test_vacuous_discard_block_is_vacuous(self):
         # discarding variables with no information yields a vacuous marginal
-        g = GaussianCanonical(np.zeros(2), np.zeros((2, 2)), ("a", "b"))
-        assert gauss_marginalize(g, ("a",)).is_vacuous()
+        g = GaussianCanonical(np.zeros(2), np.zeros((2, 2)))
+        assert gauss_marginalize(g, (0,)).is_vacuous()
 
 
 class TestKLGaussian:
     def test_self_kl_zero(self):
         rng = np.random.default_rng(8)
-        g = random_gaussian(rng, ("a", "b"))
+        g = random_gaussian(rng, 2)
         assert kl_gaussian(g, g) < 1e-12
 
     def test_1d_unit_shift(self):
-        q = GaussianMoment([0.0], [[1.0]]).to_canonical(("x",))
-        p = GaussianMoment([1.0], [[1.0]]).to_canonical(("x",))
+        q = GaussianMoment([0.0], [[1.0]]).to_canonical()
+        p = GaussianMoment([1.0], [[1.0]]).to_canonical()
         assert kl_gaussian(q, p) == pytest.approx(0.5)
 
     def test_matches_quadrature(self):
         rng = np.random.default_rng(9)
-        q = random_gaussian(rng, ("a", "b"))
-        p = random_gaussian(rng, ("a", "b"))
+        q = random_gaussian(rng, 2)
+        p = random_gaussian(rng, 2)
         qm = q.to_moments()
         # grid wide enough to cover q's mass
         lo = qm.mu - 6 * np.sqrt(np.diag(qm.sigma))
@@ -212,8 +231,8 @@ class TestKLGaussian:
         assert kl_gaussian(q, p) == pytest.approx(total, abs=1e-3)
 
     def test_rejects_improper(self):
-        g = GaussianCanonical.vacuous(("x",))
-        p = GaussianMoment([0.0], [[1.0]]).to_canonical(("x",))
+        g = GaussianCanonical.vacuous(1)
+        p = GaussianMoment([0.0], [[1.0]]).to_canonical()
         with pytest.raises(NotADistribution):
             kl_gaussian(g, p)
 
@@ -225,8 +244,8 @@ class TestKLGaussian:
     )
     @settings(max_examples=50, deadline=None)
     def test_nonnegative(self, mu1, mu2, v1, v2):
-        q = GaussianMoment([mu1], [[v1]]).to_canonical(("x",))
-        p = GaussianMoment([mu2], [[v2]]).to_canonical(("x",))
+        q = GaussianMoment([mu1], [[v1]]).to_canonical()
+        p = GaussianMoment([mu2], [[v2]]).to_canonical()
         assert kl_gaussian(q, p) >= 0.0
 
 
@@ -292,14 +311,14 @@ class TestUnscentedTransform:
         rng = np.random.default_rng(11)
         a = rng.normal(size=(3, 3))
         c = rng.normal(size=3)
-        g = random_gaussian(rng, ("x", "y", "z")).to_moments()
+        g = random_gaussian(rng, 3).to_moments()
         out = unscented_transform(g, lambda x: a @ x + c)
         np.testing.assert_allclose(out.mu, a @ g.mu + c, atol=1e-9)
         np.testing.assert_allclose(out.sigma, a @ g.sigma @ a.T, atol=1e-9)
 
     def test_identity(self):
         rng = np.random.default_rng(12)
-        g = random_gaussian(rng, ("x", "y")).to_moments()
+        g = random_gaussian(rng, 2).to_moments()
         out = unscented_transform(g, lambda x: x)
         np.testing.assert_allclose(out.mu, g.mu, atol=1e-9)
         np.testing.assert_allclose(out.sigma, g.sigma, atol=1e-9)

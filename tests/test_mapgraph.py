@@ -175,11 +175,41 @@ class TestNeighborMessage:
                 continue
             out = neighbor_out_message(stm, sep, sep.s)
             combined = gauss_product(out, sep.msg_to(sep.s))
-            marg = gauss_marginalize(
-                stm.surfels[sep.s].belief_h, sep.variables
-            ).reorder(combined.labels)
+            marg = gauss_marginalize(stm.surfels[sep.s].belief_h, sep.pos_s)
             np.testing.assert_allclose(combined.xi, marg.xi, atol=1e-8)
             np.testing.assert_allclose(combined.omega, marg.omega, atol=1e-8)
+
+
+class TestSharedFactors:
+    def test_shared_factors_are_never_written(self):
+        # One prior, one empty message and one initial belief serve every
+        # surfel; updates must rebind a surfel's factors, never write them.
+        grid = TriGrid.triangle(3)
+        stm = STMMap(grid, PriorConfig(), convergence=ConvergenceConfig(0.1, 200))
+        first = stm.surfels[0]
+        prior, empty, initial = first.prior_h, first.neighbor_in_msg, first.belief_h
+        prior_bytes = prior.xi.tobytes() + prior.omega.tobytes()
+        assert all(
+            s.prior_h is prior and s.neighbor_in_msg is empty and s.belief_h is initial
+            for s in stm.surfels
+        )
+        sid = grid.locate(0.05, 0.05)
+        for batch in range(2):  # the second update folds the first into a prior
+            meas = [Measurement([0.05, 0.05, 1.0], 0.01 * np.eye(3), batch)]
+            incremental_update(stm, meas)
+            factors = [f for s in stm.surfels for f in (
+                s.prior_h, s.neighbor_in_msg, s.belief_h,
+                *(c.out_msg_h for c in s.clusters))]
+            factors += [f for sep in stm.sepsets for f in (sep.msg_to_s, sep.msg_to_c)]
+            for f in factors:
+                assert not f.xi.flags.writeable and not f.omega.flags.writeable
+            untouched = [s for s in stm.surfels if s.belief_h is initial]
+            assert untouched and stm.surfels[sid] not in untouched
+            assert all(
+                s.prior_h is prior and s.neighbor_in_msg is empty for s in untouched
+            )
+            assert prior.xi.tobytes() + prior.omega.tobytes() == prior_bytes
+        assert stm.surfels[sid].prior_h is not prior
 
 
 class TestRunInference:
@@ -220,10 +250,8 @@ class TestRunInference:
         for sep in stm.sepsets:
             if not sep.variables:
                 continue
-            m1 = gauss_marginalize(stm.surfels[sep.s].belief_h, sep.variables)
-            m2 = gauss_marginalize(
-                stm.surfels[sep.c].belief_h, sep.variables
-            ).reorder(m1.labels)
+            m1 = gauss_marginalize(stm.surfels[sep.s].belief_h, sep.pos_s)
+            m2 = gauss_marginalize(stm.surfels[sep.c].belief_h, sep.pos_c)
             assert kl_gaussian(m1, m2) < 1e-6
             assert kl_gaussian(m2, m1) < 1e-6
 

@@ -200,7 +200,7 @@ class TestCompareMarginals:
         return SurfelState(
             sid=0,
             labels=("h0", "ha", "hb"),
-            prior_h=mom.to_canonical(("h0", "ha", "hb")),
+            prior_h=mom.to_canonical(),
             prior_nu=InverseGammaFactor.normalized(shape, scale),
         )
 

@@ -39,7 +39,7 @@ def fresh_state(prior_var=100.0, a_p=1.0, b_p=1.0):
     return SurfelState(
         sid=0,
         labels=LABELS,
-        prior_h=GaussianCanonical(np.zeros(3), omega, LABELS),
+        prior_h=GaussianCanonical(np.zeros(3), omega),
         prior_nu=InverseGammaFactor.normalized(a_p, b_p),
     )
 
@@ -51,7 +51,7 @@ def fixed_nu_state(nu, prior_var=1e12):
     return SurfelState(
         sid=0,
         labels=LABELS,
-        prior_h=GaussianCanonical(np.zeros(3), omega, LABELS),
+        prior_h=GaussianCanonical(np.zeros(3), omega),
         prior_nu=InverseGammaFactor.normalized(a, nu * a),
     )
 
@@ -100,7 +100,7 @@ class TestInitialization:
     def test_single_measurement_mean(self):
         state = fresh_state(prior_var=1e12)
         m = Measurement([0.2, 0.3, 2.0], 0.01 * np.eye(3), 0)
-        cluster = init_likelihood_cluster(m, LABELS, nu_scale=1.0)
+        cluster = init_likelihood_cluster(m, nu_scale=1.0)
         state.clusters.append(cluster)
         state.recompute_beliefs()
         mom = state.belief_h.to_moments()
@@ -108,7 +108,7 @@ class TestInitialization:
 
     def test_init_height_message_variance(self):
         m = Measurement([0.2, 0.3, 2.0], 0.01 * np.eye(3), 0)
-        cluster = init_likelihood_cluster(m, LABELS, nu_scale=1.0)
+        cluster = init_likelihood_cluster(m, nu_scale=1.0)
         np.testing.assert_allclose(
             cluster.out_msg_h.omega, np.eye(3) / INIT_HEIGHT_VAR
         )
@@ -126,7 +126,7 @@ class TestInitialization:
         )
         for k, g in enumerate(gammas):
             m = Measurement([0.2, 0.3, g], 0.01 * np.eye(3), k)
-            state.clusters.append(init_likelihood_cluster(m, LABELS, scale))
+            state.clusters.append(init_likelihood_cluster(m, scale))
         state.recompute_beliefs()
         assert state.expected_deviation() == pytest.approx(1.0)
 
@@ -159,14 +159,14 @@ class TestIncomingMessage:
                 0.05 * np.eye(3),
                 k,
             )
-            state.clusters.append(init_likelihood_cluster(m, LABELS, 0.5))
+            state.clusters.append(init_likelihood_cluster(m, 0.5))
         state.recompute_beliefs()
         return state
 
     def test_single_cluster_vacuous_context(self):
         state = fresh_state(prior_var=1e18)
         m = Measurement([0.2, 0.3, 2.0], 0.01 * np.eye(3), 0)
-        state.clusters.append(init_likelihood_cluster(m, LABELS, 1.0))
+        state.clusters.append(init_likelihood_cluster(m, 1.0))
         state.recompute_beliefs()
         in_h, _ = compute_incoming_message(state, state.clusters[0])
         assert np.max(np.abs(in_h.omega)) < 1e-12
@@ -175,7 +175,7 @@ class TestIncomingMessage:
         state = self._three_cluster_state(21)
         c = state.clusters[1]
         in_h, in_nu = compute_incoming_message(state, c)
-        recomposed = gauss_product(in_h, c.out_msg_h).reorder(LABELS)
+        recomposed = gauss_product(in_h, c.out_msg_h)
         np.testing.assert_allclose(recomposed.xi, state.belief_h.xi, atol=1e-12)
         nu = ig_product(in_nu, c.out_msg_nu)
         assert nu.exponent == pytest.approx(state.belief_nu.exponent)
@@ -189,7 +189,6 @@ class TestIncomingMessage:
             direct = gauss_product(state.prior_h, state.neighbor_in_msg)
             for other in state.clusters[1:]:
                 direct = gauss_product(direct, other.out_msg_h)
-            direct = direct.reorder(LABELS)
             np.testing.assert_allclose(in_h.xi, direct.xi, atol=1e-9)
             np.testing.assert_allclose(in_h.omega, direct.omega, atol=1e-9)
 
@@ -220,7 +219,7 @@ class TestMeanPlaneUpdate:
         prior_var = 1e6
         state = fixed_nu_state(nu, prior_var=prior_var)
         m = Measurement([0.0, 0.0, 1.7], np.diag([1e-12, 1e-12, r]), 0)
-        state.clusters.append(init_likelihood_cluster(m, LABELS, nu))
+        state.clusters.append(init_likelihood_cluster(m, nu))
         state.recompute_beliefs()
         for _ in range(40):
             update_mean_plane_factor(state, state.clusters[0])
@@ -236,7 +235,7 @@ class TestMeanPlaneUpdate:
         state = fixed_nu_state(0.1, prior_var=1.0)
         mom = state.belief_h.to_moments()
         m = Measurement([1 / 3, 1 / 3, 0.0], 1e9 * np.eye(3), 0)
-        state.clusters.append(init_likelihood_cluster(m, LABELS, 0.1))
+        state.clusters.append(init_likelihood_cluster(m, 0.1))
         state.recompute_beliefs()
         before = state.belief_h
         update_mean_plane_factor(state, state.clusters[0])
@@ -245,7 +244,7 @@ class TestMeanPlaneUpdate:
     def test_fixed_point_of_repeated_update(self):
         state = fresh_state()
         m = Measurement([0.3, 0.3, 1.0], 0.05 * np.eye(3), 0)
-        state.clusters.append(init_likelihood_cluster(m, LABELS, 0.5))
+        state.clusters.append(init_likelihood_cluster(m, 0.5))
         state.recompute_beliefs()
         for _ in range(60):
             update_mean_plane_factor(state, state.clusters[0])
@@ -260,7 +259,7 @@ class TestDeviationUpdate:
     def _converged_state(self, meas_mean, meas_cov):
         state = fresh_state()
         m = Measurement(meas_mean, meas_cov, 0)
-        state.clusters.append(init_likelihood_cluster(m, LABELS, 0.5))
+        state.clusters.append(init_likelihood_cluster(m, 0.5))
         state.recompute_beliefs()
         return state
 
@@ -276,7 +275,7 @@ class TestDeviationUpdate:
         # (alpha, beta) measurement with residual 2
         state = fixed_nu_state(1.0, prior_var=1e-14)
         m = Measurement([0.25, 0.25, 2.0], np.diag([1e-14, 1e-14, 1e-14]), 0)
-        state.clusters.append(init_likelihood_cluster(m, LABELS, 1.0))
+        state.clusters.append(init_likelihood_cluster(m, 1.0))
         state.recompute_beliefs()
         c = state.clusters[0]
         update_planar_deviation_factor(state, c, _fused_cluster_joint(state, c))
@@ -287,7 +286,7 @@ class TestDeviationUpdate:
         rng = np.random.default_rng(22)
         state = fresh_state(prior_var=0.3, a_p=3.0, b_p=0.6)
         m = Measurement([0.3, 0.4, 0.8], np.diag([0.001, 0.001, 0.05]), 0)
-        state.clusters.append(init_likelihood_cluster(m, LABELS, 0.2))
+        state.clusters.append(init_likelihood_cluster(m, 0.2))
         state.recompute_beliefs()
         joint = update_mean_plane_factor(state, state.clusters[0])
         update_planar_deviation_factor(state, state.clusters[0], joint)
@@ -315,7 +314,7 @@ class TestBeliefBookkeeping:
                 np.diag([0.001, 0.001, 0.04]),
                 k,
             )
-            state.clusters.append(init_likelihood_cluster(m, LABELS, 0.3))
+            state.clusters.append(init_likelihood_cluster(m, 0.3))
         state.recompute_beliefs()
         for _ in range(5):
             for c in state.clusters:
@@ -327,7 +326,6 @@ class TestBeliefBookkeeping:
                 for other in state.clusters:
                     direct = gauss_product(direct, other.out_msg_h)
                     nu = ig_product(nu, other.out_msg_nu)
-                direct = direct.reorder(LABELS)
                 np.testing.assert_allclose(
                     state.belief_h.xi, direct.xi, atol=1e-9
                 )
@@ -349,7 +347,7 @@ class TestBeliefBookkeeping:
                 np.diag([0.001, 0.001, 0.04]),
                 k,
             )
-            state.clusters.append(init_likelihood_cluster(m, LABELS, 0.3))
+            state.clusters.append(init_likelihood_cluster(m, 0.3))
         state.recompute_beliefs()
         for _ in range(3):
             for c in state.clusters:
