@@ -86,7 +86,7 @@ class GaussianCanonical:
     omega: np.ndarray
 
     def __post_init__(self):
-        xi = np.array(self.xi, dtype=float).reshape(-1)
+        xi = np.asarray(self.xi, dtype=float).reshape(-1).copy()
         omega = np.asarray(self.omega, dtype=float)
         if omega.shape != (xi.size, xi.size):
             raise ValueError(f"shape mismatch: xi {xi.shape}, omega {omega.shape}")
@@ -150,7 +150,7 @@ class GaussianMoment:
     sigma: np.ndarray
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float).reshape(-1)
+        mu = np.asarray(self.mu, dtype=float).reshape(-1).copy()
         sigma = _symmetrize(np.asarray(self.sigma, dtype=float))
         if sigma.shape != (mu.size, mu.size):
             raise ValueError("sigma shape does not match mu")

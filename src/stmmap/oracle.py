@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +52,10 @@ class ChainConfig:
             raise ValueError("burn_in fraction must lie in (0, 1)")
         if min(self.prop_std_h, self.prop_std_lognu, self.prop_std_m) <= 0.0:
             raise ValueError("proposal stds must be positive")
-        if self.n_samples < 1 or self.thinning < 1 or self.adapt_interval < 1:
+        counts = (self.n_samples, self.thinning, self.adapt_interval)
+        if any(isinstance(c, bool) or not isinstance(c, numbers.Integral) for c in counts):
+            raise ValueError("n_samples, thinning and adapt_interval must be integers")
+        if min(counts) < 1:
             raise ValueError("counts must be positive")
 
 
@@ -133,14 +137,32 @@ def run_mh(
     independent given (h, nu), so their accept/reject steps are vectorized
     across measurements. Burn-in adapts the proposal stds toward a
     0.23-0.44 acceptance rate, then freezes them.
+
+    The chain carries sufficient statistics of its current state instead
+    of evaluating the log joint. With C the n x 3 design matrix of rows
+    (1 - alpha_i - beta_i, alpha_i, beta_i) and r = gamma - C h the
+    residuals, these are G = C'C, s = C'r, SS = r.r and Lambda h (the
+    prior precision times h), so a height or log-nu move costs a few
+    scalar operations. The latent-point move caches each row's m-only
+    terms (measurement quadratic and alpha/beta prior) and replaces them
+    where a row is accepted. Two invariants hold:
+
+    - The draw order and the proposals are fixed. Each iteration draws a
+      normal and a uniform for each height, then for log nu, then n x 3
+      normals and n uniforms for the latent points, and proposes
+      h[k] + d, u + d and m + noise. A seed thus gives the chain that
+      evaluating the full log joint gives, unless an accept test lands
+      within rounding of its threshold.
+    - After every latent-point move, r, s, SS, G and Lambda h are
+      recomputed from the state, so the rounding of the incremental
+      updates never outlives one iteration.
     """
     if config is None:
         config = ChainConfig()
     rng = np.random.default_rng(config.seed)
     n = len(measurements)
 
-    cov_h = prior.height_covariance()
-    lam_h = inv_psd(cov_h)
+    lam = inv_psd(prior.height_covariance()).tolist()
     if n > 0:
         z = np.array([meas.mean for meas in measurements])  # (n, 3)
         lam_z = np.array([inv_psd(meas.cov) for meas in measurements])
@@ -149,39 +171,46 @@ def run_mh(
         lam_z = np.zeros((0, 3, 3))
 
     # state
-    h = np.zeros(3)
-    if n > 0:
-        h[:] = float(np.mean(z[:, 2]))
+    h = [0.0, 0.0, 0.0] if n == 0 else [float(np.mean(z[:, 2]))] * 3
     u = math.log(prior.b_p / prior.a_p) if n == 0 else math.log(
         max(float(np.var(z[:, 2])), 1e-4)
     )
+    nu = math.exp(u)
     m = z.copy()
 
-    def gamma_loglik(h_, nu_, m_) -> float:
+    def m_only_terms(m_):
+        # per-measurement log density terms that depend on m_i alone
+        d = m_ - z
+        quad = -0.5 * np.einsum("ij,ijk,ik->i", d, lam_z, d)
+        ab = d[:, :2]  # latent alpha/beta priors are centered on z
+        return quad, 0.5 * (ab * ab).sum(axis=1) / ALPHA_BETA_PRIOR_VAR
+
+    def residuals(c0_, m_):
+        # r = gamma - C h, with c0_ = 1 - alpha - beta given
+        return m_[:, 2] - (c0_ * h[0] + m_[:, 0] * h[1] + m_[:, 1] * h[2])
+
+    cur_quad, cur_ab = m_only_terms(m)
+    # C transposed (rows 1 - alpha - beta, alpha, beta) over r: one product
+    # of this with itself gives G, s and SS
+    design = np.empty((4, n))
+    c0 = design[0]
+    c0[:] = 1.0 - m[:, 0] - m[:, 1]
+    gram, s, lam_hh = [[0.0] * 3 for _ in range(3)], [0.0] * 3, [0.0] * 3
+
+    def refresh(r_) -> float:
+        # every statistic again from the state, given r_ = gamma - C h; returns SS
+        lam_hh[:] = [row[0] * h[0] + row[1] * h[1] + row[2] * h[2] for row in lam]
         if n == 0:
             return 0.0
-        f = (1.0 - m_[:, 0] - m_[:, 1]) * h_[0] + m_[:, 0] * h_[1] + m_[:, 1] * h_[2]
-        r = m_[:, 2] - f
-        return -0.5 * float(np.sum(_LOG_2PI + math.log(nu_) + r * r / nu_))
+        design[1:3] = m[:, :2].T
+        design[3] = r_
+        prods = (design @ design.T).tolist()
+        gram[:] = [row[:3] for row in prods[:3]]
+        s[:] = [row[3] for row in prods[:3]]
+        return prods[3][3]
 
-    def u_logpost(u_) -> float:
-        # IG prior on nu plus the log-scale Jacobian term
-        nu_ = math.exp(u_)
-        return gamma_loglik(h, nu_, m) + _log_ig(nu_, prior.a_p, prior.b_p) + u_
-
-    def m_logpost_terms(m_) -> np.ndarray:
-        # per-measurement log density terms that depend on m_i
-        d = m_ - z
-        quad = np.einsum("ij,ijk,ik->i", d, lam_z, d)
-        f = (1.0 - m_[:, 0] - m_[:, 1]) * h[0] + m_[:, 0] * h[1] + m_[:, 1] * h[2]
-        r = m_[:, 2] - f
-        nu_ = math.exp(u)
-        ab = d[:, :2]  # latent alpha/beta priors are centered on z
-        return (
-            -0.5 * quad
-            - 0.5 * r * r / nu_
-            - 0.5 * np.sum(ab * ab, axis=1) / ALPHA_BETA_PRIOR_VAR
-        )
+    ss = refresh(residuals(c0, m))
+    half_n_a = 0.5 * n + prior.a_p
 
     stds = {
         "h0": config.prop_std_h,
@@ -194,38 +223,55 @@ def run_mh(
     tries = {k: 0 for k in stds}
 
     n_burn = int(config.burn_in * config.n_samples)
-    kept_h, kept_nu = [], []
-    cur_m_terms = m_logpost_terms(m)
+    kept = len(range(n_burn, config.n_samples, config.thinning))
+    kept_h = np.empty((kept, 3))
+    kept_nu = np.empty(kept)
 
     for it in range(config.n_samples):
         # vertex heights, one scalar at a time
         for k, name in enumerate(("h0", "ha", "hb")):
-            h_prop = h.copy()
-            h_prop[k] += rng.normal(0.0, stds[name])
-            delta = (
-                gamma_loglik(h_prop, math.exp(u), m)
-                - gamma_loglik(h, math.exp(u), m)
-                - 0.5 * (h_prop @ lam_h @ h_prop - h @ lam_h @ h)
-            )
+            hk = h[k] + rng.normal(0.0, stds[name])
+            d = hk - h[k]  # the step as stored, not as drawn
+            d_ss = d * (d * gram[k][k] - 2.0 * s[k])
+            delta = -0.5 * d_ss / nu - 0.5 * d * (2.0 * lam_hh[k] + d * lam[k][k])
             tries[name] += 1
             if math.log(rng.random()) < delta:
-                h = h_prop
+                h[k] = hk
+                ss += d_ss
+                for j in range(3):
+                    s[j] -= d * gram[j][k]
+                    lam_hh[j] += d * lam[j][k]
                 acc[name] += 1
-        # log deviation
+        # log deviation: IG prior on nu plus the log-scale Jacobian term
         u_prop = u + rng.normal(0.0, stds["lognu"])
+        nu_prop = math.exp(u_prop)
         tries["lognu"] += 1
-        if math.log(rng.random()) < u_logpost(u_prop) - u_logpost(u):
-            u = u_prop
+        delta = -half_n_a * (u_prop - u) - (0.5 * ss + prior.b_p) * (
+            1.0 / nu_prop - 1.0 / nu
+        )
+        if math.log(rng.random()) < delta:
+            u, nu = u_prop, nu_prop
             acc["lognu"] += 1
         # all latent points at once (conditionally independent)
         if n > 0:
             m_prop = m + rng.normal(0.0, stds["m"], size=(n, 3))
-            new_terms = m_logpost_terms(m_prop)
-            cur_m_terms = m_logpost_terms(m)
-            take = np.log(rng.random(n)) < new_terms - cur_m_terms
-            m[take] = m_prop[take]
+            new_quad, new_ab = m_only_terms(m_prop)
+            new_c0 = 1.0 - m_prop[:, 0] - m_prop[:, 1]
+            new_r = residuals(new_c0, m_prop)
+            r = residuals(c0, m)
+            new_terms = new_quad - 0.5 * new_r * new_r / nu - new_ab
+            cur_terms = cur_quad - 0.5 * r * r / nu - cur_ab
+            take = np.log(rng.random(n)) < new_terms - cur_terms
+            np.copyto(m, m_prop, where=take[:, None])
+            np.copyto(cur_quad, new_quad, where=take)
+            np.copyto(cur_ab, new_ab, where=take)
+            np.copyto(c0, new_c0, where=take)
+            np.copyto(r, new_r, where=take)
             tries["m"] += n
-            acc["m"] += int(np.sum(take))
+            acc["m"] += int(np.count_nonzero(take))
+        else:
+            r = None
+        ss = refresh(r)
 
         if it < n_burn and (it + 1) % config.adapt_interval == 0:
             for k in stds:
@@ -242,8 +288,9 @@ def run_mh(
                 acc[k] = 0
                 tries[k] = 0
         if it >= n_burn and (it - n_burn) % config.thinning == 0:
-            kept_h.append(h.copy())
-            kept_nu.append(math.exp(u))
+            j = (it - n_burn) // config.thinning
+            kept_h[j] = h
+            kept_nu[j] = nu
 
     rates = {k: acc[k] / tries[k] for k in stds if tries[k] > 0}
     for k, rate in rates.items():
@@ -253,8 +300,8 @@ def run_mh(
                 "outside [0.05, 0.9]"
             )
     return ChainResult(
-        h_samples=np.asarray(kept_h).reshape(len(kept_nu), 3),
-        nu_samples=np.array(kept_nu),
+        h_samples=kept_h,
+        nu_samples=kept_nu,
         acceptance=rates,
         proposal_stds=dict(stds),
         config=config,

@@ -56,8 +56,9 @@ class Measurement:
     id: int
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).reshape(3)
-        cov = np.asarray(self.cov, dtype=float).reshape(3, 3)
+        # one owned copy each, so the caller's buffers cannot alias them
+        mean = np.asarray(self.mean, dtype=float).reshape(3).copy()
+        cov = np.asarray(self.cov, dtype=float).reshape(3, 3).copy()
         mean.flags.writeable = False
         cov.flags.writeable = False
         object.__setattr__(self, "mean", mean)

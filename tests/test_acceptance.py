@@ -141,13 +141,16 @@ def test_criterion_2_mcmc_agreement(capsys):
     t0 = time.perf_counter()
     prior = PriorConfig()
     worst_disc, worst_ratio_lo, worst_ratio_hi = 0.0, math.inf, 0.0
+    chain_s = {}
     for case, chain_seed in (("stereo", 11), ("lidar", 21)):
         meas = make_emulation_case(case)
         stm = STMMap(TriGrid.triangle(0), prior,
                      convergence=ConvergenceConfig(kl_threshold=1e-7,
                                                    max_sweeps=500))
         run_inference(stm, meas)
+        t_chain = time.perf_counter()
         result = run_mh(meas, prior, ChainConfig(seed=chain_seed))
+        chain_s[case] = time.perf_counter() - t_chain
         rep = compare_marginals(result, stm.surfels[0])
         for row in rep.values():
             worst_disc = max(worst_disc, row["std_mean_discrepancy"])
@@ -159,7 +162,8 @@ def test_criterion_2_mcmc_agreement(capsys):
     report(capsys, 2, ok,
            f"max mean discrepancy {worst_disc:.3f} MH stds (< 0.5), "
            f"std ratios in [{worst_ratio_lo:.2f}, {worst_ratio_hi:.2f}] "
-           f"(within [0.5, 2.0]), {elapsed:.0f} s (< 300 s)")
+           f"(within [0.5, 2.0]), {elapsed:.0f} s (< 300 s; chains: "
+           + ", ".join(f"{case} {t:.0f} s" for case, t in chain_s.items()) + ")")
 
 
 def test_criterion_3_tree_exactness(capsys):

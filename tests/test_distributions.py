@@ -46,13 +46,17 @@ class TestGaussianCanonical:
     def test_arrays_are_private_and_read_only(self):
         xi, omega = np.ones(2), np.eye(2)
         g = GaussianCanonical(xi, omega)
-        xi[0] = omega[0, 0] = 5.0
-        np.testing.assert_array_equal(g.xi, [1.0, 1.0])
-        np.testing.assert_array_equal(g.omega, np.eye(2))
-        with pytest.raises(ValueError):
-            g.xi[0] = 2.0
-        with pytest.raises(ValueError):
-            g.omega[0, 0] = 2.0
+        mu, sigma = np.ones(2), np.eye(2)
+        mom = GaussianMoment(mu, sigma)
+        xi[0] = omega[0, 0] = mu[0] = sigma[0, 0] = 5.0
+        for arr in (g.xi, mom.mu):
+            np.testing.assert_array_equal(arr, [1.0, 1.0])
+        for arr in (g.omega, mom.sigma):
+            np.testing.assert_array_equal(arr, np.eye(2))
+        for arr in (g.xi, g.omega, mom.mu, mom.sigma):
+            assert arr.base is None  # owned, not a view of another array
+            with pytest.raises(ValueError):
+                arr[0] = 2.0
 
     def test_moment_round_trip(self):
         rng = np.random.default_rng(0)

@@ -1,16 +1,20 @@
 """Tests for the Metropolis-Hastings posterior oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from stmmap.distributions import GaussianMoment
+from stmmap.cli import make_emulation_case
+from stmmap.distributions import GaussianMoment, inv_psd
 from stmmap.mapgraph import PriorConfig
 from stmmap.oracle import (
+    _LOG_2PI,
     AdaptationFailed,
     ChainConfig,
     ChainResult,
+    _log_ig,
     compare_marginals,
     exact_log_joint,
     run_mh,
@@ -52,6 +56,149 @@ def random_measurements(n, seed):
             )
         )
     return out
+
+
+# The sampler as it was before it carried sufficient statistics: every move
+# evaluates the log-likelihood of both states in full. Kept verbatim as the
+# reference that run_mh must reproduce draw for draw.
+def reference_run_mh(
+    measurements: list[Measurement],
+    prior: PriorConfig,
+    config: ChainConfig = None,
+) -> ChainResult:
+    """Component-wise Gaussian random-walk Metropolis over (h, log nu, m).
+
+    nu is sampled on the log scale with the Jacobian correction, which
+    keeps proposals unconstrained. The latent points m_i are conditionally
+    independent given (h, nu), so their accept/reject steps are vectorized
+    across measurements. Burn-in adapts the proposal stds toward a
+    0.23-0.44 acceptance rate, then freezes them.
+    """
+    if config is None:
+        config = ChainConfig()
+    rng = np.random.default_rng(config.seed)
+    n = len(measurements)
+
+    cov_h = prior.height_covariance()
+    lam_h = inv_psd(cov_h)
+    if n > 0:
+        z = np.array([meas.mean for meas in measurements])  # (n, 3)
+        lam_z = np.array([inv_psd(meas.cov) for meas in measurements])
+    else:
+        z = np.zeros((0, 3))
+        lam_z = np.zeros((0, 3, 3))
+
+    # state
+    h = np.zeros(3)
+    if n > 0:
+        h[:] = float(np.mean(z[:, 2]))
+    u = math.log(prior.b_p / prior.a_p) if n == 0 else math.log(
+        max(float(np.var(z[:, 2])), 1e-4)
+    )
+    m = z.copy()
+
+    def gamma_loglik(h_, nu_, m_) -> float:
+        if n == 0:
+            return 0.0
+        f = (1.0 - m_[:, 0] - m_[:, 1]) * h_[0] + m_[:, 0] * h_[1] + m_[:, 1] * h_[2]
+        r = m_[:, 2] - f
+        return -0.5 * float(np.sum(_LOG_2PI + math.log(nu_) + r * r / nu_))
+
+    def u_logpost(u_) -> float:
+        # IG prior on nu plus the log-scale Jacobian term
+        nu_ = math.exp(u_)
+        return gamma_loglik(h, nu_, m) + _log_ig(nu_, prior.a_p, prior.b_p) + u_
+
+    def m_logpost_terms(m_) -> np.ndarray:
+        # per-measurement log density terms that depend on m_i
+        d = m_ - z
+        quad = np.einsum("ij,ijk,ik->i", d, lam_z, d)
+        f = (1.0 - m_[:, 0] - m_[:, 1]) * h[0] + m_[:, 0] * h[1] + m_[:, 1] * h[2]
+        r = m_[:, 2] - f
+        nu_ = math.exp(u)
+        ab = d[:, :2]  # latent alpha/beta priors are centered on z
+        return (
+            -0.5 * quad
+            - 0.5 * r * r / nu_
+            - 0.5 * np.sum(ab * ab, axis=1) / ALPHA_BETA_PRIOR_VAR
+        )
+
+    stds = {
+        "h0": config.prop_std_h,
+        "ha": config.prop_std_h,
+        "hb": config.prop_std_h,
+        "lognu": config.prop_std_lognu,
+        "m": config.prop_std_m,
+    }
+    acc = {k: 0 for k in stds}
+    tries = {k: 0 for k in stds}
+
+    n_burn = int(config.burn_in * config.n_samples)
+    kept_h, kept_nu = [], []
+    cur_m_terms = m_logpost_terms(m)
+
+    for it in range(config.n_samples):
+        # vertex heights, one scalar at a time
+        for k, name in enumerate(("h0", "ha", "hb")):
+            h_prop = h.copy()
+            h_prop[k] += rng.normal(0.0, stds[name])
+            delta = (
+                gamma_loglik(h_prop, math.exp(u), m)
+                - gamma_loglik(h, math.exp(u), m)
+                - 0.5 * (h_prop @ lam_h @ h_prop - h @ lam_h @ h)
+            )
+            tries[name] += 1
+            if math.log(rng.random()) < delta:
+                h = h_prop
+                acc[name] += 1
+        # log deviation
+        u_prop = u + rng.normal(0.0, stds["lognu"])
+        tries["lognu"] += 1
+        if math.log(rng.random()) < u_logpost(u_prop) - u_logpost(u):
+            u = u_prop
+            acc["lognu"] += 1
+        # all latent points at once (conditionally independent)
+        if n > 0:
+            m_prop = m + rng.normal(0.0, stds["m"], size=(n, 3))
+            new_terms = m_logpost_terms(m_prop)
+            cur_m_terms = m_logpost_terms(m)
+            take = np.log(rng.random(n)) < new_terms - cur_m_terms
+            m[take] = m_prop[take]
+            tries["m"] += n
+            acc["m"] += int(np.sum(take))
+
+        if it < n_burn and (it + 1) % config.adapt_interval == 0:
+            for k in stds:
+                if tries[k] == 0:
+                    continue
+                rate = acc[k] / tries[k]
+                if not 0.23 <= rate <= 0.44:
+                    # smooth multiplicative step toward ~0.33 acceptance
+                    stds[k] *= math.exp(2.0 * (rate - 0.335))
+                acc[k] = 0
+                tries[k] = 0
+        if it == n_burn - 1:
+            for k in stds:
+                acc[k] = 0
+                tries[k] = 0
+        if it >= n_burn and (it - n_burn) % config.thinning == 0:
+            kept_h.append(h.copy())
+            kept_nu.append(math.exp(u))
+
+    rates = {k: acc[k] / tries[k] for k in stds if tries[k] > 0}
+    for k, rate in rates.items():
+        if not 0.05 <= rate <= 0.9:
+            raise AdaptationFailed(
+                f"post-adaptation acceptance for {k} is {rate:.3f}, "
+                "outside [0.05, 0.9]"
+            )
+    return ChainResult(
+        h_samples=np.asarray(kept_h).reshape(len(kept_nu), 3),
+        nu_samples=np.array(kept_nu),
+        acceptance=rates,
+        proposal_stds=dict(stds),
+        config=config,
+    )
 
 
 class TestExactLogJoint:
@@ -111,6 +258,11 @@ class TestChainConfig:
             ChainConfig(prop_std_h=0.0)
         with pytest.raises(ValueError):
             ChainConfig(thinning=0)
+        for bad in ({"n_samples": 1e4}, {"thinning": 2.5}, {"adapt_interval": 500.0},
+                    {"n_samples": True}, {"thinning": "10"}):
+            with pytest.raises(ValueError):
+                ChainConfig(**bad)
+        assert ChainConfig(n_samples=np.int64(100)).n_samples == 100
 
 
 class TestRunMH:
@@ -170,6 +322,44 @@ class TestRunMH:
         r2 = run_mh(meas, prior, ChainConfig(n_samples=20_000, seed=7))
         np.testing.assert_array_equal(r1.h_samples, r2.h_samples)
         np.testing.assert_array_equal(r1.nu_samples, r2.nu_samples)
+
+    @pytest.mark.parametrize("case", ["stereo", "lidar", "random", "prior_only"])
+    def test_same_chain_as_reference(self, case):
+        prior = PriorConfig()
+        if case in ("stereo", "lidar"):
+            meas = make_emulation_case(case)
+        elif case == "random":
+            meas = random_measurements(5, 61)
+        else:
+            meas = []
+            prior = PriorConfig(rho=0.0, sigma2=1.0, a_p=3.0, b_p=2.0)
+        cfg = ChainConfig(n_samples=5_000, adapt_interval=500, seed=12)
+        ours, ref = run_mh(meas, prior, cfg), reference_run_mh(meas, prior, cfg)
+        np.testing.assert_array_equal(ours.h_samples, ref.h_samples)
+        np.testing.assert_array_equal(ours.nu_samples, ref.nu_samples)
+        assert ours.acceptance == ref.acceptance
+        assert ours.proposal_stds == ref.proposal_stds
+
+    def test_memory_does_not_grow_with_chain_length(self):
+        # two chains keeping 1,600 samples each, one twice as long as the
+        # other: even one float64 per iteration would add 80 KB to the peak,
+        # and pre-drawing the chain's random numbers megabytes
+        meas, prior = make_emulation_case("lidar"), PriorConfig()
+        peaks = []
+        tracemalloc.start()
+        try:
+            for n_samples, thinning in ((10_000, 5), (20_000, 10)):
+                cfg = ChainConfig(n_samples=n_samples, thinning=thinning,
+                                  adapt_interval=500, seed=5)
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                res = run_mh(meas, prior, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+                assert len(res.nu_samples) == 1_600
+                del res
+        finally:
+            tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 64 * 1024, peaks
 
     def test_acceptance_in_range(self):
         prior = PriorConfig()

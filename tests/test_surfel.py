@@ -96,6 +96,19 @@ class TestJacobian:
         )
 
 
+class TestMeasurement:
+    def test_fields_are_private_and_read_only(self):
+        mean, cov = np.array([0.1, 0.2, 0.3]), 0.01 * np.eye(3)
+        m = Measurement(mean, cov, 0)
+        mean[2] = cov[0, 0] = 9.0
+        np.testing.assert_array_equal(m.mean, [0.1, 0.2, 0.3])
+        np.testing.assert_array_equal(m.cov, 0.01 * np.eye(3))
+        for arr in (m.mean, m.cov):
+            assert arr.base is None  # owned, not a view of the caller's buffer
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+
 class TestInitialization:
     def test_single_measurement_mean(self):
         state = fresh_state(prior_var=1e12)
