@@ -51,8 +51,8 @@ from .surfel import (
     LikelihoodClusterState,
     Measurement,
     SurfelState,
-    jacobian_f,
     mean_plane_eval,
+    residual_gradient,
 )
 
 __version__ = "0.1.0"

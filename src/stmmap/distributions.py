@@ -46,8 +46,8 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b for symmetric PSD a, with a single jittered retry.
+def cholesky_psd(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of symmetric PSD a, with a single jittered retry.
 
     The retry adds 1e-12 * trace / n to the diagonal, which resolves benign
     rank deficiency from floating-point cancellation without masking
@@ -55,16 +55,21 @@ def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     a = np.atleast_2d(a)
     try:
-        c = np.linalg.cholesky(a)
+        return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         n = a.shape[0]
         jitter = _JITTER_REL * max(abs(np.trace(a)), 1.0) / n
         try:
-            c = np.linalg.cholesky(a + jitter * np.eye(n))
+            return np.linalg.cholesky(a + jitter * np.eye(n))
         except np.linalg.LinAlgError as exc:
             raise SingularMarginalization(
                 f"singular {n}x{n} block after regularization"
             ) from exc
+
+
+def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a @ x = b for symmetric PSD a through `cholesky_psd`."""
+    c = cholesky_psd(a)
     return np.linalg.solve(c.T, np.linalg.solve(c, b))
 
 
@@ -109,15 +114,22 @@ class GaussianCanonical:
             np.all(np.abs(self.xi) <= tol) and np.all(np.abs(self.omega) <= tol)
         )
 
+    def cholesky(self) -> np.ndarray:
+        """Lower Cholesky factor of omega; NotADistribution unless positive definite."""
+        try:
+            if self.dim:
+                return np.linalg.cholesky(self.omega)
+        except np.linalg.LinAlgError:
+            pass
+        raise NotADistribution("information matrix is not positive definite")
+
     def is_normalizable(self) -> bool:
         """True when omega is positive definite."""
-        if self.dim == 0:
-            return False
         try:
-            np.linalg.cholesky(self.omega)
-            return True
-        except np.linalg.LinAlgError:
+            self.cholesky()
+        except NotADistribution:
             return False
+        return True
 
     def embed(self, positions: Sequence[int], n: int) -> "GaussianCanonical":
         """This factor placed at `positions` of an n-variable scope, zero elsewhere."""
@@ -131,8 +143,7 @@ class GaussianCanonical:
         return GaussianCanonical(xi, omega)
 
     def to_moments(self) -> "GaussianMoment":
-        if not self.is_normalizable():
-            raise NotADistribution("information matrix is not positive definite")
+        self.cholesky()  # raises unless omega is positive definite
         sigma = inv_psd(self.omega)
         return GaussianMoment(sigma @ self.xi, sigma)
 
@@ -222,17 +233,18 @@ def gauss_marginalize(g: GaussianCanonical, keep: Sequence[int]) -> GaussianCano
 
 
 def kl_gaussian(q: GaussianCanonical, p: GaussianCanonical) -> float:
-    """Exclusive KL divergence KL(q || p) for normalizable Gaussians of one scope."""
+    """Exclusive KL divergence KL(q || p) for normalizable Gaussians of one scope.
+
+    With omega = L L^T and y = L^-1 xi: tr(omega_p sigma_q) = |Lq^-1 Lp|_F^2,
+    and the Mahalanobis term is |Lp^T (mu_p - mu_q)|^2 = |y_p - (Lq^-1 Lp)^T y_q|^2.
+    """
     _same_size(q, p, "KL divergence")
-    qm = q.to_moments()
-    pm = p.to_moments()
-    n = qm.dim
-    d = pm.mu - qm.mu
-    sp_inv_sq = solve_psd(pm.sigma, qm.sigma)
-    maha = float(d @ solve_psd(pm.sigma, d))
-    _, logdet_q = np.linalg.slogdet(qm.sigma)
-    _, logdet_p = np.linalg.slogdet(pm.sigma)
-    kl = 0.5 * (np.trace(sp_inv_sq) + maha - n + logdet_p - logdet_q)
+    lq, lp = q.cholesky(), p.cholesky()
+    sol = np.linalg.solve(lq, np.column_stack((lp, q.xi)))
+    lq_lp, y_q = sol[:, :-1], sol[:, -1]
+    d = np.linalg.solve(lp, p.xi) - lq_lp.T @ y_q
+    log_det_ratio = 2.0 * np.sum(np.log(np.diagonal(lq) / np.diagonal(lp)))
+    kl = 0.5 * (np.sum(lq_lp * lq_lp) + d @ d - q.dim + log_det_ratio)
     return max(float(kl), 0.0)
 
 

@@ -15,7 +15,8 @@ until a neighbor sends it a changed message.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .distributions import (
     gauss_divide,
     gauss_marginalize,
     gauss_product,
+    ig_product,
     kl_gaussian,
 )
 from .geometry import OutsideSubmap, TriGrid
@@ -110,6 +112,7 @@ class ConvergenceReport:
     messages: int
     n_measurements: int
     n_skipped_outside: int
+    n_rejected: dict = field(default_factory=dict)  # by reason, see `validate_batch`
 
 
 @dataclass
@@ -205,6 +208,12 @@ def enforce_rip(grid: TriGrid) -> list[tuple]:
     return [tuple(sorted(k)) for k in keep]
 
 
+def _natural_divergence(new: GaussianCanonical, old: GaussianCanonical) -> float:
+    """Relative change of a Gaussian factor's natural parameters."""
+    d_omega = abs(new.omega - old.omega).max() / (1.0 + abs(old.omega).max())
+    return max(d_omega, abs(new.xi - old.xi).max() / (1.0 + abs(old.xi).max()))
+
+
 def _gauss_divergence(new: GaussianCanonical, old: GaussianCanonical) -> float:
     """Exclusive KL between message iterates, with a relative natural-parameter
     surrogate when either iterate is improper (KL is then undefined)."""
@@ -214,11 +223,7 @@ def _gauss_divergence(new: GaussianCanonical, old: GaussianCanonical) -> float:
 
     if well_conditioned(new) and well_conditioned(old):
         return kl_gaussian(new, old)
-    d_omega = np.max(np.abs(new.omega - old.omega)) / (
-        1.0 + np.max(np.abs(old.omega))
-    )
-    d_xi = np.max(np.abs(new.xi - old.xi)) / (1.0 + np.max(np.abs(old.xi)))
-    return max(d_omega, d_xi)
+    return _natural_divergence(new, old)
 
 
 def _ig_divergence(new: InverseGammaFactor, old: InverseGammaFactor) -> float:
@@ -327,12 +332,13 @@ def run_inference(stm: STMMap, batch: list[Measurement]) -> ConvergenceReport:
                     continue
                 old_h = cluster.out_msg_h
                 old_nu = cluster.out_msg_nu
-                joint = update_mean_plane_factor(state, cluster)
-                update_planar_deviation_factor(state, cluster, joint)
+                incoming = update_mean_plane_factor(state, cluster)
+                update_planar_deviation_factor(state, cluster, incoming)
                 stm.metrics.message_count += 1
                 any_refit = True
+                # a height message has rank one: KL is undefined
                 cluster.converged = (
-                    _gauss_divergence(cluster.out_msg_h, old_h) < tol
+                    _natural_divergence(cluster.out_msg_h, old_h) < tol
                     and _ig_divergence(cluster.out_msg_nu, old_nu) < tol
                 )
                 if not cluster.converged:
@@ -371,13 +377,37 @@ def run_inference(stm: STMMap, batch: list[Measurement]) -> ConvergenceReport:
     )
 
 
+def validate_batch(batch: list[Measurement]) -> tuple[list[Measurement], dict]:
+    """The measurements a map can take, and counts of the others by reason:
+    a non-finite value, an asymmetric covariance, or a covariance without a
+    Cholesky factor (no jitter)."""
+    means = np.array([m.mean for m in batch]).reshape(-1, 3)
+    covs = np.array([m.cov for m in batch]).reshape(-1, 3, 3)
+    with np.errstate(invalid="ignore"):
+        finite = np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))
+        asym = abs(covs - covs.swapaxes(1, 2)).max(axis=(1, 2)) > 1e-9 * abs(covs).max(axis=(1, 2))
+    reasons = np.where(finite, np.where(asym, "asymmetric_cov", ""), "non_finite").astype(object)
+    try:
+        np.linalg.cholesky(covs[reasons == ""])
+    except np.linalg.LinAlgError:  # find the rows without a factor
+        for i in np.flatnonzero(reasons == ""):
+            try:
+                np.linalg.cholesky(covs[i])
+            except np.linalg.LinAlgError:
+                reasons[i] = "cov_not_positive_definite"
+    return [m for m, r in zip(batch, reasons) if not r], dict(Counter(r for r in reasons if r))
+
+
 def incremental_update(stm: STMMap, batch: list[Measurement]) -> ConvergenceReport:
     """Window old clusters into the priors, then run inference on the new batch.
 
     With window W, clusters from batches older than the W most recent are
     folded into the priors; the default W=1 keeps only the incoming batch
     live. Sepset messages are retained as the warm start for the new batch.
+    Measurements `validate_batch` rejects are skipped before the map changes
+    and counted on the report.
     """
+    batch, rejected = validate_batch(batch)
     stm.batch += 1
     cutoff = stm.batch - stm.window
     for state in stm.surfels:
@@ -385,12 +415,11 @@ def incremental_update(stm: STMMap, batch: list[Measurement]) -> ConvergenceRepo
         keep = [c for c in state.clusters if c.batch > cutoff]
         for cluster in fold:
             state.prior_h = gauss_product(state.prior_h, cluster.out_msg_h)
-            state.prior_nu = InverseGammaFactor(
-                state.prior_nu.exponent + cluster.out_msg_nu.exponent,
-                state.prior_nu.scale + cluster.out_msg_nu.scale,
-            )
+            state.prior_nu = ig_product(state.prior_nu, cluster.out_msg_nu)
         state.clusters = keep
-    return run_inference(stm, batch)
+    report = run_inference(stm, batch)
+    report.n_rejected = rejected
+    return report
 
 
 def query_map(stm: STMMap) -> MapQueryResult:

@@ -3,11 +3,13 @@
 Each surfel carries a Gaussian belief over its three vertex heights
 h = (h0, h_alpha, h_beta) and an inverse-gamma belief over its planar
 deviation nu. Every measurement owns a likelihood cluster whose outgoing
-messages are iteratively refit by local information projections: the
-mean-plane factor update is an extended-information-filter step on the
-6-D joint over (h0, h_alpha, h_beta, alpha, beta, gamma), and the planar
-deviation factor update fits an inverse-gamma message from the linearized
-expected squared residual gamma - f(alpha, beta, h).
+messages are iteratively refit by local information projections, with
+f(alpha, beta, h) linearized at the incoming height mean and the measured
+(alpha, beta). The mean-plane message is then the rank-one likelihood of
+the measured gamma given h, in closed form. The planar deviation message
+fits an inverse-gamma scale to the expected squared residual gamma - f
+under the cluster's 6-D joint over (h0, h_alpha, h_beta, alpha, beta,
+gamma), assembled and factored in information form.
 
 Beliefs satisfy the additive bookkeeping invariant at all times:
 belief = prior * neighbor_in_msg * product(cluster out messages)
@@ -23,12 +25,12 @@ import numpy as np
 from .distributions import (
     GaussianCanonical,
     InverseGammaFactor,
+    cholesky_psd,
     gauss_divide,
     gauss_product,
     ig_divide,
     ig_expected_deviation,
     ig_product,
-    inv_psd,
     solve_psd,
 )
 
@@ -39,9 +41,6 @@ ALPHA_BETA_PRIOR_VAR = 1e4
 
 # Exponent carried by every likelihood cluster's deviation message.
 NU_MSG_EXPONENT = 0.5
-
-# A cluster's fused joint: (xi, omega, incoming h message, incoming nu message).
-FusedJoint = tuple[np.ndarray, np.ndarray, GaussianCanonical, InverseGammaFactor]
 
 
 @dataclass(frozen=True)
@@ -72,6 +71,7 @@ class LikelihoodClusterState:
     measurement: Measurement
     out_msg_h: GaussianCanonical
     out_msg_nu: InverseGammaFactor
+    point_info: GaussianCanonical  # on (alpha, beta, gamma): measurement and (alpha, beta) prior
     batch: int = 0
     converged: bool = False
 
@@ -120,10 +120,9 @@ def mean_plane_eval(alpha: float, beta: float, h) -> float:
     return float((1.0 - alpha - beta) * h[0] + alpha * h[1] + beta * h[2])
 
 
-def jacobian_f(mu_c) -> np.ndarray:
-    """Row gradient of f at mu_c ordered (h0, h_alpha, h_beta, alpha, beta)."""
-    h0, ha, hb, alpha, beta = np.asarray(mu_c, dtype=float)
-    return np.array([1.0 - alpha - beta, alpha, beta, ha - h0, hb - h0])
+def residual_gradient(h0: float, ha: float, hb: float, alpha: float, beta: float) -> np.ndarray:
+    """Gradient of gamma - f(alpha, beta, h) over (h0, h_alpha, h_beta, alpha, beta, gamma)."""
+    return np.array([alpha + beta - 1.0, -alpha, -beta, h0 - ha, h0 - hb, 1.0])
 
 
 def init_likelihood_cluster(
@@ -140,10 +139,13 @@ def init_likelihood_cluster(
     gamma = float(measurement.mean[2])
     omega = np.eye(3) / INIT_HEIGHT_VAR
     xi = omega @ np.full(3, gamma)
+    point_omega = np.linalg.inv(measurement.cov)  # positive definite, see `validate_batch`
+    point_omega[[0, 1], [0, 1]] += 1.0 / ALPHA_BETA_PRIOR_VAR
     return LikelihoodClusterState(
         measurement=measurement,
         out_msg_h=GaussianCanonical(xi, omega),
         out_msg_nu=InverseGammaFactor(NU_MSG_EXPONENT, float(nu_scale)),
+        point_info=GaussianCanonical(point_omega @ measurement.mean, point_omega),
         batch=batch,
     )
 
@@ -186,89 +188,71 @@ def compute_incoming_message(
     return in_h, in_nu
 
 
-def _fused_cluster_joint(
-    state: SurfelState, cluster: LikelihoodClusterState
-) -> FusedJoint:
-    """Fused 6-D canonical joint over (h, alpha, beta, gamma) for one cluster.
-
-    Builds the linearized prediction joint from the incoming-message context,
-    then adds the measurement information on the (alpha, beta, gamma) block.
-    """
-    in_h, in_nu = compute_incoming_message(state, cluster)
-    nu_bar = ig_expected_deviation(state.belief_nu)
-
-    sigma_in = inv_psd(in_h.omega)
-    mu_in = sigma_in @ in_h.xi
-    z = cluster.measurement.mean
-    mu_c = np.concatenate([mu_in, z[:2]])
-    sigma_c = np.zeros((5, 5))
-    sigma_c[:3, :3] = sigma_in
-    sigma_c[3, 3] = ALPHA_BETA_PRIOR_VAR
-    sigma_c[4, 4] = ALPHA_BETA_PRIOR_VAR
-
-    f_row = jacobian_f(mu_c)
-    fs = f_row @ sigma_c
-    sigma_bar = np.empty((6, 6))
-    sigma_bar[:5, :5] = sigma_c
-    sigma_bar[:5, 5] = fs
-    sigma_bar[5, :5] = fs
-    sigma_bar[5, 5] = fs @ f_row + nu_bar
-    omega_bar = inv_psd(sigma_bar)
-    pred_mean = np.append(mu_c, mean_plane_eval(mu_c[3], mu_c[4], mu_c[:3]))
-    xi_bar = omega_bar @ pred_mean
-
-    prec_z = inv_psd(cluster.measurement.cov)
-    omega = omega_bar.copy()
-    omega[3:, 3:] += prec_z
-    xi = xi_bar.copy()
-    xi[3:] += prec_z @ z
-    return xi, omega, in_h, in_nu
-
-
 def update_mean_plane_factor(
     state: SurfelState, cluster: LikelihoodClusterState
-) -> FusedJoint:
+) -> tuple[GaussianCanonical, InverseGammaFactor, np.ndarray]:
     """Refit the cluster's height message and the surfel height belief.
 
-    Marginalizes (alpha, beta, gamma) out of the fused joint with the
-    incoming message divided out, and recomposes the belief from the new
-    outgoing message. Returns the fused joint it built, which the refit
-    leaves unchanged, for `update_planar_deviation_factor`.
+    Given h, the measured gamma has mean F.h, F = (1 - alpha - beta, alpha,
+    beta), and variance 1/w once the measured (alpha, beta) is conditioned
+    on, so the message is omega = w F F^T, xi = w gamma F. Returns the
+    incoming messages and height mean for `update_planar_deviation_factor`.
     """
-    joint = _fused_cluster_joint(state, cluster)
-    xi, omega, in_h, _ = joint
-    ohm = omega[:3, 3:]
-    sol_o = solve_psd(omega[3:, 3:], ohm.T)
-    sol_x = solve_psd(omega[3:, 3:], xi[3:])
-    omega_out = omega[:3, :3] - in_h.omega - ohm @ sol_o
-    xi_out = xi[:3] - in_h.xi - ohm @ sol_x
-    new_out = GaussianCanonical(xi_out, omega_out)
+    in_h, in_nu = compute_incoming_message(state, cluster)
+    mu = solve_psd(in_h.omega, in_h.xi)
+    h0, ha, hb = mu.tolist()
+    alpha, beta, gamma = cluster.measurement.mean.tolist()
+    # Linearized, gamma - F.h = g.d + deviation + e_gamma, with g the slope at
+    # mu, d ~ N(0, P I) the true minus the measured (alpha, beta) and e ~ N(0, R)
+    # the noise. The measurement pins d + e_ab = 0, which leaves 1/w = nu_bar +
+    # Var(u.e | d + e_ab = 0), u = (-g, 1): a 2x2 Schur complement with terms
+    # the size of R. Taken on the full innovation covariance it cancels at P >> R.
+    u = np.array([h0 - ha, h0 - hb, 1.0])
+    ru = cluster.measurement.cov @ u
+    c0, c1, _ = ru.tolist()
+    (r00, r01, _), (_, r11, _), _ = cluster.measurement.cov.tolist()
+    a00, a11 = r00 + ALPHA_BETA_PRIOR_VAR, r11 + ALPHA_BETA_PRIOR_VAR
+    explained = (a11 * c0 * c0 - 2.0 * r01 * c0 * c1 + a00 * c1 * c1) / (a00 * a11 - r01 * r01)
+    w = 1.0 / (ig_expected_deviation(state.belief_nu) + float(u @ ru) - explained)
+    f_h = np.array([1.0 - alpha - beta, alpha, beta])
+    new_out = GaussianCanonical((w * gamma) * f_h, np.outer(w * f_h, f_h))
     cluster.out_msg_h = new_out
     state.belief_h = gauss_product(in_h, new_out)
-    return joint
+    return in_h, in_nu, mu
 
 
 def update_planar_deviation_factor(
     state: SurfelState,
     cluster: LikelihoodClusterState,
-    joint: FusedJoint,
+    incoming: tuple[GaussianCanonical, InverseGammaFactor, np.ndarray],
 ) -> InverseGammaFactor:
     """Refit the cluster's deviation message and the surfel deviation belief.
 
-    The message scale is half the linearized expectation of the squared
-    residual gamma - f under the fused joint belief, linearized at its mean.
-    `joint` is the cluster's `_fused_cluster_joint` as returned by
-    `update_mean_plane_factor`: the height refit moves the cluster's message
-    and the belief together, so the incoming messages, and with them the
-    joint, stay as they were up to rounding.
+    The message scale is half the expected squared residual gamma - f under
+    the cluster's 6-D joint, linearized at the joint's mean. `incoming` is
+    what `update_mean_plane_factor` returned: the height refit moves the
+    message and the belief together, so the incoming messages stay as they
+    were up to rounding.
     """
-    xi, omega, _, in_nu = joint
-    sigma = inv_psd(omega)
-    mu = sigma @ xi
-    f_row = jacobian_f(mu[:5])
-    f_aug = np.append(-f_row, 1.0)  # gradient of the residual gamma - f
-    resid = mu[5] - mean_plane_eval(mu[3], mu[4], mu[:3])
-    scale = 0.5 * float(f_aug @ sigma @ f_aug) + 0.5 * resid**2
+    in_h, in_nu, mu_in = incoming
+    nu_bar = ig_expected_deviation(state.belief_nu)
+    alpha, beta, _ = cluster.measurement.mean.tolist()
+    h0, ha, hb = mu_in.tolist()
+    # the linearized residual grad.x - offset is N(0, nu_bar); f is linear
+    # in h, so offset = -g.(alpha, beta) with g the slope at mu_in
+    grad = residual_gradient(h0, ha, hb, alpha, beta)
+    omega = np.outer(grad, grad / nu_bar)
+    omega[:3, :3] += in_h.omega
+    omega[3:, 3:] += cluster.point_info.omega
+    xi = grad * (((h0 - ha) * alpha + (h0 - hb) * beta) / nu_bar)
+    xi[:3] += in_h.xi
+    xi[3:] += cluster.point_info.xi
+
+    root_inv = np.linalg.inv(cholesky_psd(omega))  # sigma = root_inv^T root_inv
+    h0, ha, hb, alpha, beta, gamma = ((root_inv @ xi) @ root_inv).tolist()
+    resid_grad = root_inv @ residual_gradient(h0, ha, hb, alpha, beta)
+    resid = gamma - mean_plane_eval(alpha, beta, (h0, ha, hb))
+    scale = 0.5 * float(resid_grad @ resid_grad) + 0.5 * resid**2
     new_out = InverseGammaFactor(NU_MSG_EXPONENT, max(scale, 1e-300))
     cluster.out_msg_nu = new_out
     state.belief_nu = ig_product(in_nu, new_out)

@@ -14,6 +14,7 @@ from stmmap.distributions import (
     NotADistribution,
     SingularMarginalization,
     UTParams,
+    _same_size,
     gauss_divide,
     gauss_marginalize,
     gauss_product,
@@ -21,6 +22,7 @@ from stmmap.distributions import (
     ig_expected_deviation,
     ig_product,
     kl_gaussian,
+    solve_psd,
     unscented_transform,
 )
 
@@ -204,6 +206,28 @@ class TestGaussMarginalize:
         assert gauss_marginalize(g, (0,)).is_vacuous()
 
 
+def reference_kl_gaussian(q: GaussianCanonical, p: GaussianCanonical) -> float:
+    """Exclusive KL divergence KL(q || p) for normalizable Gaussians of one scope."""
+    _same_size(q, p, "KL divergence")
+    qm = q.to_moments()
+    pm = p.to_moments()
+    n = qm.dim
+    d = pm.mu - qm.mu
+    sp_inv_sq = solve_psd(pm.sigma, qm.sigma)
+    maha = float(d @ solve_psd(pm.sigma, d))
+    _, logdet_q = np.linalg.slogdet(qm.sigma)
+    _, logdet_p = np.linalg.slogdet(pm.sigma)
+    kl = 0.5 * (np.trace(sp_inv_sq) + maha - n + logdet_p - logdet_q)
+    return max(float(kl), 0.0)
+
+
+def conditioned_gaussian(rng, n, log_spread):
+    """A Gaussian whose covariance eigenvalues span 10**log_spread."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    sigma = (q * 10.0 ** rng.uniform(-log_spread / 2, log_spread / 2, n)) @ q.T
+    return GaussianMoment(rng.normal(size=n), sigma).to_canonical()
+
+
 class TestKLGaussian:
     def test_self_kl_zero(self):
         rng = np.random.default_rng(8)
@@ -239,6 +263,33 @@ class TestKLGaussian:
         p = GaussianMoment([0.0], [[1.0]]).to_canonical()
         with pytest.raises(NotADistribution):
             kl_gaussian(g, p)
+
+    @pytest.mark.parametrize("omega", [np.diag([1.0, -1.0]), np.diag([2.0, 0.0]),
+                                       np.array([[1.0, 2.0], [2.0, 1.0]])])
+    def test_rejects_indefinite_either_side(self, omega):
+        bad = GaussianCanonical(np.ones(2), omega)
+        good = GaussianMoment([0.0, 1.0], np.eye(2)).to_canonical()
+        for q, p in ((bad, good), (good, bad)):
+            with pytest.raises(NotADistribution):
+                kl_gaussian(q, p)
+
+    @given(
+        n=st.integers(1, 3),
+        log_spread=st.floats(0, 6),
+        shift=st.floats(0, 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_moment_form_reference(self, n, log_spread, shift, seed):
+        # shift = 1 gives independent pairs, small shifts nearly equal ones;
+        # a KL is a difference of O(n) terms, so both forms round absolutely
+        # by about eps times the condition number (up to 1e6 here)
+        rng = np.random.default_rng(seed)
+        q = conditioned_gaussian(rng, n, log_spread)
+        p = conditioned_gaussian(rng, n, log_spread)
+        p = GaussianCanonical(q.xi + shift * (p.xi - q.xi), q.omega + shift * (p.omega - q.omega))
+        ref = reference_kl_gaussian(q, p)
+        assert kl_gaussian(q, p) == pytest.approx(ref, rel=1e-9, abs=1e-10)
 
     @given(
         mu1=st.floats(-3, 3),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from stmmap.cli import make_emulation_case
 from stmmap.distributions import (
     GaussianCanonical,
     gauss_marginalize,
@@ -13,14 +14,22 @@ from stmmap.mapgraph import (
     ConvergenceConfig,
     PriorConfig,
     STMMap,
+    _gauss_divergence,
+    _natural_divergence,
     enforce_rip,
     incremental_update,
     map_height,
     neighbor_out_message,
     query_map,
     run_inference,
+    validate_batch,
 )
-from stmmap.surfel import Measurement
+from stmmap.surfel import (
+    Measurement,
+    init_likelihood_cluster,
+    update_mean_plane_factor,
+    update_planar_deviation_factor,
+)
 
 
 def make_measurements(grid, density, seed, truth=lambda a, b: 0.0, noise=0.05,
@@ -263,6 +272,22 @@ class TestRunInference:
         assert stm.metrics.message_count - before == report.messages
         assert report.messages > 0
 
+    def test_cluster_test_is_the_divergence_surrogate(self):
+        # a refit height message has rank one, so `_gauss_divergence` takes
+        # its natural-parameter surrogate for every refit, the first (from
+        # the full-rank initial message) included
+        stm = STMMap(TriGrid.triangle(0), PriorConfig())
+        run_inference(stm, make_emulation_case("stereo")[:30])
+        state = stm.surfels[0]
+        for c in state.clusters[:5]:
+            c.out_msg_h = init_likelihood_cluster(c.measurement, 1.0).out_msg_h
+        state.recompute_beliefs()
+        for _ in range(3):
+            for c in state.clusters:
+                old = c.out_msg_h
+                update_planar_deviation_factor(state, c, update_mean_plane_factor(state, c))
+                assert _natural_divergence(c.out_msg_h, old) == _gauss_divergence(c.out_msg_h, old)
+
 
 class TestTreeExactness:
     def test_strip_matches_dense_solve(self):
@@ -331,6 +356,55 @@ class TestIncrementalUpdate:
             report = incremental_update(stm, meas)
             sweeps.append(report.sweeps)
         assert sweeps[-1] <= sweeps[0]
+
+
+class TestValidateBatch:
+    BAD = {
+        "nan_gamma": ([0.2, 0.1, np.nan], np.eye(3) * 1e-4, "non_finite"),
+        "inf_gamma": ([0.2, 0.1, np.inf], np.eye(3) * 1e-4, "non_finite"),
+        "nan_position": ([np.nan, 0.1, 0.0], np.eye(3) * 1e-4, "non_finite"),
+        "nan_cov": ([0.2, 0.1, 0.0], np.full((3, 3), np.nan), "non_finite"),
+        "negative_cov": ([0.2, 0.1, 0.0], -np.eye(3) * 1e-4, "cov_not_positive_definite"),
+        "zero_cov": ([0.2, 0.1, 0.0], np.zeros((3, 3)), "cov_not_positive_definite"),
+        "indefinite_cov": ([0.2, 0.1, 0.0], np.diag([1e-4, -1e-4, 1e-4]), "cov_not_positive_definite"),
+        "asymmetric_cov": ([0.2, 0.1, 0.0], np.array([[1e-4, 5e-5, 0], [0, 1e-4, 0], [0, 0, 1e-4]]),
+                           "asymmetric_cov"),
+    }
+
+    @staticmethod
+    def _beliefs(stm):
+        return [(s.belief_h.xi.tobytes(), s.belief_h.omega.tobytes(), s.belief_nu, s.n_meas_total)
+                for s in stm.surfels]
+
+    @pytest.mark.parametrize("kind", sorted(BAD))
+    def test_bad_rows_leave_the_clean_batch_result(self, kind):
+        # bad rows inside a batch are skipped and counted; the map ends as
+        # after the clean rows alone, and the next batch runs as usual
+        grid = TriGrid.triangle(1)
+        clean = make_measurements(grid, 4, seed=15, truth=lambda a, b: a)
+        later = make_measurements(grid, 4, seed=16, truth=lambda a, b: a)
+        mean, cov, reason = self.BAD[kind]
+        bad = [Measurement(mean, cov, 100 + k) for k in range(2)]
+        mixed = [bad[0]] + clean[:5] + [bad[1]] + clean[5:]
+        stm_clean, stm_mixed = STMMap(grid, PriorConfig()), STMMap(grid, PriorConfig())
+        rep_clean = incremental_update(stm_clean, clean)
+        rep_mixed = incremental_update(stm_mixed, mixed)
+        assert rep_clean.n_rejected == {}
+        assert rep_mixed.n_rejected == {reason: 2}
+        assert rep_mixed.n_measurements == rep_clean.n_measurements
+        assert self._beliefs(stm_mixed) == self._beliefs(stm_clean)
+        assert stm_mixed.batch == stm_clean.batch == 1
+        incremental_update(stm_clean, later)
+        assert incremental_update(stm_mixed, later).converged
+        assert self._beliefs(stm_mixed) == self._beliefs(stm_clean)
+
+    def test_counts_by_reason(self):
+        rows = [Measurement(mean, cov, k) for k, (mean, cov, _) in enumerate(self.BAD.values())]
+        rows.append(Measurement([0.2, 0.1, 0.0], np.eye(3) * 1e-4, 99))
+        valid, rejected = validate_batch(rows)
+        assert [m.id for m in valid] == [99]
+        assert rejected == {"non_finite": 4, "cov_not_positive_definite": 3, "asymmetric_cov": 1}
+        assert validate_batch([]) == ([], {})
 
 
 class TestQueryMap:
