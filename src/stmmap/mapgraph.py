@@ -5,16 +5,21 @@ interior edge. Sepset scopes start as the two shared vertex heights and are
 reduced so the running intersection property holds: for every vertex, the
 sepsets containing it form a spanning tree over the surfels incident to it.
 
-Inference sweeps cycle over surfels in ascending id order. Each sweep
-recomputes the incoming neighbor message, ratio-updates the belief, runs the
-per-cluster VMP updates, and emits outgoing messages to each neighbor. A
-message is converged when its divergence from the previous iteration falls
-below the threshold; a surfel whose messages have all converged is skipped
-until a neighbor sends it a changed message.
+Each sweep pops the active surfels from a worklist heap in ascending id
+order. A visit recomputes the incoming neighbor message, ratio-updates the
+belief, runs the per-cluster VMP updates, and emits outgoing messages to
+each neighbor. A message is converged when its divergence from the previous
+iteration falls below the threshold. A changed message activates its
+receiver, in this sweep if the receiver's id is higher, else in the next;
+a surfel that changed stays active. This is the order of a full scan that
+skips converged surfels, so a sweep costs only the active surfels; those
+left at `max_sweeps` carry over to the next call.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -22,7 +27,6 @@ import numpy as np
 
 from .distributions import (
     GaussianCanonical,
-    GaussianMoment,
     InverseGammaFactor,
     gauss_divide,
     gauss_marginalize,
@@ -113,6 +117,7 @@ class ConvergenceReport:
     n_measurements: int
     n_skipped_outside: int
     n_rejected: dict = field(default_factory=dict)  # by reason, see `validate_batch`
+    active_per_sweep: list = field(default_factory=list)  # surfels queued at each sweep's start
 
 
 @dataclass
@@ -170,7 +175,9 @@ class STMMap:
 
         # Surfels are activated by measurements or by changed neighbor
         # messages; an untouched map is at its (empty) fixed point.
-        self._converged = np.ones(len(self.surfels), dtype=bool)
+        self._active: set[int] = set()
+        # surfels holding likelihood clusters, the only ones a fold changes
+        self._with_clusters: set[int] = set()
 
     def incident_sepsets(self, sid: int) -> list[Sepset]:
         return self._incident[sid]
@@ -214,15 +221,57 @@ def _natural_divergence(new: GaussianCanonical, old: GaussianCanonical) -> float
     return max(d_omega, abs(new.xi - old.xi).max() / (1.0 + abs(old.xi).max()))
 
 
+def _cholesky_small(o: list, d) -> list | None:
+    """Lower Cholesky factor [[l00], [l10, l11]] of the 1x1 or 2x2 block o[d][d]
+    of a nested list, as LAPACK's unblocked step; None unless positive definite."""
+    a = o[d[0]][d[0]]
+    if not a > 0.0:
+        return None
+    l00 = math.sqrt(a)
+    if len(d) == 1:
+        return [[l00]]
+    l10 = o[d[1]][d[0]] / l00
+    s = o[d[1]][d[1]] - l10 * l10
+    return [[l00], [l10, math.sqrt(s)]] if s > 0.0 else None
+
+
+def _forward(lower: list, v) -> list:
+    """Solve lower @ t = v for a factor from `_cholesky_small`."""
+    t0 = v[0] / lower[0][0]
+    return [t0] if len(lower) == 1 else [t0, (v[1] - lower[1][0] * t0) / lower[1][1]]
+
+
+def _well_conditioned(g: GaussianCanonical) -> bool:
+    """Lowest eigenvalue of omega above 1e-9 times the highest."""
+    if g.dim == 3:
+        lam = np.linalg.eigvalsh(g.omega)
+        lo, hi = lam[0], lam[-1]
+    elif g.dim == 1:
+        lo = hi = float(g.omega[0, 0])
+    else:
+        (a, b), (_, c) = g.omega.tolist()
+        mid, radius = 0.5 * (a + c), math.hypot(0.5 * (a - c), b)
+        lo, hi = mid - radius, mid + radius
+    return lo > 1e-9 * max(hi, 1e-300)
+
+
+def _kl_small(q: GaussianCanonical, p: GaussianCanonical) -> float:
+    """`kl_gaussian` on 1- or 2-variable factors, from scalar Cholesky factors."""
+    n = q.dim
+    lq, lp = (_cholesky_small(g.omega.tolist(), range(n)) for g in (q, p))
+    cols = [_forward(lq, [row[j] if j < len(row) else 0.0 for row in lp]) for j in range(n)]
+    y_q, y_p = _forward(lq, q.xi.tolist()), _forward(lp, p.xi.tolist())
+    d = [y_p[j] - sum(m * y for m, y in zip(col, y_q)) for j, col in enumerate(cols)]
+    log_det_ratio = 2.0 * sum(math.log(lq[i][i] / lp[i][i]) for i in range(n))
+    kl = 0.5 * (sum(m * m for col in cols for m in col) + sum(e * e for e in d) - n + log_det_ratio)
+    return max(kl, 0.0)
+
+
 def _gauss_divergence(new: GaussianCanonical, old: GaussianCanonical) -> float:
     """Exclusive KL between message iterates, with a relative natural-parameter
     surrogate when either iterate is improper (KL is then undefined)."""
-    def well_conditioned(g: GaussianCanonical) -> bool:
-        lam = np.linalg.eigvalsh(g.omega)
-        return lam[0] > 1e-9 * max(lam[-1], 1e-300)
-
-    if well_conditioned(new) and well_conditioned(old):
-        return kl_gaussian(new, old)
+    if _well_conditioned(new) and _well_conditioned(old):
+        return kl_gaussian(new, old) if new.dim == 3 else _kl_small(new, old)
     return _natural_divergence(new, old)
 
 
@@ -236,13 +285,25 @@ def neighbor_out_message(stm: STMMap, sep: Sepset, sid: int) -> GaussianCanonica
     """Outgoing LBP message from surfel sid over the given sepset.
 
     Marginal of the surfel height belief divided by the reverse message.
+    The dropped block is the belief's own, so the message is its Schur
+    complement, in scalars; a dropped block without a Cholesky factor takes
+    the generic path, with its jitter retry and `SingularMarginalization`.
     """
-    pos = sep.positions(sid)
-    reverse = sep.msg_to(sid).embed(pos, 3)
-    ratio = gauss_divide(stm.surfels[sid].belief_h, reverse)
-    msg = gauss_marginalize(ratio, pos)
     stm.metrics.message_count += 1
-    return msg
+    pos = sep.positions(sid)
+    belief, reverse = stm.surfels[sid].belief_h, sep.msg_to(sid)
+    o = belief.omega.tolist()
+    drop = [i for i in range(3) if i not in pos]
+    lower = _cholesky_small(o, drop) if pos else None
+    if lower is None:
+        return gauss_marginalize(gauss_divide(belief, reverse.embed(pos, 3)), pos)
+    x, r_xi, r_omega = belief.xi.tolist(), reverse.xi.tolist(), reverse.omega.tolist()
+    y = [_forward(lower, [o[k][d] for d in drop]) for k in pos]
+    z = _forward(lower, [x[d] for d in drop])
+    xi = [x[k] - r_xi[i] - sum(a * b for a, b in zip(y[i], z)) for i, k in enumerate(pos)]
+    omega = [[o[k][l] - r_omega[i][j] - sum(a * b for a, b in zip(y[i], y[j]))
+              for j, l in enumerate(pos)] for i, k in enumerate(pos)]
+    return GaussianCanonical(xi, omega)
 
 
 def _associate(stm: STMMap, batch: list[Measurement]) -> tuple[dict, int]:
@@ -255,8 +316,10 @@ def _associate(stm: STMMap, batch: list[Measurement]) -> tuple[dict, int]:
         except OutsideSubmap:
             skipped += 1
             continue
-        mom = stm.grid.normalize_to_element(sid, GaussianMoment(m.mean, m.cov))
-        per_surfel.setdefault(sid, []).append(Measurement(mom.mu, mom.sigma, m.id))
+        # `TriGrid.normalize_to_element` without its moment-form checks
+        a, v0 = stm.grid.element_affine(sid)
+        cov = a @ (0.5 * (m.cov + m.cov.T)) @ a.T
+        per_surfel.setdefault(sid, []).append(Measurement(a @ (m.mean - v0), 0.5 * (cov + cov.T), m.id))
     return per_surfel, skipped
 
 
@@ -264,8 +327,11 @@ def run_inference(stm: STMMap, batch: list[Measurement]) -> ConvergenceReport:
     """Incorporate one measurement batch and iterate to convergence.
 
     Measurements must already be in submap (alpha, beta, gamma) coordinates.
-    Points outside the submap are counted and skipped.
+    Points outside the submap are counted and skipped; measurements
+    `validate_batch` rejects are skipped before the map changes and counted
+    on the report.
     """
+    batch, rejected = validate_batch(batch)
     per_surfel, skipped = _associate(stm, batch)
     n_used = sum(len(v) for v in per_surfel.values())
 
@@ -291,27 +357,35 @@ def run_inference(stm: STMMap, batch: list[Measurement]) -> ConvergenceReport:
             )
         state.n_meas_total += len(ms)
         state.recompute_beliefs()
-        stm._converged[sid] = False
+        stm._active.add(sid)
+        stm._with_clusters.add(sid)
 
     tol = stm.convergence.kl_threshold
     messages_before = stm.metrics.message_count
-    sweeps = 0
-    converged_all = bool(stm._converged.all())
-    while not converged_all and sweeps < stm.convergence.max_sweeps:
-        sweeps += 1
+    active_per_sweep = []
+    while stm._active and len(active_per_sweep) < stm.convergence.max_sweeps:
         stm.metrics.sweep_count += 1
-        for sid in range(len(stm.surfels)):
-            if stm._converged[sid]:
-                continue
+        heap = sorted(stm._active)
+        queued = set(heap)
+        stm._active = set()  # the next sweep's
+        active_per_sweep.append(len(heap))
+        while heap:
+            sid = heapq.heappop(heap)
             state = stm.surfels[sid]
-            changed = False
             belief_h_start = state.belief_h
             belief_nu_start = state.belief_nu
 
             # LBP: refresh the incoming neighbor message and ratio-update.
-            new_in = GaussianCanonical.vacuous(3)
+            # Summing in sepset order gives the bits of a factor product.
+            xi, omega = [0.0] * 3, [[0.0] * 3 for _ in range(3)]
             for sep in stm.incident_sepsets(sid):
-                new_in = gauss_product(new_in, sep.msg_to(sid).embed(sep.positions(sid), 3))
+                msg, pos = sep.msg_to(sid), sep.positions(sid)
+                m_xi, m_omega = msg.xi.tolist(), msg.omega.tolist()
+                for i, k in enumerate(pos):
+                    xi[k] += m_xi[i]
+                    for j, l in enumerate(pos):
+                        omega[k][l] += m_omega[i][j]
+            new_in = GaussianCanonical(xi, omega)
             ratio = gauss_divide(new_in, state.neighbor_in_msg)
             state.belief_h = gauss_product(state.belief_h, ratio)
             state.neighbor_in_msg = new_in
@@ -349,11 +423,10 @@ def run_inference(stm: STMMap, batch: list[Measurement]) -> ConvergenceReport:
 
             # The surfel settles once its belief stops moving over a sweep;
             # internal message churn that cancels in the belief is ignored.
-            if (
+            changed = (
                 _gauss_divergence(state.belief_h, belief_h_start) >= tol
                 or _ig_divergence(state.belief_nu, belief_nu_start) >= tol
-            ):
-                changed = True
+            )
 
             # LBP: emit messages to each neighbor.
             for sep in stm.incident_sepsets(sid):
@@ -363,17 +436,24 @@ def run_inference(stm: STMMap, batch: list[Measurement]) -> ConvergenceReport:
                 sep.set_msg_to(other, msg)
                 if _gauss_divergence(msg, old) >= tol:
                     changed = True
-                    stm._converged[other] = False
+                    # a lower id was passed in this sweep: it waits for the next
+                    if other < sid:
+                        stm._active.add(other)
+                    elif other not in queued:
+                        queued.add(other)
+                        heapq.heappush(heap, other)
 
-            stm._converged[sid] = not changed
-        converged_all = bool(stm._converged.all())
+            if changed:
+                stm._active.add(sid)
 
     return ConvergenceReport(
-        converged=converged_all,
-        sweeps=sweeps,
+        converged=not stm._active,
+        sweeps=len(active_per_sweep),
         messages=stm.metrics.message_count - messages_before,
         n_measurements=n_used,
         n_skipped_outside=skipped,
+        n_rejected=rejected,
+        active_per_sweep=active_per_sweep,
     )
 
 
@@ -404,22 +484,20 @@ def incremental_update(stm: STMMap, batch: list[Measurement]) -> ConvergenceRepo
     With window W, clusters from batches older than the W most recent are
     folded into the priors; the default W=1 keeps only the incoming batch
     live. Sepset messages are retained as the warm start for the new batch.
-    Measurements `validate_batch` rejects are skipped before the map changes
-    and counted on the report.
     """
-    batch, rejected = validate_batch(batch)
     stm.batch += 1
     cutoff = stm.batch - stm.window
-    for state in stm.surfels:
+    for sid in list(stm._with_clusters):
+        state = stm.surfels[sid]
         fold = [c for c in state.clusters if c.batch <= cutoff]
         keep = [c for c in state.clusters if c.batch > cutoff]
         for cluster in fold:
             state.prior_h = gauss_product(state.prior_h, cluster.out_msg_h)
             state.prior_nu = ig_product(state.prior_nu, cluster.out_msg_nu)
         state.clusters = keep
-    report = run_inference(stm, batch)
-    report.n_rejected = rejected
-    return report
+        if not keep:
+            stm._with_clusters.discard(sid)
+    return run_inference(stm, batch)
 
 
 def query_map(stm: STMMap) -> MapQueryResult:
