@@ -133,6 +133,11 @@ def load_config(path: str) -> RunConfig:
                 raise ConfigError(f"[{section}] {key}: {exc}") from exc
             setattr(cfg, key, value)
     _validate(cfg)
+    try:  # the prior and convergence settings validate themselves
+        cfg.prior()
+        cfg.convergence()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return cfg
 
 
@@ -140,11 +145,6 @@ def _validate(cfg: RunConfig) -> None:
     checks = [
         (0 <= cfg.depth <= MAX_DEPTH, f"depth must be in 0..{MAX_DEPTH}"),
         (cfg.window >= 1, "window must be >= 1"),
-        (0.0 <= cfg.rho < 1.0, "rho must be in [0, 1)"),
-        (cfg.sigma2 > 0, "sigma2 must be positive"),
-        (cfg.a_p > 0 and cfg.b_p > 0, "a_p and b_p must be positive"),
-        (cfg.kl_threshold > 0, "kl_threshold must be positive"),
-        (cfg.max_sweeps >= 1, "max_sweeps must be >= 1"),
         (cfg.sensor in ("stereo", "lidar"), "sensor must be stereo or lidar"),
         (cfg.steps >= 2, "steps must be >= 2"),
         (cfg.density > 0, "density must be positive"),

@@ -28,6 +28,7 @@ import numpy as np
 from .distributions import (
     GaussianCanonical,
     InverseGammaFactor,
+    NotADistribution,
     gauss_divide,
     gauss_marginalize,
     gauss_product,
@@ -41,7 +42,6 @@ from .surfel import (
     SurfelState,
     apportion_nu_scales,
     init_likelihood_cluster,
-    mean_plane_eval,
     update_mean_plane_factor,
     update_planar_deviation_factor,
 )
@@ -59,8 +59,8 @@ class PriorConfig:
     def __post_init__(self):
         if not 0.0 <= self.rho < 1.0:
             raise ValueError("rho must lie in [0, 1)")
-        if self.sigma2 <= 0.0 or self.a_p <= 0.0 or self.b_p <= 0.0:
-            raise ValueError("prior parameters must be positive")
+        if not all(0.0 < v < math.inf for v in (self.sigma2, self.a_p, self.b_p)):
+            raise ValueError("sigma2, a_p and b_p must be positive and finite")
 
     def height_covariance(self) -> np.ndarray:
         s = self.sigma2
@@ -72,6 +72,12 @@ class PriorConfig:
 class ConvergenceConfig:
     kl_threshold: float = 1e-5
     max_sweeps: int = 200
+
+    def __post_init__(self):
+        if not 0.0 < self.kl_threshold < math.inf:
+            raise ValueError("kl_threshold must be positive and finite")
+        if not self.max_sweeps >= 1:
+            raise ValueError("max_sweeps must be >= 1")
 
 
 @dataclass
@@ -186,33 +192,21 @@ class STMMap:
 def enforce_rip(grid: TriGrid) -> list[tuple]:
     """Reduce sepset scopes so each vertex's sepsets form a spanning tree.
 
-    Per-variable Kruskal over the edges containing the vertex, edges ordered
-    by (low surfel id, high surfel id) for determinism; off-tree edges drop
-    the vertex from their scope.
+    The surfels around a vertex form a path (boundary vertex) or one cycle
+    (interior vertex, as many edges as surfels). A cycle drops the vertex
+    from its last edge in (low surfel id, high surfel id) order, the one
+    edge Kruskal's algorithm would reject in that order.
     """
-    keep = [set(shared) for (_, _, shared) in grid.adjacency]
+    n_incident = Counter(v for s in grid.surfels for v in s.vertex_ids)
     by_vertex: dict[int, list[int]] = {}
     for idx, (_, _, shared) in enumerate(grid.adjacency):
         for v in shared:
             by_vertex.setdefault(v, []).append(idx)
+    keep = [list(shared) for (_, _, shared) in grid.adjacency]
     for v, edge_ids in by_vertex.items():
-        edge_ids.sort(key=lambda i: (grid.adjacency[i][0], grid.adjacency[i][1]))
-        parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            while parent.setdefault(x, x) != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for idx in edge_ids:
-            a, b, _ = grid.adjacency[idx]
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                keep[idx].discard(v)
-            else:
-                parent[ra] = rb
-    return [tuple(sorted(k)) for k in keep]
+        if len(edge_ids) == n_incident[v]:
+            keep[max(edge_ids, key=lambda i: grid.adjacency[i][:2])].remove(v)
+    return [tuple(k) for k in keep]
 
 
 def _natural_divergence(new: GaussianCanonical, old: GaussianCanonical) -> float:
@@ -500,50 +494,72 @@ def incremental_update(stm: STMMap, batch: list[Measurement]) -> ConvergenceRepo
     return run_inference(stm, batch)
 
 
+# Surfels per stacked factorisation: bounds the memory a read of a large map takes.
+_READ_BLOCK = 1024
+
+
+def belief_moments(stm: STMMap, sids) -> tuple[np.ndarray, np.ndarray]:
+    """Means (k, 3) and marginal variances (k, 3) of the given surfels' height
+    beliefs; the map's read side leaves information form only here.
+
+    Each block of surfels takes one stacked Cholesky factor L of its
+    information matrices. The covariance is L^-T L^-1, so the mean is
+    L^-T L^-1 xi and the variances are the column sums of squares of L^-1;
+    no covariance is formed. Raises NotADistribution unless every belief
+    read is positive definite.
+    """
+    means, variances = np.empty((len(sids), 3)), np.empty((len(sids), 3))
+    for lo in range(0, len(sids), _READ_BLOCK):
+        beliefs = [stm.surfels[s].belief_h for s in sids[lo:lo + _READ_BLOCK]]
+        try:
+            lower = np.linalg.cholesky(np.array([b.omega for b in beliefs]))
+        except np.linalg.LinAlgError:
+            raise NotADistribution("information matrix is not positive definite") from None
+        inv_lower = np.linalg.inv(lower)
+        y = np.einsum("sji,si->sj", inv_lower, np.array([b.xi for b in beliefs]))
+        means[lo:lo + len(beliefs)] = np.einsum("sji,sj->si", inv_lower, y)
+        variances[lo:lo + len(beliefs)] = np.einsum("sji,sji->si", inv_lower, inv_lower)
+    return means, variances
+
+
 def query_map(stm: STMMap) -> MapQueryResult:
-    """Summarize the map belief: per-surfel moments and fused vertex marginals."""
-    n_s = len(stm.surfels)
-    means = np.zeros((n_s, 3))
-    stds = np.zeros((n_s, 3))
-    devs = np.zeros(n_s)
-    n_meas = np.zeros(n_s, dtype=int)
-    observed = np.zeros(n_s, dtype=bool)
-    vertex_w = np.zeros(stm.grid.n_vertices)
-    vertex_wm = np.zeros(stm.grid.n_vertices)
-    vertex_wv = np.zeros(stm.grid.n_vertices)
-    for i, state in enumerate(stm.surfels):
-        mom = state.belief_h.to_moments()
-        means[i] = mom.mu
-        var = np.diag(mom.sigma)
-        stds[i] = np.sqrt(np.maximum(var, 0.0))
-        devs[i] = state.expected_deviation()
-        n_meas[i] = state.n_meas_total
-        observed[i] = state.n_meas_total > 0
-        for k, v in enumerate(state.labels):
-            w = 1.0 / max(var[k], 1e-300)
-            vertex_w[v] += w
-            vertex_wm[v] += w * mom.mu[k]
-            vertex_wv[v] += w * var[k]
-    nz = vertex_w > 0
-    vertex_mean = np.zeros(stm.grid.n_vertices)
-    vertex_var = np.zeros(stm.grid.n_vertices)
-    vertex_mean[nz] = vertex_wm[nz] / vertex_w[nz]
-    vertex_var[nz] = vertex_wv[nz] / vertex_w[nz]
+    """Summarize the map belief: per-surfel moments and fused vertex marginals.
+
+    A vertex fuses the marginals of its surfels with inverse-variance
+    weights, summed in surfel order.
+    """
+    means, var = belief_moments(stm, range(len(stm.surfels)))
+    labels = np.array([s.labels for s in stm.surfels]).ravel()
+    w = 1.0 / np.maximum(var, 1e-300).ravel()
+    n_v = stm.grid.n_vertices
+    vertex_w = np.bincount(labels, w, n_v)
+    n_meas = np.array([s.n_meas_total for s in stm.surfels], dtype=int)
     return MapQueryResult(
         surfel_mean_heights=means,
-        surfel_height_stds=stds,
-        expected_deviation=devs,
+        surfel_height_stds=np.sqrt(var),
+        expected_deviation=np.array([s.expected_deviation() for s in stm.surfels]),
         n_meas=n_meas,
-        observed=observed,
-        vertex_mean=vertex_mean,
-        vertex_std=np.sqrt(vertex_var),
+        observed=n_meas > 0,
+        vertex_mean=np.bincount(labels, w * means.ravel(), n_v) / vertex_w,
+        vertex_std=np.sqrt(np.bincount(labels, w * var.ravel(), n_v) / vertex_w),
     )
+
+
+def mean_plane_heights(stm: STMMap, pts: np.ndarray, sids) -> np.ndarray:
+    """Mean-mesh heights at submap points `pts` (k, 2) lying in elements `sids`.
+
+    A point scaled by +-n about its element's v0 has element coordinates
+    (a, b), where the height is (1-a-b) h0 + a h1 + b h2. Only the beliefs
+    of the given elements are read.
+    """
+    h = belief_moments(stm, sids)[0]
+    surfels = [stm.grid.surfels[s] for s in sids]
+    scale = np.array([stm.grid.n if s.up else -stm.grid.n for s in surfels], dtype=float)
+    a, b = (scale[:, None] * (pts - np.array([s.corners[0] for s in surfels]))).T
+    return (1.0 - a - b) * h[:, 0] + a * h[:, 1] + b * h[:, 2]
 
 
 def map_height(stm: STMMap, alpha: float, beta: float) -> float:
     """Mean-mesh height at a submap coordinate."""
     sid = stm.grid.locate(alpha, beta)
-    a, v0 = stm.grid.element_affine(sid)
-    local = a[:2, :2] @ (np.array([alpha, beta]) - v0[:2])
-    mom = stm.surfels[sid].belief_h.to_moments()
-    return mean_plane_eval(float(local[0]), float(local[1]), mom.mu)
+    return float(mean_plane_heights(stm, np.array([[alpha, beta]]), [sid])[0])

@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .baseline import ElevationMap
+from .baseline import ElevationMap, elev_likelihood
 from .distributions import kl_gaussian
 from .geometry import OutsideSubmap
-from .mapgraph import STMMap, incremental_update, map_height
+from .mapgraph import STMMap, incremental_update, mean_plane_heights
 from .surfel import Measurement
 
 
@@ -247,7 +246,6 @@ class StepRecord:
     messages: int
     normalized: float
     total_kl: float
-    kl_per_surfel: np.ndarray = field(repr=False, default=None)
 
 
 @dataclass
@@ -292,32 +290,28 @@ class ScenarioReport:
             json.dump(payload, fh, indent=2)
 
 
-def _belief_snapshot(stm: STMMap) -> list:
-    return [s.belief_h for s in stm.surfels]
-
-
 def _belief_change_kls(stm: STMMap, before: list) -> np.ndarray:
+    """Per-surfel KL of each belief from its value before a step. Factors are
+    immutable, so an untouched surfel still holds the same belief object."""
     kls = np.zeros(len(stm.surfels))
     for i, state in enumerate(stm.surfels):
         old = before[i]
         new = state.belief_h
-        if old.is_normalizable() and new.is_normalizable():
+        if new is not old and old.is_normalizable() and new.is_normalizable():
             kls[i] = kl_gaussian(new, old)
     return kls
 
 
 def _run_step(stm: STMMap, batch: list, step: int) -> StepRecord:
-    before = _belief_snapshot(stm)
+    before = [s.belief_h for s in stm.surfels]
     messages = incremental_update(stm, batch).messages
-    kls = _belief_change_kls(stm, before)
     n_new = len(batch)
     return StepRecord(
         step=step,
         n_new=n_new,
         messages=messages,
         normalized=messages / max(1, n_new),
-        total_kl=float(kls.sum()),
-        kl_per_surfel=kls,
+        total_kl=float(_belief_change_kls(stm, before).sum()),
     )
 
 
@@ -388,16 +382,28 @@ def _eval_points(n_eval: int, seed: int) -> np.ndarray:
     return pts[:n_eval]
 
 
-def _model_mean(model: Union[STMMap, ElevationMap], alpha: float, beta: float) -> float:
-    if isinstance(model, STMMap):
-        return map_height(model, alpha, beta)
-    return model.height(alpha, beta)
-
-
-def _observed_at(model: Union[STMMap, ElevationMap], sid: int) -> bool:
-    if isinstance(model, STMMap):
-        return model.surfels[sid].n_meas_total > 0
-    return model.cells[sid].observed
+def _eval_set(surface: SyntheticSurface, n_eval: int, seed: int, *models) -> tuple:
+    """The `_eval_points` that every model's grid holds and every model has
+    observed, in order: the points (k, 2), their true heights, and each
+    model's element ids (one row per model)."""
+    pts = _eval_points(n_eval, seed)
+    observed = [
+        [s.n_meas_total > 0 for s in m.surfels] if isinstance(m, STMMap) else [c.observed for c in m.cells]
+        for m in models
+    ]
+    keep, sids = [], []
+    for i, (a, b) in enumerate(pts):
+        try:
+            ids = [m.grid.locate(a, b) for m in models]
+        except OutsideSubmap:
+            continue
+        if all(obs[s] for obs, s in zip(observed, ids)):
+            keep.append(i)
+            sids.append(ids)
+    if not keep:
+        raise ValueError("no evaluable points: models unobserved everywhere")
+    pts = pts[keep]
+    return pts, surface(pts[:, 0], pts[:, 1]), np.array(sids).T
 
 
 def evaluate_mse(
@@ -412,24 +418,13 @@ def evaluate_mse(
     Passing a companion model restricts evaluation to elements observed by
     both, keeping comparisons symmetric.
     """
-    pts = _eval_points(n_eval, seed)
-    errs = []
-    for a, b in pts:
-        try:
-            sid = model.grid.locate(a, b)
-            if companion is not None:
-                companion.grid.locate(a, b)
-        except OutsideSubmap:
-            continue
-        if not _observed_at(model, sid):
-            continue
-        if companion is not None and not _observed_at(companion, sid):
-            continue
-        truth = float(surface(a, b))
-        errs.append((truth - _model_mean(model, a, b)) ** 2)
-    if not errs:
-        raise ValueError("no evaluable points: models unobserved everywhere")
-    return float(np.mean(errs))
+    models = (model,) if companion is None else (model, companion)
+    pts, truth, sids = _eval_set(surface, n_eval, seed, *models)
+    if isinstance(model, STMMap):
+        heights = mean_plane_heights(model, pts, sids[0])
+    else:
+        heights = np.array([model.cells[s].mean for s in sids[0]])
+    return float(np.mean((truth - heights) ** 2))
 
 
 def evaluate_loglik_ratio(
@@ -446,25 +441,9 @@ def evaluate_loglik_ratio(
     N(gamma; mean plane, expected deviation), the elevation model scores
     N(gamma; cell mean, cell variance).
     """
-    pts = _eval_points(n_eval, seed)
-    total = 0.0
-    used = 0
-    for a, b in pts:
-        try:
-            sid = stm.grid.locate(a, b)
-            elev.grid.locate(a, b)
-        except OutsideSubmap:
-            continue
-        if not (_observed_at(stm, sid) and _observed_at(elev, sid)):
-            continue
-        truth = float(surface(a, b))
-        mu = map_height(stm, a, b)
-        nu = stm.surfels[sid].expected_deviation()
-        d = truth - mu
-        ll_stm = -0.5 * (math.log(2.0 * math.pi * nu) + d * d / nu)
-        ll_elev = elev.log_likelihood(a, b, truth)
-        total += ll_stm - ll_elev
-        used += 1
-    if used == 0:
-        raise ValueError("no evaluable points: models unobserved everywhere")
-    return total
+    pts, truth, (stm_ids, elev_ids) = _eval_set(surface, n_eval, seed, stm, elev)
+    nu = np.array([stm.surfels[s].expected_deviation() for s in stm_ids])
+    d = truth - mean_plane_heights(stm, pts, stm_ids)
+    ll_stm = -0.5 * (np.log(2.0 * np.pi * nu) + d * d / nu)
+    ll_elev = [elev_likelihood(elev.cells[s], t) for s, t in zip(elev_ids, truth)]
+    return float(np.sum(ll_stm - ll_elev))

@@ -16,6 +16,7 @@ from stmmap.cli import (
     parse_points_csv,
     write_manifest,
 )
+from stmmap.geometry import MAX_DEPTH
 
 
 class TestLoadConfig:
@@ -69,11 +70,20 @@ class TestLoadConfig:
         [
             ("map", "depth", "-1"),
             ("map", "depth", "99"),
+            ("map", "depth", str(MAX_DEPTH + 1)),
             ("map", "window", "0"),
             ("prior", "rho", "1.0"),
             ("prior", "sigma2", "0"),
             ("prior", "a_p", "-2"),
+            ("prior", "rho", "nan"),
+            ("prior", "sigma2", "nan"),
+            ("prior", "sigma2", "inf"),
+            ("prior", "a_p", "inf"),
+            ("prior", "b_p", "nan"),
+            ("prior", "b_p", "inf"),
             ("convergence", "kl_threshold", "0"),
+            ("convergence", "kl_threshold", "nan"),
+            ("convergence", "kl_threshold", "inf"),
             ("convergence", "max_sweeps", "0"),
             ("run", "sensor", "sonar"),
             ("scenario", "steps", "1"),

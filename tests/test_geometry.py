@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from stmmap.distributions import GaussianMoment
 from stmmap.geometry import (
     DegenerateLandmarks,
+    MAX_DEPTH,
     DepthTooLarge,
     OutsideSubmap,
     TriGrid,
@@ -144,7 +145,9 @@ class TestTriGrid:
 
     def test_depth_cap(self):
         with pytest.raises(DepthTooLarge):
-            TriGrid.triangle(13)
+            TriGrid.triangle(MAX_DEPTH + 1)
+        with pytest.raises(DepthTooLarge):
+            TriGrid.strip(2**MAX_DEPTH + 1)
 
     def test_strip_is_chain(self):
         g = TriGrid.strip(8)

@@ -1,6 +1,7 @@
 """Tests for the full-map cluster graph, LBP, and incremental updates."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from stmmap.cli import make_emulation_case
 from stmmap.distributions import (
     GaussianCanonical,
+    NotADistribution,
     SingularMarginalization,
     gauss_divide,
     gauss_marginalize,
@@ -17,11 +19,13 @@ from stmmap.distributions import (
     ig_product,
     kl_gaussian,
 )
+import stmmap.mapgraph as mapgraph
 from stmmap.geometry import TriGrid
 from stmmap.mapgraph import (
     ConvergenceConfig,
     ConvergenceReport,
     PriorConfig,
+    MapQueryResult,
     Sepset,
     STMMap,
     _associate,
@@ -40,6 +44,7 @@ from stmmap.mapgraph import (
 from stmmap.surfel import (
     Measurement,
     init_likelihood_cluster,
+    mean_plane_eval,
     update_mean_plane_factor,
     update_planar_deviation_factor,
 )
@@ -191,6 +196,92 @@ def reference_gauss_divergence(new, old):
     return _natural_divergence(new, old)
 
 
+# The per-vertex union-find scope reduction, and the map reads that convert
+# one surfel belief per surfel or query point: references for `enforce_rip`,
+# `query_map` and `map_height`.
+
+
+def reference_enforce_rip(grid: TriGrid) -> list[tuple]:
+    """Reduce sepset scopes so each vertex's sepsets form a spanning tree.
+
+    Per-variable Kruskal over the edges containing the vertex, edges ordered
+    by (low surfel id, high surfel id) for determinism; off-tree edges drop
+    the vertex from their scope.
+    """
+    keep = [set(shared) for (_, _, shared) in grid.adjacency]
+    by_vertex: dict[int, list[int]] = {}
+    for idx, (_, _, shared) in enumerate(grid.adjacency):
+        for v in shared:
+            by_vertex.setdefault(v, []).append(idx)
+    for v, edge_ids in by_vertex.items():
+        edge_ids.sort(key=lambda i: (grid.adjacency[i][0], grid.adjacency[i][1]))
+        parent: dict[int, int] = {}
+
+        def find(x: int) -> int:
+            while parent.setdefault(x, x) != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for idx in edge_ids:
+            a, b, _ = grid.adjacency[idx]
+            ra, rb = find(a), find(b)
+            if ra == rb:
+                keep[idx].discard(v)
+            else:
+                parent[ra] = rb
+    return [tuple(sorted(k)) for k in keep]
+
+
+def reference_query_map(stm: STMMap) -> MapQueryResult:
+    """Summarize the map belief: per-surfel moments and fused vertex marginals."""
+    n_s = len(stm.surfels)
+    means = np.zeros((n_s, 3))
+    stds = np.zeros((n_s, 3))
+    devs = np.zeros(n_s)
+    n_meas = np.zeros(n_s, dtype=int)
+    observed = np.zeros(n_s, dtype=bool)
+    vertex_w = np.zeros(stm.grid.n_vertices)
+    vertex_wm = np.zeros(stm.grid.n_vertices)
+    vertex_wv = np.zeros(stm.grid.n_vertices)
+    for i, state in enumerate(stm.surfels):
+        mom = state.belief_h.to_moments()
+        means[i] = mom.mu
+        var = np.diag(mom.sigma)
+        stds[i] = np.sqrt(np.maximum(var, 0.0))
+        devs[i] = state.expected_deviation()
+        n_meas[i] = state.n_meas_total
+        observed[i] = state.n_meas_total > 0
+        for k, v in enumerate(state.labels):
+            w = 1.0 / max(var[k], 1e-300)
+            vertex_w[v] += w
+            vertex_wm[v] += w * mom.mu[k]
+            vertex_wv[v] += w * var[k]
+    nz = vertex_w > 0
+    vertex_mean = np.zeros(stm.grid.n_vertices)
+    vertex_var = np.zeros(stm.grid.n_vertices)
+    vertex_mean[nz] = vertex_wm[nz] / vertex_w[nz]
+    vertex_var[nz] = vertex_wv[nz] / vertex_w[nz]
+    return MapQueryResult(
+        surfel_mean_heights=means,
+        surfel_height_stds=stds,
+        expected_deviation=devs,
+        n_meas=n_meas,
+        observed=observed,
+        vertex_mean=vertex_mean,
+        vertex_std=np.sqrt(vertex_var),
+    )
+
+
+def reference_map_height(stm: STMMap, alpha: float, beta: float) -> float:
+    """Mean-mesh height at a submap coordinate."""
+    sid = stm.grid.locate(alpha, beta)
+    a, v0 = stm.grid.element_affine(sid)
+    local = a[:2, :2] @ (np.array([alpha, beta]) - v0[:2])
+    mom = stm.surfels[sid].belief_h.to_moments()
+    return mean_plane_eval(float(local[0]), float(local[1]), mom.mu)
+
+
 def drawn_factor(rng, n, scale, log_ratios, xi_scale=1.0):
     """An n-variable factor with a random eigenbasis and eigenvalues
     scale * 10**log_ratios."""
@@ -275,6 +366,21 @@ class TestBuildMap:
         with pytest.raises(ValueError):
             PriorConfig(sigma2=-1.0)
 
+    @pytest.mark.parametrize("config,field,value", [
+        (PriorConfig, "rho", math.nan),
+        (PriorConfig, "sigma2", math.nan),
+        (PriorConfig, "sigma2", math.inf),
+        (PriorConfig, "a_p", math.inf),
+        (PriorConfig, "b_p", math.nan),
+        (ConvergenceConfig, "kl_threshold", 0.0),
+        (ConvergenceConfig, "kl_threshold", math.nan),
+        (ConvergenceConfig, "kl_threshold", math.inf),
+        (ConvergenceConfig, "max_sweeps", 0),
+    ])
+    def test_config_rejects_out_of_range(self, config, field, value):
+        with pytest.raises(ValueError):
+            config(**{field: value})
+
     def test_fresh_map_query_zero_means(self):
         stm = STMMap(TriGrid.triangle(2), PriorConfig())
         q = query_map(stm)
@@ -318,6 +424,13 @@ class TestEnforceRIP:
                 parent[ra] = rb
             roots = {find(n) for n in incident}
             assert len(roots) == 1, f"vertex {v} subgraph not connected"
+
+
+    @pytest.mark.parametrize("shape,size", [("triangle", d) for d in range(8)]
+                             + [("strip", n) for n in range(1, 13)])
+    def test_matches_union_find(self, shape, size):
+        grid = getattr(TriGrid, shape)(size)
+        assert enforce_rip(grid) == reference_enforce_rip(grid)
 
 
 class TestNeighborMessage:
@@ -793,6 +906,67 @@ class TestQueryMap:
         )
         run_inference(stm, meas)
         assert map_height(stm, 0.45, 0.1) == pytest.approx(0.45, abs=0.1)
+
+
+@pytest.fixture(scope="module", params=["strip6", "depth2", "depth5"])
+def read_map(request):
+    """A converged map whose measurements cover part of the grid."""
+    grid = {"strip6": TriGrid.strip(6), "depth2": TriGrid.triangle(2),
+            "depth5": TriGrid.triangle(5)}[request.param]
+    stm = STMMap(grid, PriorConfig(), convergence=ConvergenceConfig(0.1, 200))
+    meas = make_measurements(grid, 3 if grid.n_surfels < 100 else 1, seed=21,
+                             truth=lambda a, b: np.sin(3.0 * a) + b * b)
+    run_inference(stm, [m for m in meas if m.mean[0] < 0.6])
+    assert not all(s.n_meas_total for s in stm.surfels)
+    return stm
+
+
+def grid_points(grid, n, seed):
+    """n uniform points on the grid's rows, in up and down elements alike."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0.0, 1.0, size=(4 * n, 2)) * [1.0, grid.rows / grid.n]
+    pts = pts[pts.sum(axis=1) < 1.0][:n]
+    assert len(pts) == n and len({grid.surfels[grid.locate(a, b)].up for a, b in pts}) == 2
+    return pts
+
+
+def indefinite_belief():
+    return GaussianCanonical(np.zeros(3), np.diag([1.0, -1.0, 1.0]))
+
+
+class TestBatchedRead:
+    def test_query_map_matches_reference(self, read_map):
+        got, want = query_map(read_map), reference_query_map(read_map)
+        for name in MapQueryResult.__dataclass_fields__:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and a.dtype == b.dtype, name
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0, err_msg=name)
+
+    def test_map_height_matches_reference(self, read_map):
+        for a, b in grid_points(read_map.grid, 200, seed=22):
+            assert map_height(read_map, a, b) == pytest.approx(reference_map_height(read_map, a, b),
+                                                               rel=1e-12, abs=0.0)
+
+    def test_blocks_do_not_change_the_result(self, read_map, monkeypatch):
+        whole = query_map(read_map)
+        monkeypatch.setattr(mapgraph, "_READ_BLOCK", 7)
+        blocked = query_map(read_map)
+        for name in MapQueryResult.__dataclass_fields__:
+            np.testing.assert_array_equal(getattr(blocked, name), getattr(whole, name), err_msg=name)
+
+    def test_indefinite_belief_raises(self):
+        grid = TriGrid.triangle(2)
+        stm = STMMap(grid, PriorConfig())
+        run_inference(stm, make_measurements(grid, 3, seed=23))
+        stm.surfels[5].belief_h = indefinite_belief()
+        inside, other = grid.surfels[5].corners.mean(axis=0), grid.surfels[0].corners.mean(axis=0)
+        for read in (query_map, reference_query_map):
+            with pytest.raises(NotADistribution):
+                read(stm)
+        for height in (map_height, reference_map_height):
+            with pytest.raises(NotADistribution):
+                height(stm, *inside)
+            assert np.isfinite(height(stm, *other))
 
 
 class TestDeterminism:

@@ -1,15 +1,22 @@
 """Tests for synthetic surfaces, measurement sampling, and scenarios."""
 
+import math
+from typing import Union
+
 import numpy as np
 import pytest
 
+import stmmap.simulate as simulate
 from stmmap.baseline import ElevationMap
-from stmmap.geometry import TriGrid
+from stmmap.distributions import GaussianCanonical, kl_gaussian
+from stmmap.geometry import OutsideSubmap, TriGrid
 from stmmap.mapgraph import ConvergenceConfig, PriorConfig, STMMap, incremental_update
 from stmmap.simulate import (
     SUBMAP_TRIANGLE,
     EmptyRegion,
     NoiseSpec,
+    SyntheticSurface,
+    _eval_points,
     evaluate_loglik_ratio,
     evaluate_mse,
     flat_surface,
@@ -19,6 +26,113 @@ from stmmap.simulate import (
     scenario_pushbroom,
     scenario_reobserve,
 )
+from stmmap.surfel import Measurement, mean_plane_eval
+
+
+# The belief-change KLs of every surfel, and the accuracy metrics with a
+# model dispatch and a belief conversion per evaluation point: references
+# for the scenario reports and for `evaluate_mse` / `evaluate_loglik_ratio`.
+
+
+def reference_belief_change_kls(stm: STMMap, before: list) -> np.ndarray:
+    kls = np.zeros(len(stm.surfels))
+    for i, state in enumerate(stm.surfels):
+        old = before[i]
+        new = state.belief_h
+        if old.is_normalizable() and new.is_normalizable():
+            kls[i] = kl_gaussian(new, old)
+    return kls
+
+
+def reference_map_height(stm: STMMap, alpha: float, beta: float) -> float:
+    """Mean-mesh height at a submap coordinate."""
+    sid = stm.grid.locate(alpha, beta)
+    a, v0 = stm.grid.element_affine(sid)
+    local = a[:2, :2] @ (np.array([alpha, beta]) - v0[:2])
+    mom = stm.surfels[sid].belief_h.to_moments()
+    return mean_plane_eval(float(local[0]), float(local[1]), mom.mu)
+
+
+def reference_model_mean(model: Union[STMMap, ElevationMap], alpha: float, beta: float) -> float:
+    if isinstance(model, STMMap):
+        return reference_map_height(model, alpha, beta)
+    return model.height(alpha, beta)
+
+
+def reference_observed_at(model: Union[STMMap, ElevationMap], sid: int) -> bool:
+    if isinstance(model, STMMap):
+        return model.surfels[sid].n_meas_total > 0
+    return model.cells[sid].observed
+
+
+def reference_evaluate_mse(
+    model: Union[STMMap, ElevationMap],
+    surface: SyntheticSurface,
+    n_eval: int,
+    seed: int = 0,
+    companion: Union[STMMap, ElevationMap, None] = None,
+) -> float:
+    """Mean squared height error at uniform evaluation points.
+
+    Passing a companion model restricts evaluation to elements observed by
+    both, keeping comparisons symmetric.
+    """
+    pts = _eval_points(n_eval, seed)
+    errs = []
+    for a, b in pts:
+        try:
+            sid = model.grid.locate(a, b)
+            if companion is not None:
+                companion.grid.locate(a, b)
+        except OutsideSubmap:
+            continue
+        if not reference_observed_at(model, sid):
+            continue
+        if companion is not None and not reference_observed_at(companion, sid):
+            continue
+        truth = float(surface(a, b))
+        errs.append((truth - reference_model_mean(model, a, b)) ** 2)
+    if not errs:
+        raise ValueError("no evaluable points: models unobserved everywhere")
+    return float(np.mean(errs))
+
+
+def reference_evaluate_loglik_ratio(
+    stm: STMMap,
+    elev: ElevationMap,
+    surface: SyntheticSurface,
+    n_eval: int,
+    seed: int = 0,
+) -> float:
+    """Summed log-likelihood difference, mesh map minus elevation map.
+
+    Positive values mean the mesh map assigns higher density to the true
+    surface. Both sides use the plug-in rule: the mesh model scores
+    N(gamma; mean plane, expected deviation), the elevation model scores
+    N(gamma; cell mean, cell variance).
+    """
+    pts = _eval_points(n_eval, seed)
+    total = 0.0
+    used = 0
+    for a, b in pts:
+        try:
+            sid = stm.grid.locate(a, b)
+            elev.grid.locate(a, b)
+        except OutsideSubmap:
+            continue
+        if not (reference_observed_at(stm, sid) and reference_observed_at(elev, sid)):
+            continue
+        truth = float(surface(a, b))
+        mu = reference_map_height(stm, a, b)
+        nu = stm.surfels[sid].expected_deviation()
+        d = truth - mu
+        ll_stm = -0.5 * (math.log(2.0 * math.pi * nu) + d * d / nu)
+        ll_elev = elev.log_likelihood(a, b, truth)
+        total += ll_stm - ll_elev
+        used += 1
+    if used == 0:
+        raise ValueError("no evaluable points: models unobserved everywhere")
+    return total
 
 
 class TestSurfaces:
@@ -156,6 +270,20 @@ class TestScenarios:
         slope = np.polyfit(np.arange(len(msgs)), msgs, 1)[0]
         assert slope < 0  # linearly decreasing band
 
+    def test_step_kl_sums_every_changed_belief(self, monkeypatch):
+        want = []
+
+        def update(stm, batch):
+            before = [s.belief_h for s in stm.surfels]
+            report = incremental_update(stm, batch)
+            want.append(float(reference_belief_change_kls(stm, before).sum()))
+            return report
+
+        monkeypatch.setattr(simulate, "incremental_update", update)
+        report = scenario_pushbroom(small_map(depth=3, tol=0.1), perlin_surface(seed=2), 6, seed=0)
+        assert [s.total_kl for s in report.steps] == want
+        assert all(kl > 0.0 for kl in want)
+
     def test_report_csv_round_trip(self, tmp_path):
         stm = small_map()
         report = scenario_reobserve(stm, perlin_surface(seed=1), 3, seed=0)
@@ -205,3 +333,72 @@ class TestEvaluation:
         # the elevation cell variance shrinks as 1/N, the mesh keeps the
         # planar-deviation floor: flat truth favors the elevation map
         assert ratio < 0
+
+
+@pytest.fixture(scope="module", params=["strip5", "depth3"])
+def accuracy_models(request):
+    """A mesh map and an elevation map that saw part of the submap, the
+    elevation map only every other measurement."""
+    def grid():
+        return TriGrid.strip(5) if request.param == "strip5" else TriGrid.triangle(3)
+
+    surface = perlin_surface(seed=7)
+    region = np.array([[0.0, 0.0], [0.6, 0.0], [0.0, 0.6]])
+    meas = sample_measurements(surface, region, 3.0, NoiseSpec.stereo_like(), seed=8,
+                               n_elements_per_unit_area=128.0)
+    stm = STMMap(grid(), PriorConfig(), convergence=ConvergenceConfig(0.1, 200))
+    incremental_update(stm, meas)
+    elev = ElevationMap(grid())
+    elev.update(meas[::2])
+    observed = [s.n_meas_total > 0 for s in stm.surfels]
+    assert not all(observed) and [c.observed for c in elev.cells] != observed
+    return stm, elev, surface
+
+
+class TestEvaluationMatchesReference:
+    @pytest.mark.parametrize("mesh_first", [True, False])
+    @pytest.mark.parametrize("with_companion", [False, True])
+    def test_mse(self, accuracy_models, mesh_first, with_companion):
+        stm, elev, surface = accuracy_models
+        model, other = (stm, elev) if mesh_first else (elev, stm)
+        companion = other if with_companion else None
+        want = reference_evaluate_mse(model, surface, 1500, seed=3, companion=companion)
+        assert evaluate_mse(model, surface, 1500, seed=3, companion=companion) == pytest.approx(
+            want, rel=1e-12, abs=0.0)
+
+    def test_loglik_ratio(self, accuracy_models):
+        stm, elev, surface = accuracy_models
+        want = reference_evaluate_loglik_ratio(stm, elev, surface, 1500, seed=3)
+        assert evaluate_loglik_ratio(stm, elev, surface, 1500, seed=3) == pytest.approx(
+            want, rel=1e-12, abs=0.0)
+
+    def test_same_error_without_an_evaluable_point(self, accuracy_models):
+        stm, _, surface = accuracy_models
+        unobserved = ElevationMap(stm.grid)
+        calls = [
+            (evaluate_mse, reference_evaluate_mse, (stm, surface, 500), {"companion": unobserved}),
+            (evaluate_mse, reference_evaluate_mse, (unobserved, surface, 500), {}),
+            (evaluate_loglik_ratio, reference_evaluate_loglik_ratio, (stm, unobserved, surface, 500), {}),
+        ]
+        for evaluate, reference, args, kwargs in calls:
+            messages = []
+            for f in (evaluate, reference):
+                with pytest.raises(ValueError) as err:
+                    f(*args, **kwargs)
+                messages.append(str(err.value))
+            assert messages[0] == messages[1]
+
+    def test_unobserved_indefinite_belief_is_not_read(self, accuracy_models):
+        stm, elev, surface = accuracy_models
+        state = next(s for s in stm.surfels if not s.n_meas_total)
+        saved = state.belief_h
+        state.belief_h = GaussianCanonical(np.zeros(3), np.diag([1.0, -1.0, 1.0]))
+        try:
+            for companion in (None, elev):
+                assert evaluate_mse(stm, surface, 1500, seed=3, companion=companion) == pytest.approx(
+                    reference_evaluate_mse(stm, surface, 1500, seed=3, companion=companion),
+                    rel=1e-12, abs=0.0)
+            assert evaluate_loglik_ratio(stm, elev, surface, 1500, seed=3) == pytest.approx(
+                reference_evaluate_loglik_ratio(stm, elev, surface, 1500, seed=3), rel=1e-12, abs=0.0)
+        finally:
+            state.belief_h = saved
