@@ -448,6 +448,7 @@ def _cmd_build(args) -> int:
     cfg = load_config(args.config)
     if args.depth is not None:
         cfg.depth = args.depth
+        _validate(cfg)
     write_manifest(args.out, "build", cfg)
 
     parsed = parse_points_csv(args.points)
@@ -465,7 +466,7 @@ def _cmd_build(args) -> int:
     b_inv = np.linalg.inv(irf.basis)
 
     measurements = []
-    n_outside = 0
+    n_outside = n_rejected = 0
     for i in range(len(parsed.means)):
         rel_mean = b_inv @ (parsed.means[i] - irf.l0)
         rel_cov = b_inv @ parsed.covs[i] @ b_inv.T
@@ -482,12 +483,14 @@ def _cmd_build(args) -> int:
         report = incremental_update(stm, measurements[start:start + batch_size])
         all_converged = all_converged and report.converged
         n_outside += report.n_skipped_outside
+        n_rejected += sum(report.n_rejected.values())
     elapsed = time.perf_counter() - t0
 
-    n_used = len(measurements) - n_outside
+    n_used = len(measurements) - n_outside - n_rejected
     per_meas_ms = 1e3 * elapsed / max(n_used, 1)
-    print(f"ingested {len(measurements)} points "
-          f"({len(parsed.warnings)} rows skipped, {n_outside} outside the submap); "
+    print(f"ingested {n_used} of {len(measurements)} points "
+          f"({len(parsed.warnings)} rows skipped, {n_outside} outside the submap, "
+          f"{n_rejected} rejected by the map); "
           f"update time {per_meas_ms:.3f} ms/measurement")
 
     export_ply(stm, args.out + ".ply")

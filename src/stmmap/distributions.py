@@ -17,6 +17,10 @@ KL divergences take factors of equal size and work position by position;
 `embed` places a factor at given positions of a larger scope and
 `gauss_marginalize` keeps given positions in the given order. Factors are
 immutable (read-only arrays), so one factor object may have many holders.
+
+Map factors have at most three variables; there `cholesky_small`, in Python
+floats, costs less than a LAPACK call. It decides positive definiteness for
+`kl_gaussian`, `is_normalizable`, `to_moments` and the map's sepset messages.
 """
 
 from __future__ import annotations
@@ -44,6 +48,38 @@ class NotPSD(Exception):
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
+
+
+def cholesky_small(o: list, idx) -> list | None:
+    """Lower Cholesky factor of the block o[idx][idx] of a nested-list matrix,
+    as rows [[l00], [l10, l11], ...], by the unblocked step in Python floats;
+    None unless positive definite. Written for n <= 3, correct for any n."""
+    lower = []
+    for r in idx:
+        row = []
+        for c, prev in zip(idx, lower):
+            x = o[r][c]
+            for a, b in zip(row, prev):
+                x -= a * b
+            row.append(x / prev[-1])
+        s = o[r][r]
+        for a in row:
+            s -= a * a
+        if not s > 0.0:
+            return None
+        row.append(math.sqrt(s))
+        lower.append(row)
+    return lower
+
+
+def forward_small(lower: list, v) -> list:
+    """Solve lower @ t = v for a factor from `cholesky_small`."""
+    t = []
+    for row, x in zip(lower, v):
+        for a, b in zip(row, t):
+            x -= a * b
+        t.append(x / row[-1])
+    return t
 
 
 def cholesky_psd(a: np.ndarray) -> np.ndarray:
@@ -114,22 +150,9 @@ class GaussianCanonical:
             np.all(np.abs(self.xi) <= tol) and np.all(np.abs(self.omega) <= tol)
         )
 
-    def cholesky(self) -> np.ndarray:
-        """Lower Cholesky factor of omega; NotADistribution unless positive definite."""
-        try:
-            if self.dim:
-                return np.linalg.cholesky(self.omega)
-        except np.linalg.LinAlgError:
-            pass
-        raise NotADistribution("information matrix is not positive definite")
-
     def is_normalizable(self) -> bool:
-        """True when omega is positive definite."""
-        try:
-            self.cholesky()
-        except NotADistribution:
-            return False
-        return True
+        """True when omega is positive definite (and there is a variable)."""
+        return bool(cholesky_small(self.omega.tolist(), range(self.dim)))
 
     def embed(self, positions: Sequence[int], n: int) -> "GaussianCanonical":
         """This factor placed at `positions` of an n-variable scope, zero elsewhere."""
@@ -143,7 +166,8 @@ class GaussianCanonical:
         return GaussianCanonical(xi, omega)
 
     def to_moments(self) -> "GaussianMoment":
-        self.cholesky()  # raises unless omega is positive definite
+        if not self.is_normalizable():
+            raise NotADistribution("information matrix is not positive definite")
         sigma = inv_psd(self.omega)
         return GaussianMoment(sigma @ self.xi, sigma)
 
@@ -239,13 +263,16 @@ def kl_gaussian(q: GaussianCanonical, p: GaussianCanonical) -> float:
     and the Mahalanobis term is |Lp^T (mu_p - mu_q)|^2 = |y_p - (Lq^-1 Lp)^T y_q|^2.
     """
     _same_size(q, p, "KL divergence")
-    lq, lp = q.cholesky(), p.cholesky()
-    sol = np.linalg.solve(lq, np.column_stack((lp, q.xi)))
-    lq_lp, y_q = sol[:, :-1], sol[:, -1]
-    d = np.linalg.solve(lp, p.xi) - lq_lp.T @ y_q
-    log_det_ratio = 2.0 * np.sum(np.log(np.diagonal(lq) / np.diagonal(lp)))
-    kl = 0.5 * (np.sum(lq_lp * lq_lp) + d @ d - q.dim + log_det_ratio)
-    return max(float(kl), 0.0)
+    n = q.dim
+    lq, lp = (cholesky_small(g.omega.tolist(), range(n)) for g in (q, p))
+    if not (lq and lp):
+        raise NotADistribution("information matrix is not positive definite")
+    cols = [forward_small(lq, [row[j] if j < len(row) else 0.0 for row in lp]) for j in range(n)]
+    y_q, y_p = forward_small(lq, q.xi.tolist()), forward_small(lp, p.xi.tolist())
+    d = [y_p[j] - sum(m * y for m, y in zip(col, y_q)) for j, col in enumerate(cols)]
+    log_det_ratio = 2.0 * sum(math.log(lq[i][i] / lp[i][i]) for i in range(n))
+    kl = 0.5 * (sum(m * m for col in cols for m in col) + sum(e * e for e in d) - n + log_det_ratio)
+    return max(kl, 0.0)
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,12 @@ Each sweep pops the active surfels from a worklist heap in ascending id
 order. A visit recomputes the incoming neighbor message, ratio-updates the
 belief, runs the per-cluster VMP updates, and emits outgoing messages to
 each neighbor. A message is converged when its divergence from the previous
-iteration falls below the threshold. A changed message activates its
-receiver, in this sweep if the receiver's id is higher, else in the next;
-a surfel that changed stays active. This is the order of a full scan that
-skips converged surfels, so a sweep costs only the active surfels; those
-left at `max_sweeps` carry over to the next call.
+iteration (the KL, from scalar Cholesky factors, or a relative change of
+natural parameters if an iterate is improper) falls below the threshold.
+A changed message activates its receiver, in this sweep if the receiver's
+id is higher, else in the next; a surfel that changed stays active. This
+is the order of a full scan that skips converged surfels, so a sweep costs
+only the active surfels; those left at `max_sweeps` carry over.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from .distributions import (
     GaussianCanonical,
     InverseGammaFactor,
     NotADistribution,
+    cholesky_small,
+    forward_small,
     gauss_divide,
     gauss_marginalize,
     gauss_product,
@@ -215,58 +218,13 @@ def _natural_divergence(new: GaussianCanonical, old: GaussianCanonical) -> float
     return max(d_omega, abs(new.xi - old.xi).max() / (1.0 + abs(old.xi).max()))
 
 
-def _cholesky_small(o: list, d) -> list | None:
-    """Lower Cholesky factor [[l00], [l10, l11]] of the 1x1 or 2x2 block o[d][d]
-    of a nested list, as LAPACK's unblocked step; None unless positive definite."""
-    a = o[d[0]][d[0]]
-    if not a > 0.0:
-        return None
-    l00 = math.sqrt(a)
-    if len(d) == 1:
-        return [[l00]]
-    l10 = o[d[1]][d[0]] / l00
-    s = o[d[1]][d[1]] - l10 * l10
-    return [[l00], [l10, math.sqrt(s)]] if s > 0.0 else None
-
-
-def _forward(lower: list, v) -> list:
-    """Solve lower @ t = v for a factor from `_cholesky_small`."""
-    t0 = v[0] / lower[0][0]
-    return [t0] if len(lower) == 1 else [t0, (v[1] - lower[1][0] * t0) / lower[1][1]]
-
-
-def _well_conditioned(g: GaussianCanonical) -> bool:
-    """Lowest eigenvalue of omega above 1e-9 times the highest."""
-    if g.dim == 3:
-        lam = np.linalg.eigvalsh(g.omega)
-        lo, hi = lam[0], lam[-1]
-    elif g.dim == 1:
-        lo = hi = float(g.omega[0, 0])
-    else:
-        (a, b), (_, c) = g.omega.tolist()
-        mid, radius = 0.5 * (a + c), math.hypot(0.5 * (a - c), b)
-        lo, hi = mid - radius, mid + radius
-    return lo > 1e-9 * max(hi, 1e-300)
-
-
-def _kl_small(q: GaussianCanonical, p: GaussianCanonical) -> float:
-    """`kl_gaussian` on 1- or 2-variable factors, from scalar Cholesky factors."""
-    n = q.dim
-    lq, lp = (_cholesky_small(g.omega.tolist(), range(n)) for g in (q, p))
-    cols = [_forward(lq, [row[j] if j < len(row) else 0.0 for row in lp]) for j in range(n)]
-    y_q, y_p = _forward(lq, q.xi.tolist()), _forward(lp, p.xi.tolist())
-    d = [y_p[j] - sum(m * y for m, y in zip(col, y_q)) for j, col in enumerate(cols)]
-    log_det_ratio = 2.0 * sum(math.log(lq[i][i] / lp[i][i]) for i in range(n))
-    kl = 0.5 * (sum(m * m for col in cols for m in col) + sum(e * e for e in d) - n + log_det_ratio)
-    return max(kl, 0.0)
-
-
 def _gauss_divergence(new: GaussianCanonical, old: GaussianCanonical) -> float:
     """Exclusive KL between message iterates, with a relative natural-parameter
     surrogate when either iterate is improper (KL is then undefined)."""
-    if _well_conditioned(new) and _well_conditioned(old):
-        return kl_gaussian(new, old) if new.dim == 3 else _kl_small(new, old)
-    return _natural_divergence(new, old)
+    try:
+        return kl_gaussian(new, old)
+    except NotADistribution:
+        return _natural_divergence(new, old)
 
 
 def _ig_divergence(new: InverseGammaFactor, old: InverseGammaFactor) -> float:
@@ -288,22 +246,24 @@ def neighbor_out_message(stm: STMMap, sep: Sepset, sid: int) -> GaussianCanonica
     belief, reverse = stm.surfels[sid].belief_h, sep.msg_to(sid)
     o = belief.omega.tolist()
     drop = [i for i in range(3) if i not in pos]
-    lower = _cholesky_small(o, drop) if pos else None
+    lower = cholesky_small(o, drop) if pos else None
     if lower is None:
         return gauss_marginalize(gauss_divide(belief, reverse.embed(pos, 3)), pos)
     x, r_xi, r_omega = belief.xi.tolist(), reverse.xi.tolist(), reverse.omega.tolist()
-    y = [_forward(lower, [o[k][d] for d in drop]) for k in pos]
-    z = _forward(lower, [x[d] for d in drop])
+    y = [forward_small(lower, [o[k][d] for d in drop]) for k in pos]
+    z = forward_small(lower, [x[d] for d in drop])
     xi = [x[k] - r_xi[i] - sum(a * b for a, b in zip(y[i], z)) for i, k in enumerate(pos)]
     omega = [[o[k][l] - r_omega[i][j] - sum(a * b for a, b in zip(y[i], y[j]))
               for j, l in enumerate(pos)] for i, k in enumerate(pos)]
     return GaussianCanonical(xi, omega)
 
 
-def _associate(stm: STMMap, batch: list[Measurement]) -> tuple[dict, int]:
-    """Group measurements by surfel, expressed in normalized-element coordinates."""
+def _associate(stm: STMMap, batch: list[Measurement]) -> tuple[dict, int, int]:
+    """Group measurements by surfel, expressed in normalized-element coordinates;
+    also count those outside the submap and those whose element-frame
+    covariance has no LU inverse (`init_likelihood_cluster` takes one)."""
     per_surfel: dict[int, list[Measurement]] = {}
-    skipped = 0
+    skipped = singular = 0
     for m in batch:
         try:
             sid = stm.grid.locate(float(m.mean[0]), float(m.mean[1]))
@@ -313,8 +273,14 @@ def _associate(stm: STMMap, batch: list[Measurement]) -> tuple[dict, int]:
         # `TriGrid.normalize_to_element` without its moment-form checks
         a, v0 = stm.grid.element_affine(sid)
         cov = a @ (0.5 * (m.cov + m.cov.T)) @ a.T
-        per_surfel.setdefault(sid, []).append(Measurement(a @ (m.mean - v0), 0.5 * (cov + cov.T), m.id))
-    return per_surfel, skipped
+        cov = 0.5 * (cov + cov.T)
+        try:
+            np.linalg.inv(cov)
+        except np.linalg.LinAlgError:
+            singular += 1
+            continue
+        per_surfel.setdefault(sid, []).append(Measurement(a @ (m.mean - v0), cov, m.id))
+    return per_surfel, skipped, singular
 
 
 def run_inference(stm: STMMap, batch: list[Measurement]) -> ConvergenceReport:
@@ -322,11 +288,14 @@ def run_inference(stm: STMMap, batch: list[Measurement]) -> ConvergenceReport:
 
     Measurements must already be in submap (alpha, beta, gamma) coordinates.
     Points outside the submap are counted and skipped; measurements
-    `validate_batch` rejects are skipped before the map changes and counted
-    on the report.
+    `validate_batch` rejects, and those whose covariance in element
+    coordinates is singular ("cov_singular"), are skipped before the map
+    changes and counted on the report.
     """
     batch, rejected = validate_batch(batch)
-    per_surfel, skipped = _associate(stm, batch)
+    per_surfel, skipped, singular = _associate(stm, batch)
+    if singular:
+        rejected["cov_singular"] = singular
     n_used = sum(len(v) for v in per_surfel.values())
 
     gamma_all = np.array(

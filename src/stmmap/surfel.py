@@ -139,7 +139,7 @@ def init_likelihood_cluster(
     gamma = float(measurement.mean[2])
     omega = np.eye(3) / INIT_HEIGHT_VAR
     xi = omega @ np.full(3, gamma)
-    point_omega = np.linalg.inv(measurement.cov)  # positive definite, see `validate_batch`
+    point_omega = np.linalg.inv(measurement.cov)  # checked by `validate_batch`, `_associate`
     point_omega[[0, 1], [0, 1]] += 1.0 / ALPHA_BETA_PRIOR_VAR
     return LikelihoodClusterState(
         measurement=measurement,

@@ -293,6 +293,46 @@ class TestBuildCommand:
                             for ext in (".map.json", ".ply")])
         assert outputs[0] == outputs[1]
 
+    def test_rows_the_map_rejects_are_reported(self, tmp_path, capsys):
+        # a covariance with a Cholesky factor but no inverse passes the parser;
+        # the map rejects it, and the summary counts it apart from the used rows
+        pts = tmp_path / "pts.csv"
+        write_plane_points(pts, np.random.default_rng(5), n=30)
+        c = [[0.008583898172182396, -0.00143644858117874, -0.0031768363768153473],
+             [-0.00143644858117874, 0.00854291232040117, -0.003222481615708486],
+             [-0.0031768363768153473, -0.003222481615708486, 0.0028731895074164326]]
+        lines = ["x,y,z,sxx,syy,szz,sxy,sxz,syz"]
+        for line in pts.read_text().splitlines()[1:]:
+            x, y, z, sigma = (float(v) for v in line.split(","))
+            lines.append(",".join(repr(v) for v in (x, y, z, sigma**2, sigma**2, sigma**2, 0.0, 0.0, 0.0)))
+        clean = "\n".join(lines) + "\n"
+        singular = ",".join(repr(v) for v in (0.3, 0.1, 0.1, c[0][0], c[1][1], c[2][2],
+                                               c[0][1], c[0][2], c[1][2]))
+        outputs = []
+        for name, text in (("clean", clean), ("mixed", clean + singular + "\n")):
+            path = tmp_path / f"{name}.csv"
+            path.write_text(text)
+            code = main(["build", "--points", str(path), "--global-frame", "0,0,1,1",
+                         "--depth", "1", "--out", str(tmp_path / name)])
+            assert code == 0
+            outputs.append([(tmp_path / f"{name}{ext}").read_bytes() for ext in (".map.json", ".ply")])
+        assert outputs[0] == outputs[1]
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("ingested 30 of 30 points (0 rows skipped, 0 outside the submap, "
+                                 "0 rejected by the map)")
+        assert out[1].startswith("ingested 30 of 31 points (0 rows skipped, 0 outside the submap, "
+                                 "1 rejected by the map)")
+
+    @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, -1])
+    def test_depth_flag_is_validated(self, tmp_path, capsys, depth):
+        pts = tmp_path / "pts.csv"
+        write_plane_points(pts, np.random.default_rng(6), n=10)
+        code = main(["build", "--points", str(pts), "--global-frame", "0,0,1,1",
+                     "--depth", str(depth), "--out", str(tmp_path / "m")])
+        assert code == 2
+        assert "config error: depth must be in" in capsys.readouterr().err
+        assert not list(tmp_path.glob("m.*"))
+
     @pytest.mark.parametrize("flag, value", [
         ("--global-frame", "0,0,1"),
         ("--global-frame", "0,0,a,1"),
