@@ -23,6 +23,7 @@ import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import sub
 
 import numpy as np
 
@@ -44,6 +45,7 @@ from .surfel import (
     Measurement,
     SurfelState,
     apportion_nu_scales,
+    height_message,
     init_likelihood_cluster,
     update_mean_plane_factor,
     update_planar_deviation_factor,
@@ -127,6 +129,7 @@ class ConvergenceReport:
     n_skipped_outside: int
     n_rejected: dict = field(default_factory=dict)  # by reason, see `validate_batch`
     active_per_sweep: list = field(default_factory=list)  # surfels queued at each sweep's start
+    fallbacks: dict = field(default_factory=dict)  # numerical fallbacks taken, by kind
 
 
 @dataclass
@@ -218,6 +221,15 @@ def _natural_divergence(new: GaussianCanonical, old: GaussianCanonical) -> float
     return max(d_omega, abs(new.xi - old.xi).max() / (1.0 + abs(old.xi).max()))
 
 
+def _cluster_divergence(cluster: LikelihoodClusterState, old_w, old_scale: float) -> float:
+    """`_natural_divergence` of a cluster's height message and `_ig_divergence`
+    of its deviation message from their values before a refit, in floats."""
+    new, old = height_message(cluster, cluster.w), height_message(cluster, old_w)
+    d_xi, d_omega = (max(map(abs, map(sub, new[k], old[k]))) / (1.0 + max(map(abs, old[k])))
+                     for k in (slice(3), slice(3, 9)))
+    return max(d_xi, d_omega, abs(cluster.nu_scale - old_scale) / (1.0 + abs(old_scale)))
+
+
 def _gauss_divergence(new: GaussianCanonical, old: GaussianCanonical) -> float:
     """Exclusive KL between message iterates, with a relative natural-parameter
     surrogate when either iterate is improper (KL is then undefined)."""
@@ -259,10 +271,10 @@ def neighbor_out_message(stm: STMMap, sep: Sepset, sid: int) -> GaussianCanonica
 
 
 def _associate(stm: STMMap, batch: list[Measurement]) -> tuple[dict, int, int]:
-    """Group measurements by surfel, expressed in normalized-element coordinates;
-    also count those outside the submap and those whose element-frame
-    covariance has no LU inverse (`init_likelihood_cluster` takes one)."""
-    per_surfel: dict[int, list[Measurement]] = {}
+    """Group measurements by surfel, expressed in normalized-element coordinates
+    and paired with the inverse of their covariance there; also count those
+    outside the submap and those whose covariance has no LU inverse."""
+    per_surfel: dict[int, list[tuple[Measurement, np.ndarray]]] = {}
     skipped = singular = 0
     for m in batch:
         try:
@@ -275,11 +287,11 @@ def _associate(stm: STMMap, batch: list[Measurement]) -> tuple[dict, int, int]:
         cov = a @ (0.5 * (m.cov + m.cov.T)) @ a.T
         cov = 0.5 * (cov + cov.T)
         try:
-            np.linalg.inv(cov)
+            cov_inv = np.linalg.inv(cov)
         except np.linalg.LinAlgError:
             singular += 1
             continue
-        per_surfel.setdefault(sid, []).append(Measurement(a @ (m.mean - v0), cov, m.id))
+        per_surfel.setdefault(sid, []).append((Measurement(a @ (m.mean - v0), cov, m.id), cov_inv))
     return per_surfel, skipped, singular
 
 
@@ -299,13 +311,13 @@ def run_inference(stm: STMMap, batch: list[Measurement]) -> ConvergenceReport:
     n_used = sum(len(v) for v in per_surfel.values())
 
     gamma_all = np.array(
-        [m.mean[2] for ms in per_surfel.values() for m in ms], dtype=float
+        [m.mean[2] for ms in per_surfel.values() for m, _ in ms], dtype=float
     )
     fallback_var = float(np.var(gamma_all)) if gamma_all.size >= 2 else 1e-2
 
     for sid, ms in per_surfel.items():
         state = stm.surfels[sid]
-        gammas = np.array([m.mean[2] for m in ms])
+        gammas = np.array([m.mean[2] for m, _ in ms])
         target = state.expected_deviation() if state.n_meas_total > 0 else None
         nu_scale = apportion_nu_scales(
             gammas,
@@ -314,10 +326,8 @@ def run_inference(stm: STMMap, batch: list[Measurement]) -> ConvergenceReport:
             fallback_var,
             target_var=target,
         )
-        for m in ms:
-            state.clusters.append(
-                init_likelihood_cluster(m, nu_scale, batch=stm.batch)
-            )
+        state.clusters += [init_likelihood_cluster(m, nu_scale, stm.batch, cov_inv)
+                           for m, cov_inv in ms]
         state.n_meas_total += len(ms)
         state.recompute_beliefs()
         stm._active.add(sid)
@@ -326,6 +336,7 @@ def run_inference(stm: STMMap, batch: list[Measurement]) -> ConvergenceReport:
     tol = stm.convergence.kl_threshold
     messages_before = stm.metrics.message_count
     active_per_sweep = []
+    jitter = 0
     while stm._active and len(active_per_sweep) < stm.convergence.max_sweeps:
         stm.metrics.sweep_count += 1
         heap = sorted(stm._active)
@@ -364,22 +375,20 @@ def run_inference(stm: STMMap, batch: list[Measurement]) -> ConvergenceReport:
                     or _ig_divergence(state.belief_nu, state.ref_belief_nu) >= tol
                 )
             any_refit = False
+            jitter -= state.refit_jitter  # with the += below: this visit's jitter retries
             for cluster in state.clusters:
                 if cluster.converged and not belief_moved:
                     continue
-                old_h = cluster.out_msg_h
-                old_nu = cluster.out_msg_nu
+                old_w, old_scale = cluster.w, cluster.nu_scale
                 incoming = update_mean_plane_factor(state, cluster)
                 update_planar_deviation_factor(state, cluster, incoming)
                 stm.metrics.message_count += 1
                 any_refit = True
                 # a height message has rank one: KL is undefined
-                cluster.converged = (
-                    _natural_divergence(cluster.out_msg_h, old_h) < tol
-                    and _ig_divergence(cluster.out_msg_nu, old_nu) < tol
-                )
+                cluster.converged = _cluster_divergence(cluster, old_w, old_scale) < tol
                 if not cluster.converged:
                     belief_moved = True
+            jitter += state.refit_jitter
             if any_refit:
                 state.ref_belief_h = state.belief_h
                 state.ref_belief_nu = state.belief_nu
@@ -417,6 +426,7 @@ def run_inference(stm: STMMap, batch: list[Measurement]) -> ConvergenceReport:
         n_skipped_outside=skipped,
         n_rejected=rejected,
         active_per_sweep=active_per_sweep,
+        fallbacks={"refit_jitter": jitter} if jitter else {},
     )
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .baseline import ElevationMap, elev_likelihood
-from .distributions import kl_gaussian
+from .distributions import NotADistribution, kl_gaussian
 from .geometry import OutsideSubmap
 from .mapgraph import STMMap, incremental_update, mean_plane_heights
 from .surfel import Measurement
@@ -297,8 +297,11 @@ def _belief_change_kls(stm: STMMap, before: list) -> np.ndarray:
     for i, state in enumerate(stm.surfels):
         old = before[i]
         new = state.belief_h
-        if new is not old and old.is_normalizable() and new.is_normalizable():
-            kls[i] = kl_gaussian(new, old)
+        if new is not old:
+            try:
+                kls[i] = kl_gaussian(new, old)
+            except NotADistribution:  # either belief is improper: no KL
+                pass
     return kls
 
 

@@ -3,13 +3,14 @@
 Each surfel carries a Gaussian belief over its three vertex heights
 h = (h0, h_alpha, h_beta) and an inverse-gamma belief over its planar
 deviation nu. Every measurement owns a likelihood cluster whose outgoing
-messages are iteratively refit by local information projections, with
-f(alpha, beta, h) linearized at the incoming height mean and the measured
-(alpha, beta). The mean-plane message is then the rank-one likelihood of
-the measured gamma given h, in closed form. The planar deviation message
-fits an inverse-gamma scale to the expected squared residual gamma - f
-under the cluster's 6-D joint over (h0, h_alpha, h_beta, alpha, beta,
-gamma), assembled and factored in information form.
+messages are refit in turn by local information projections, in Python
+floats, with f(alpha, beta, h) linearized at the incoming height mean and
+the measured (alpha, beta). The mean-plane message is then the rank-one
+likelihood of the measured gamma given h, in closed form. The planar
+deviation message fits an inverse-gamma scale to the expected squared
+residual gamma - f under the cluster's joint over (h0, h_alpha, h_beta,
+alpha, beta, gamma); eliminating (alpha, beta, gamma) from it leaves the
+refitted height belief, so this takes two 3x3 Cholesky factors.
 
 Beliefs satisfy the additive bookkeeping invariant at all times:
 belief = prior * neighbor_in_msg * product(cluster out messages)
@@ -18,14 +19,16 @@ in natural parameters, for both the Gaussian and inverse-gamma factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import add, sub
 
 import numpy as np
 
-from .distributions import (
+from .distributions import (  # solve_psd: the benchmark's tracer patches it here
     GaussianCanonical,
     InverseGammaFactor,
     cholesky_psd,
+    cholesky_small,
     gauss_divide,
     gauss_product,
     ig_divide,
@@ -64,54 +67,112 @@ class Measurement:
         object.__setattr__(self, "cov", cov)
 
 
-@dataclass
+@dataclass(slots=True)
 class LikelihoodClusterState:
-    """One measurement's likelihood cluster and its outgoing messages."""
+    """One measurement's likelihood cluster: its height message of weight w
+    (see `height_message`), its deviation message (NU_MSG_EXPONENT, nu_scale)
+    and the information B of (alpha, beta, gamma) from the measurement z and
+    the (alpha, beta) prior, as B's upper triangle and B z."""
 
     measurement: Measurement
-    out_msg_h: GaussianCanonical
-    out_msg_nu: InverseGammaFactor
-    point_info: GaussianCanonical  # on (alpha, beta, gamma): measurement and (alpha, beta) prior
+    point_info: tuple
+    nu_scale: float
+    w: float | None = None
     batch: int = 0
     converged: bool = False
 
+    @property
+    def out_msg_h(self) -> GaussianCanonical:
+        return _gaussian(height_message(self, self.w))
 
-@dataclass
+    @property
+    def out_msg_nu(self) -> InverseGammaFactor:
+        return InverseGammaFactor(NU_MSG_EXPONENT, self.nu_scale)
+
+
 class SurfelState:
-    """Belief state of a single surfel."""
+    """Belief state of a single surfel. The refits keep the height belief as
+    floats (see `height_floats`); `belief_h` makes it a factor on read."""
 
-    sid: int
-    labels: tuple  # vertex ids, in the position order of the height factors
-    prior_h: GaussianCanonical
-    prior_nu: InverseGammaFactor
-    clusters: list[LikelihoodClusterState] = field(default_factory=list)
-    neighbor_in_msg: GaussianCanonical = None
-    belief_h: GaussianCanonical = None
-    belief_nu: InverseGammaFactor = None
-    n_meas_total: int = 0
-    # belief snapshot at the end of this surfel's last processed sweep,
-    # used to decide whether converged clusters need refitting
-    ref_belief_h: GaussianCanonical = None
-    ref_belief_nu: InverseGammaFactor = None
+    refit_jitter = 0  # refit factors that took `cholesky_psd`'s jitter retry
 
-    def __post_init__(self):
-        if self.neighbor_in_msg is None:
-            self.neighbor_in_msg = GaussianCanonical.vacuous(3)
-        if self.belief_h is None or self.belief_nu is None:
+    def __init__(self, sid: int, labels: tuple, prior_h: GaussianCanonical,
+                 prior_nu: InverseGammaFactor, neighbor_in_msg: GaussianCanonical = None,
+                 belief_h: GaussianCanonical = None, belief_nu: InverseGammaFactor = None):
+        self.sid = sid
+        self.labels = labels  # vertex ids, in the position order of the height factors
+        self.prior_h, self.prior_nu = prior_h, prior_nu
+        self.clusters: list[LikelihoodClusterState] = []
+        self.neighbor_in_msg = neighbor_in_msg or GaussianCanonical.vacuous(3)
+        self.n_meas_total = 0
+        # belief snapshot at the end of this surfel's last processed sweep,
+        # used to decide whether converged clusters need refitting
+        self.ref_belief_h = self.ref_belief_nu = None
+        self._h, self.belief_nu = belief_h, belief_nu
+        if belief_h is None or belief_nu is None:
             self.recompute_beliefs()
+
+    @property
+    def belief_h(self) -> GaussianCanonical:
+        if type(self._h) is tuple:
+            self._h = _gaussian(self._h)
+        return self._h
+
+    @belief_h.setter
+    def belief_h(self, factor: GaussianCanonical):
+        self._h = factor
+
+    def height_floats(self) -> tuple:
+        """The height belief as nine floats: xi, then omega's upper triangle by rows."""
+        if type(self._h) is tuple:
+            return self._h
+        o = self._h.omega.tolist()
+        return (*self._h.xi.tolist(), o[0][0], o[0][1], o[0][2], o[1][1], o[1][2], o[2][2])
 
     def recompute_beliefs(self):
         """Rebuild beliefs from scratch per the additive bookkeeping."""
-        h = gauss_product(self.prior_h, self.neighbor_in_msg)
-        nu = self.prior_nu
+        self._h, nu = gauss_product(self.prior_h, self.neighbor_in_msg), self.prior_nu
+        h = self.height_floats()
         for c in self.clusters:
-            h = gauss_product(h, c.out_msg_h)
+            h = tuple(map(add, h, height_message(c, c.w)))
             nu = ig_product(nu, c.out_msg_nu)
-        self.belief_h = h
-        self.belief_nu = nu
+        self._h, self.belief_nu = h, nu
 
     def expected_deviation(self) -> float:
         return ig_expected_deviation(self.belief_nu)
+
+
+def _gaussian(h: tuple) -> GaussianCanonical:
+    return GaussianCanonical(h[:3], [h[3:6], (h[4], h[6], h[7]), (h[5], h[7], h[8])])
+
+
+def _factor(state: SurfelState, o) -> list:
+    """`cholesky_small` of the symmetric 3x3 with upper triangle o; where it
+    finds no factor, `cholesky_psd` with its jitter retry, counted in
+    `state.refit_jitter`."""
+    m = [o[:3], (o[1], o[3], o[4]), (o[2], o[4], o[5])]
+    lower = cholesky_small(m, range(3))
+    if lower is None:
+        state.refit_jitter += 1
+        lower = [row[:i + 1] for i, row in enumerate(cholesky_psd(np.array(m)).tolist())]
+    return lower
+
+
+def _forward(lower: list, v) -> tuple:
+    """t with L t = v, for a 3x3 factor."""
+    (l00,), (l10, l11), (l20, l21, l22) = lower
+    t0 = v[0] / l00
+    t1 = (v[1] - l10 * t0) / l11
+    return t0, t1, (v[2] - l20 * t0 - l21 * t1) / l22
+
+
+def _solve(lower: list, v) -> tuple:
+    """x with L L^T x = v, for a 3x3 factor."""
+    (l00,), (l10, l11), (l20, l21, l22) = lower
+    t0, t1, t2 = _forward(lower, v)
+    x2 = t2 / l22
+    x1 = (t1 - l21 * x2) / l11
+    return (t0 - l10 * x1 - l20 * x2) / l00, x1, x2
 
 
 def mean_plane_eval(alpha: float, beta: float, h) -> float:
@@ -125,29 +186,37 @@ def residual_gradient(h0: float, ha: float, hb: float, alpha: float, beta: float
     return np.array([alpha + beta - 1.0, -alpha, -beta, h0 - ha, h0 - hb, 1.0])
 
 
-def init_likelihood_cluster(
-    measurement: Measurement,
-    nu_scale: float,
-    batch: int = 0,
-) -> LikelihoodClusterState:
+def height_message(cluster: LikelihoodClusterState, w: float | None) -> tuple:
+    """The cluster's height message as nine floats (see `height_floats`).
+
+    Given h, the measured gamma has mean F.h, F = (1 - alpha - beta, alpha,
+    beta), so the message is omega = w F F^T, xi = w gamma F. With w None it
+    is the initial one: centred at gamma, variance INIT_HEIGHT_VAR per vertex.
+    """
+    alpha, beta, gamma = cluster.measurement.mean.tolist()
+    if w is None:
+        p = 1.0 / INIT_HEIGHT_VAR
+        return (gamma * p,) * 3 + (p, 0.0, 0.0, p, 0.0, p)
+    f0, wg = 1.0 - alpha - beta, w * gamma
+    return (wg * f0, wg * alpha, wg * beta, w * f0 * f0, w * f0 * alpha, w * f0 * beta,
+            w * alpha * alpha, w * alpha * beta, w * beta * beta)
+
+
+def init_likelihood_cluster(measurement: Measurement, nu_scale: float, batch: int = 0,
+                            cov_inv: np.ndarray = None) -> LikelihoodClusterState:
     """Initial near-vacuous messages for a new measurement's cluster.
 
-    The height message is centered at the measurement's gamma component with
-    variance INIT_HEIGHT_VAR per vertex; the deviation message carries the
-    caller-apportioned scale (see `apportion_nu_scales`).
+    The height message is the initial one (see `height_message`); the
+    deviation message carries the caller-apportioned scale (see
+    `apportion_nu_scales`). `cov_inv` is the covariance's inverse, if known.
     """
-    gamma = float(measurement.mean[2])
-    omega = np.eye(3) / INIT_HEIGHT_VAR
-    xi = omega @ np.full(3, gamma)
-    point_omega = np.linalg.inv(measurement.cov)  # checked by `validate_batch`, `_associate`
-    point_omega[[0, 1], [0, 1]] += 1.0 / ALPHA_BETA_PRIOR_VAR
-    return LikelihoodClusterState(
-        measurement=measurement,
-        out_msg_h=GaussianCanonical(xi, omega),
-        out_msg_nu=InverseGammaFactor(NU_MSG_EXPONENT, float(nu_scale)),
-        point_info=GaussianCanonical(point_omega @ measurement.mean, point_omega),
-        batch=batch,
-    )
+    if cov_inv is None:
+        cov_inv = np.linalg.inv(measurement.cov)  # checked by `validate_batch`, `_associate`
+    point_omega = cov_inv + np.diag([1.0 / ALPHA_BETA_PRIOR_VAR] * 2 + [0.0])
+    (o00, o01, o02), (o10, o11, o12), (o20, o21, o22) = point_omega.tolist()
+    info = (o00, 0.5 * (o01 + o10), 0.5 * (o02 + o20), o11, 0.5 * (o12 + o21), o22,
+            *(point_omega @ measurement.mean).tolist())
+    return LikelihoodClusterState(measurement, info, float(nu_scale), batch=batch)
 
 
 def apportion_nu_scales(
@@ -190,70 +259,61 @@ def compute_incoming_message(
 
 def update_mean_plane_factor(
     state: SurfelState, cluster: LikelihoodClusterState
-) -> tuple[GaussianCanonical, InverseGammaFactor, np.ndarray]:
-    """Refit the cluster's height message and the surfel height belief.
+) -> tuple[float, InverseGammaFactor, tuple]:
+    """Refit the cluster's height message weight w and the surfel height belief.
 
-    Given h, the measured gamma has mean F.h, F = (1 - alpha - beta, alpha,
-    beta), and variance 1/w once the measured (alpha, beta) is conditioned
-    on, so the message is omega = w F F^T, xi = w gamma F. Returns the
-    incoming messages and height mean for `update_planar_deviation_factor`.
+    Returns the expected deviation, the incoming deviation message and the
+    incoming height mean, for `update_planar_deviation_factor`.
     """
-    in_h, in_nu = compute_incoming_message(state, cluster)
-    mu = solve_psd(in_h.omega, in_h.xi)
-    h0, ha, hb = mu.tolist()
-    alpha, beta, gamma = cluster.measurement.mean.tolist()
+    nu_bar = ig_expected_deviation(state.belief_nu)
+    in_h = tuple(map(sub, state.height_floats(), height_message(cluster, cluster.w)))
+    in_nu = ig_divide(state.belief_nu, cluster.out_msg_nu)
+    mu = _solve(_factor(state, in_h[3:]), in_h[:3])
     # Linearized, gamma - F.h = g.d + deviation + e_gamma, with g the slope at
     # mu, d ~ N(0, P I) the true minus the measured (alpha, beta) and e ~ N(0, R)
     # the noise. The measurement pins d + e_ab = 0, which leaves 1/w = nu_bar +
     # Var(u.e | d + e_ab = 0), u = (-g, 1): a 2x2 Schur complement with terms
     # the size of R. Taken on the full innovation covariance it cancels at P >> R.
-    u = np.array([h0 - ha, h0 - hb, 1.0])
-    ru = cluster.measurement.cov @ u
-    c0, c1, _ = ru.tolist()
-    (r00, r01, _), (_, r11, _), _ = cluster.measurement.cov.tolist()
+    u0, u1 = mu[0] - mu[1], mu[0] - mu[2]
+    (r00, r01, r02), (_, r11, r12), (_, _, r22) = cluster.measurement.cov.tolist()
+    c0, c1, c2 = r00 * u0 + r01 * u1 + r02, r01 * u0 + r11 * u1 + r12, r02 * u0 + r12 * u1 + r22
     a00, a11 = r00 + ALPHA_BETA_PRIOR_VAR, r11 + ALPHA_BETA_PRIOR_VAR
     explained = (a11 * c0 * c0 - 2.0 * r01 * c0 * c1 + a00 * c1 * c1) / (a00 * a11 - r01 * r01)
-    w = 1.0 / (ig_expected_deviation(state.belief_nu) + float(u @ ru) - explained)
-    f_h = np.array([1.0 - alpha - beta, alpha, beta])
-    new_out = GaussianCanonical((w * gamma) * f_h, np.outer(w * f_h, f_h))
-    cluster.out_msg_h = new_out
-    state.belief_h = gauss_product(in_h, new_out)
-    return in_h, in_nu, mu
+    cluster.w = 1.0 / (nu_bar + (u0 * c0 + u1 * c1 + c2) - explained)
+    state._h = tuple(map(add, in_h, height_message(cluster, cluster.w)))
+    return nu_bar, in_nu, mu
 
 
-def update_planar_deviation_factor(
-    state: SurfelState,
-    cluster: LikelihoodClusterState,
-    incoming: tuple[GaussianCanonical, InverseGammaFactor, np.ndarray],
-) -> InverseGammaFactor:
+def update_planar_deviation_factor(state: SurfelState, cluster: LikelihoodClusterState,
+                                   incoming: tuple[float, InverseGammaFactor, tuple]) -> None:
     """Refit the cluster's deviation message and the surfel deviation belief.
 
     The message scale is half the expected squared residual gamma - f under
-    the cluster's 6-D joint, linearized at the joint's mean. `incoming` is
-    what `update_mean_plane_factor` returned: the height refit moves the
-    message and the belief together, so the incoming messages stay as they
-    were up to rounding.
+    the cluster's joint, linearized at the joint's mean; `incoming` is what
+    `update_mean_plane_factor` returned. With u = (h0 - h_alpha, h0 - h_beta,
+    1) at the incoming mean, eliminating (alpha, beta, gamma) from the joint
+    leaves the refitted height belief S; the point block's information is
+    B + u u^T / nu_bar. A residual gradient g has variance |r|^2 + |v|^2,
+    r = L_B^-1 g_B, rho = (L_B^-1 u).r / nu_bar, v = L_S^-1 (g_h + rho F).
     """
-    in_h, in_nu, mu_in = incoming
-    nu_bar = ig_expected_deviation(state.belief_nu)
+    nu_bar, in_nu, (h0, ha, hb) = incoming
     alpha, beta, _ = cluster.measurement.mean.tolist()
-    h0, ha, hb = mu_in.tolist()
-    # the linearized residual grad.x - offset is N(0, nu_bar); f is linear
-    # in h, so offset = -g.(alpha, beta) with g the slope at mu_in
-    grad = residual_gradient(h0, ha, hb, alpha, beta)
-    omega = np.outer(grad, grad / nu_bar)
-    omega[:3, :3] += in_h.omega
-    omega[3:, 3:] += cluster.point_info.omega
-    xi = grad * (((h0 - ha) * alpha + (h0 - hb) * beta) / nu_bar)
-    xi[:3] += in_h.xi
-    xi[3:] += cluster.point_info.xi
-
-    root_inv = np.linalg.inv(cholesky_psd(omega))  # sigma = root_inv^T root_inv
-    h0, ha, hb, alpha, beta, gamma = ((root_inv @ xi) @ root_inv).tolist()
-    resid_grad = root_inv @ residual_gradient(h0, ha, hb, alpha, beta)
-    resid = gamma - mean_plane_eval(alpha, beta, (h0, ha, hb))
-    scale = 0.5 * float(resid_grad @ resid_grad) + 0.5 * resid**2
-    new_out = InverseGammaFactor(NU_MSG_EXPONENT, max(scale, 1e-300))
-    cluster.out_msg_nu = new_out
-    state.belief_nu = ig_product(in_nu, new_out)
-    return new_out
+    f0, u0, u1 = 1.0 - alpha - beta, h0 - ha, h0 - hb
+    h = state.height_floats()
+    lower_s = _factor(state, h[3:])
+    m0, m1, m2 = _solve(lower_s, h[:3])
+    b00, b01, b02, b11, b12, b22, p0, p1, p2 = cluster.point_info
+    lower_b = _factor(state, (b00 + u0 * u0 / nu_bar, b01 + u0 * u1 / nu_bar, b02 + u0 / nu_bar,
+                              b11 + u1 * u1 / nu_bar, b12 + u1 / nu_bar, b22 + 1.0 / nu_bar))
+    d = (u0 * alpha + u1 * beta + f0 * m0 + alpha * m1 + beta * m2) / nu_bar
+    a2, b2, g2 = _solve(lower_b, (p0 + u0 * d, p1 + u1 * d, p2 + d))
+    # the residual gradient at the joint's mean: -F2 on h, u2 on (alpha, beta, gamma)
+    f2 = 1.0 - a2 - b2
+    r0, r1, r2 = _forward(lower_b, (m0 - m1, m0 - m2, 1.0))
+    q0, q1, q2 = _forward(lower_b, (u0, u1, 1.0))
+    rho = (q0 * r0 + q1 * r1 + q2 * r2) / nu_bar
+    v0, v1, v2 = _forward(lower_s, (rho * f0 - f2, rho * alpha - a2, rho * beta - b2))
+    resid = g2 - (f2 * m0 + a2 * m1 + b2 * m2)
+    scale = 0.5 * (r0 * r0 + r1 * r1 + r2 * r2 + v0 * v0 + v1 * v1 + v2 * v2) + 0.5 * resid**2
+    cluster.nu_scale = max(scale, 1e-300)
+    state.belief_nu = ig_product(in_nu, cluster.out_msg_nu)

@@ -22,6 +22,7 @@ from stmmap.distributions import (
     kl_gaussian,
 )
 import stmmap.mapgraph as mapgraph
+import stmmap.surfel as surfel
 from stmmap.geometry import TriGrid
 from stmmap.mapgraph import (
     ConvergenceConfig,
@@ -31,6 +32,7 @@ from stmmap.mapgraph import (
     Sepset,
     STMMap,
     _associate,
+    _cluster_divergence,
     _gauss_divergence,
     _ig_divergence,
     _natural_divergence,
@@ -61,13 +63,13 @@ def reference_run_inference(stm, batch, converged):
     n_used = sum(len(v) for v in per_surfel.values())
 
     gamma_all = np.array(
-        [m.mean[2] for ms in per_surfel.values() for m in ms], dtype=float
+        [m.mean[2] for ms in per_surfel.values() for m, _ in ms], dtype=float
     )
     fallback_var = float(np.var(gamma_all)) if gamma_all.size >= 2 else 1e-2
 
     for sid, ms in per_surfel.items():
         state = stm.surfels[sid]
-        gammas = np.array([m.mean[2] for m in ms])
+        gammas = np.array([m.mean[2] for m, _ in ms])
         target = state.expected_deviation() if state.n_meas_total > 0 else None
         nu_scale = apportion_nu_scales(
             gammas,
@@ -76,7 +78,7 @@ def reference_run_inference(stm, batch, converged):
             fallback_var,
             target_var=target,
         )
-        for m in ms:
+        for m, _ in ms:
             state.clusters.append(
                 init_likelihood_cluster(m, nu_scale, batch=stm.batch)
             )
@@ -803,20 +805,43 @@ class TestRunInference:
         assert report.messages > 0
 
     def test_cluster_test_is_the_divergence_surrogate(self):
-        # a refit height message has rank one, so `_gauss_divergence` takes
-        # its natural-parameter surrogate for every refit, the first (from
-        # the full-rank initial message) included
+        # a refit height message has rank one, so the KL is undefined: the
+        # cluster test is the natural-parameter surrogate of both messages,
+        # for every refit, the first (from the full-rank initial message)
+        # included. (`_gauss_divergence` cannot tell: rounding leaves about
+        # one rank-one matrix in ten with a scalar Cholesky factor.)
         stm = STMMap(TriGrid.triangle(0), PriorConfig())
         run_inference(stm, make_emulation_case("stereo")[:30])
         state = stm.surfels[0]
         for c in state.clusters[:5]:
-            c.out_msg_h = init_likelihood_cluster(c.measurement, 1.0).out_msg_h
+            c.w = None  # back to the initial message
         state.recompute_beliefs()
         for _ in range(3):
             for c in state.clusters:
-                old = c.out_msg_h
+                old_w, old_h, old_nu = c.w, c.out_msg_h, c.out_msg_nu
                 update_planar_deviation_factor(state, c, update_mean_plane_factor(state, c))
-                assert _natural_divergence(c.out_msg_h, old) == _gauss_divergence(c.out_msg_h, old)
+                want = max(_natural_divergence(c.out_msg_h, old_h), _ig_divergence(c.out_msg_nu, old_nu))
+                assert _cluster_divergence(c, old_w, old_nu.scale) == want
+
+
+class TestFallbackCount:
+    def test_report_counts_the_refit_jitter_retry(self, monkeypatch):
+        grid = TriGrid.triangle(1)
+        meas = make_measurements(grid, 5, seed=6)
+        clean = run_inference(STMMap(grid, PriorConfig()), meas)
+        assert clean.fallbacks == {}
+        # the second scalar factor of the update fails once
+        calls = [0]
+        factor = surfel.cholesky_small
+
+        def failing(o, idx):
+            calls[0] += 1
+            return None if calls[0] == 2 else factor(o, idx)
+
+        monkeypatch.setattr(surfel, "cholesky_small", failing)
+        report = run_inference(STMMap(grid, PriorConfig()), meas)
+        assert report.fallbacks == {"refit_jitter": 1}
+        assert (report.sweeps, report.messages) == (clean.sweeps, clean.messages)
 
 
 class TestWorklist:
@@ -1020,6 +1045,26 @@ class TestValidateBatch:
         run_inference(stm_clean, later)
         assert run_inference(stm_mixed, later).converged
         assert self._beliefs(stm_mixed) == self._beliefs(stm_clean)
+
+    def test_one_inverse_per_measurement(self, monkeypatch):
+        # the inverse `_associate` checks is the one the cluster takes, with
+        # the bits of the cluster's own
+        grid = TriGrid.triangle(1)
+        batch = make_measurements(grid, 4, seed=15, truth=lambda a, b: a)
+        for pairs in _associate(STMMap(grid, PriorConfig()), batch)[0].values():
+            for m, cov_inv in pairs:
+                assert (init_likelihood_cluster(m, 1.0, cov_inv=cov_inv).point_info
+                        == init_likelihood_cluster(m, 1.0).point_info)
+        stm, calls = STMMap(grid, PriorConfig()), [0]
+        inv = np.linalg.inv
+
+        def counted(a):
+            calls[0] += 1
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        report = run_inference(stm, batch)
+        assert calls[0] == report.n_measurements == len(batch)
 
     def test_counts_by_reason(self):
         # a singular covariance is found where the map inverts it, in element

@@ -6,6 +6,7 @@ from typing import Union
 import numpy as np
 import pytest
 
+import stmmap.distributions as distributions
 import stmmap.simulate as simulate
 from stmmap.baseline import ElevationMap
 from stmmap.distributions import GaussianCanonical, kl_gaussian
@@ -283,6 +284,31 @@ class TestScenarios:
         report = scenario_pushbroom(small_map(depth=3, tol=0.1), perlin_surface(seed=2), 6, seed=0)
         assert [s.total_kl for s in report.steps] == want
         assert all(kl > 0.0 for kl in want)
+
+    def test_step_kl_factors_each_changed_belief_once(self, monkeypatch):
+        # the step KLs take two scalar Cholesky factors per changed surfel,
+        # one per belief, and keep the bits of the checked-first reference
+        calls, want = [0], []
+        factor = distributions.cholesky_small
+
+        def counted(o, idx):
+            calls[0] += 1
+            return factor(o, idx)
+
+        def kls(stm, before):
+            want.append(float(reference_belief_change_kls(stm, before).sum()))
+            changed = sum(s.belief_h is not b for s, b in zip(stm.surfels, before))
+            calls[0] = 0
+            with monkeypatch.context() as m:
+                m.setattr(distributions, "cholesky_small", counted)
+                got = belief_change_kls(stm, before)
+            assert calls[0] == 2 * changed > 0
+            return got
+
+        belief_change_kls = simulate._belief_change_kls
+        monkeypatch.setattr(simulate, "_belief_change_kls", kls)
+        report = scenario_pushbroom(small_map(depth=3, tol=0.1), perlin_surface(seed=2), 6, seed=0)
+        assert [s.total_kl for s in report.steps] == want
 
     def test_report_csv_round_trip(self, tmp_path):
         stm = small_map()

@@ -1,7 +1,10 @@
 """Tests for the per-surfel variational updates."""
 
 import copy
+import itertools
 import math
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from stmmap.distributions import (
     GaussianCanonical,
     GaussianMoment,
     InverseGammaFactor,
+    cholesky_psd,
     gauss_divide,
     gauss_product,
     ig_divide,
@@ -24,14 +28,17 @@ from stmmap.distributions import (
 )
 from stmmap.geometry import TriGrid
 from stmmap.mapgraph import ConvergenceConfig, PriorConfig, STMMap, incremental_update
+import stmmap.surfel as surfel
 from stmmap.surfel import (
     ALPHA_BETA_PRIOR_VAR,
     INIT_HEIGHT_VAR,
+    LikelihoodClusterState,
     NU_MSG_EXPONENT,
     Measurement,
     SurfelState,
     apportion_nu_scales,
     compute_incoming_message,
+    height_message,
     init_likelihood_cluster,
     mean_plane_eval,
     residual_gradient,
@@ -131,6 +138,88 @@ def reference_update_planar_deviation_factor(state, cluster, joint):
     return new_out
 
 
+# Reference: the numpy closed-form refits the float kernels replaced, kept
+# verbatim (names prefixed with numpy_). They hold the cluster's messages and
+# point information as factors, as `numpy_cluster` gives them.
+def numpy_cluster(cluster):
+    """A stand-in for `cluster` with its messages and point information as factors."""
+    b00, b01, b02, b11, b12, b22, *p_xi = cluster.point_info
+    point_omega = [[b00, b01, b02], [b01, b11, b12], [b02, b12, b22]]
+    return SimpleNamespace(measurement=cluster.measurement, out_msg_h=cluster.out_msg_h,
+                           out_msg_nu=cluster.out_msg_nu, point_info=GaussianCanonical(p_xi, point_omega))
+
+
+def numpy_update_mean_plane_factor(
+    state: SurfelState, cluster: LikelihoodClusterState
+) -> tuple[GaussianCanonical, InverseGammaFactor, np.ndarray]:
+    """Refit the cluster's height message and the surfel height belief.
+
+    Given h, the measured gamma has mean F.h, F = (1 - alpha - beta, alpha,
+    beta), and variance 1/w once the measured (alpha, beta) is conditioned
+    on, so the message is omega = w F F^T, xi = w gamma F. Returns the
+    incoming messages and height mean for `numpy_update_planar_deviation_factor`.
+    """
+    in_h, in_nu = compute_incoming_message(state, cluster)
+    mu = solve_psd(in_h.omega, in_h.xi)
+    h0, ha, hb = mu.tolist()
+    alpha, beta, gamma = cluster.measurement.mean.tolist()
+    # Linearized, gamma - F.h = g.d + deviation + e_gamma, with g the slope at
+    # mu, d ~ N(0, P I) the true minus the measured (alpha, beta) and e ~ N(0, R)
+    # the noise. The measurement pins d + e_ab = 0, which leaves 1/w = nu_bar +
+    # Var(u.e | d + e_ab = 0), u = (-g, 1): a 2x2 Schur complement with terms
+    # the size of R. Taken on the full innovation covariance it cancels at P >> R.
+    u = np.array([h0 - ha, h0 - hb, 1.0])
+    ru = cluster.measurement.cov @ u
+    c0, c1, _ = ru.tolist()
+    (r00, r01, _), (_, r11, _), _ = cluster.measurement.cov.tolist()
+    a00, a11 = r00 + ALPHA_BETA_PRIOR_VAR, r11 + ALPHA_BETA_PRIOR_VAR
+    explained = (a11 * c0 * c0 - 2.0 * r01 * c0 * c1 + a00 * c1 * c1) / (a00 * a11 - r01 * r01)
+    w = 1.0 / (ig_expected_deviation(state.belief_nu) + float(u @ ru) - explained)
+    f_h = np.array([1.0 - alpha - beta, alpha, beta])
+    new_out = GaussianCanonical((w * gamma) * f_h, np.outer(w * f_h, f_h))
+    cluster.out_msg_h = new_out
+    state.belief_h = gauss_product(in_h, new_out)
+    return in_h, in_nu, mu
+
+
+def numpy_update_planar_deviation_factor(
+    state: SurfelState,
+    cluster: LikelihoodClusterState,
+    incoming: tuple[GaussianCanonical, InverseGammaFactor, np.ndarray],
+) -> InverseGammaFactor:
+    """Refit the cluster's deviation message and the surfel deviation belief.
+
+    The message scale is half the expected squared residual gamma - f under
+    the cluster's 6-D joint, linearized at the joint's mean. `incoming` is
+    what `numpy_update_mean_plane_factor` returned: the height refit moves the
+    message and the belief together, so the incoming messages stay as they
+    were up to rounding.
+    """
+    in_h, in_nu, mu_in = incoming
+    nu_bar = ig_expected_deviation(state.belief_nu)
+    alpha, beta, _ = cluster.measurement.mean.tolist()
+    h0, ha, hb = mu_in.tolist()
+    # the linearized residual grad.x - offset is N(0, nu_bar); f is linear
+    # in h, so offset = -g.(alpha, beta) with g the slope at mu_in
+    grad = residual_gradient(h0, ha, hb, alpha, beta)
+    omega = np.outer(grad, grad / nu_bar)
+    omega[:3, :3] += in_h.omega
+    omega[3:, 3:] += cluster.point_info.omega
+    xi = grad * (((h0 - ha) * alpha + (h0 - hb) * beta) / nu_bar)
+    xi[:3] += in_h.xi
+    xi[3:] += cluster.point_info.xi
+
+    root_inv = np.linalg.inv(cholesky_psd(omega))  # sigma = root_inv^T root_inv
+    h0, ha, hb, alpha, beta, gamma = ((root_inv @ xi) @ root_inv).tolist()
+    resid_grad = root_inv @ residual_gradient(h0, ha, hb, alpha, beta)
+    resid = gamma - mean_plane_eval(alpha, beta, (h0, ha, hb))
+    scale = 0.5 * float(resid_grad @ resid_grad) + 0.5 * resid**2
+    new_out = InverseGammaFactor(NU_MSG_EXPONENT, max(scale, 1e-300))
+    cluster.out_msg_nu = new_out
+    state.belief_nu = ig_product(in_nu, new_out)
+    return new_out
+
+
 def assert_refit_matches_reference(state, cluster, tol=1e-9):
     """Both refits of one cluster agree with the reference to `tol` relative.
 
@@ -138,13 +227,13 @@ def assert_refit_matches_reference(state, cluster, tol=1e-9):
     minus the incoming message, so its rounding is relative to the larger
     of the two: message parameters are compared at that scale.
     """
-    ref_state, ref_cluster = copy.copy(state), copy.copy(cluster)
+    ref_state, ref_cluster = copy.copy(state), numpy_cluster(cluster)
     joint = reference_update_mean_plane_factor(ref_state, ref_cluster)
     reference_update_planar_deviation_factor(ref_state, ref_cluster, joint)
+    in_h = compute_incoming_message(state, cluster)[0]
     state, cluster = copy.copy(state), copy.copy(cluster)
     incoming = update_mean_plane_factor(state, cluster)
     update_planar_deviation_factor(state, cluster, incoming)
-    in_h = incoming[0]
     for name in ("xi", "omega"):
         new, ref = getattr(cluster.out_msg_h, name), getattr(ref_cluster.out_msg_h, name)
         scale = max(np.max(np.abs(ref)), np.max(np.abs(getattr(in_h, name))))
@@ -342,8 +431,7 @@ class TestIncomingMessage:
                 assert rel(joint[2].xi, in_h.xi) < 1e-10
                 assert rel(joint[2].omega, in_h.omega) < 1e-10
                 assert joint[3] == in_nu
-                assert rel(incoming[0].xi, in_h.xi) < 1e-10
-                assert rel(incoming[0].omega, in_h.omega) < 1e-10
+                assert incoming[0] == ig_expected_deviation(state.belief_nu)
                 assert incoming[1] == in_nu
                 assert rel(incoming[2], in_h.to_moments().mu) < 1e-10
                 update_planar_deviation_factor(state, c, incoming)
@@ -526,23 +614,187 @@ class TestClosedFormRefit:
     def test_matches_reference_on_drawn_states(
         self, log_prior_var, log_meas_var, log_nu, log_shape, n, sweeps, seed
     ):
-        rng = np.random.default_rng(seed)
-        nu, shape = 10.0**log_nu, 10.0**log_shape
-        state = SurfelState(
-            sid=0,
-            labels=LABELS,
-            prior_h=GaussianCanonical(np.zeros(3), np.eye(3) / 10.0**log_prior_var),
-            prior_nu=InverseGammaFactor.normalized(shape, nu * shape),
-        )
-        for k in range(n):
-            a, b = rng.uniform(0.0, 0.5, 2)
-            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-            cov = 10.0**log_meas_var * (q * 10.0 ** rng.uniform(0.0, 2.0, 3)) @ q.T
-            gamma = 0.1 + 0.3 * a - 0.2 * b + rng.normal(0.0, math.sqrt(nu))
-            state.clusters.append(init_likelihood_cluster(Measurement([a, b, gamma], cov, k), nu))
-        state.recompute_beliefs()
-        for _ in range(sweeps):
-            for c in state.clusters:
-                update_planar_deviation_factor(state, c, update_mean_plane_factor(state, c))
+        state = drawn_state(log_prior_var, log_meas_var, log_nu, log_shape, n, sweeps, seed)
         for c in state.clusters:
             assert_refit_matches_reference(state, c)
+
+
+def drawn_state(log_prior_var, log_meas_var, log_nu, log_shape, n, sweeps, seed):
+    """A surfel with n clusters on a plane, rotated anisotropic measurement
+    covariances and an isotropic height prior, after `sweeps` refit sweeps."""
+    rng = np.random.default_rng(seed)
+    nu, shape = 10.0**log_nu, 10.0**log_shape
+    state = SurfelState(
+        sid=0,
+        labels=LABELS,
+        prior_h=GaussianCanonical(np.zeros(3), np.eye(3) / 10.0**log_prior_var),
+        prior_nu=InverseGammaFactor.normalized(shape, nu * shape),
+    )
+    for k in range(n):
+        a, b = rng.uniform(0.0, 0.5, 2)
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        cov = 10.0**log_meas_var * (q * 10.0 ** rng.uniform(0.0, 2.0, 3)) @ q.T
+        gamma = 0.1 + 0.3 * a - 0.2 * b + rng.normal(0.0, math.sqrt(nu))
+        state.clusters.append(init_likelihood_cluster(Measurement([a, b, gamma], cov, k), nu))
+    state.recompute_beliefs()
+    for _ in range(sweeps):
+        for c in state.clusters:
+            update_planar_deviation_factor(state, c, update_mean_plane_factor(state, c))
+    return state
+
+
+def numpy_refit(state, cluster):
+    """Copies of the state and a `numpy_cluster` stand-in after the numpy refits."""
+    state, cluster = copy.copy(state), numpy_cluster(cluster)
+    incoming = numpy_update_mean_plane_factor(state, cluster)
+    numpy_update_planar_deviation_factor(state, cluster, incoming)
+    return state, cluster
+
+
+def float_refit(state, cluster):
+    """Copies of the state and the cluster after the float refits."""
+    state, cluster = copy.copy(state), copy.copy(cluster)
+    update_planar_deviation_factor(state, cluster, update_mean_plane_factor(state, cluster))
+    return state, cluster
+
+
+def assert_matches_numpy_refit(state, cluster, tol=1e-12):
+    """The float refits of one cluster agree with the numpy refits to `tol`
+    relative: the height message and belief at their own scales, the
+    deviation message at the deviation belief's. (On the lidar emulation
+    belief the numpy refit's deviation scale is itself up to 1.4e-12 off
+    exact rational arithmetic; the float refit's is within 1e-15.)"""
+    ref_state, ref_cluster = numpy_refit(state, cluster)
+    state, cluster = float_refit(state, cluster)
+    for new, ref in ((cluster.out_msg_h, ref_cluster.out_msg_h), (state.belief_h, ref_state.belief_h)):
+        for name in ("xi", "omega"):
+            a, b = getattr(new, name), getattr(ref, name)
+            assert np.max(np.abs(a - b)) <= tol * np.max(np.abs(b)), name
+    assert state.belief_nu.exponent == ref_state.belief_nu.exponent
+    assert abs(cluster.nu_scale - ref_cluster.out_msg_nu.scale) <= tol * ref_state.belief_nu.scale
+    assert state.belief_nu.scale == pytest.approx(ref_state.belief_nu.scale, rel=tol, abs=0)
+
+
+def exact_deviation_scale(state, cluster) -> Fraction:
+    """The deviation message scale of one refit in rational arithmetic, from
+    the 6-D joint over (h, alpha, beta, gamma) in information form. Inputs
+    are the floats both refits start from: the incoming height message (the
+    belief minus the cluster's message), the expected deviation and the
+    cluster's point information."""
+
+    def solve(a, b):  # Gauss-Jordan elimination
+        m = [[*row, x] for row, x in zip(a, b)]
+        for i in range(len(b)):
+            p = next(k for k in range(i, len(b)) if m[k][i])
+            m[i], m[p] = m[p], m[i]
+            for k in range(len(b)):
+                if k != i and m[k][i]:
+                    m[k] = [x - m[k][i] / m[i][i] * y for x, y in zip(m[k], m[i])]
+        return [row[-1] / row[i] for i, row in enumerate(m)]
+
+    def sym(o):
+        return [[o[0], o[1], o[2]], [o[1], o[3], o[4]], [o[2], o[4], o[5]]]
+
+    in_h = [Fraction(x - y) for x, y in zip(state.height_floats(), height_message(cluster, cluster.w))]
+    nu_bar = Fraction(state.belief_nu.scale) / (Fraction(state.belief_nu.exponent) - 1)
+    h0, ha, hb = solve(sym(in_h[3:]), in_h[:3])
+    alpha, beta, _ = map(Fraction, cluster.measurement.mean.tolist())
+    point = [Fraction(x) for x in cluster.point_info]
+    grad = [alpha + beta - 1, -alpha, -beta, h0 - ha, h0 - hb, Fraction(1)]
+    omega = [[gi * gj / nu_bar for gj in grad] for gi in grad]
+    for i, j in itertools.product(range(3), repeat=2):
+        omega[i][j] += sym(in_h[3:])[i][j]
+        omega[3 + i][3 + j] += sym(point)[i][j]
+    offset = ((h0 - ha) * alpha + (h0 - hb) * beta) / nu_bar
+    xi = [g * offset + x for g, x in zip(grad, in_h[:3] + point[6:])]
+    h0, ha, hb, alpha, beta, gamma = solve(omega, xi)
+    grad = [alpha + beta - 1, -alpha, -beta, h0 - ha, h0 - hb, Fraction(1)]
+    resid = gamma - ((1 - alpha - beta) * h0 + alpha * ha + beta * hb)
+    return (sum(g * x for g, x in zip(grad, solve(omega, grad))) + resid * resid) / 2
+
+
+class TestFloatRefit:
+    @pytest.mark.parametrize("case", ["stereo", "lidar"])
+    def test_matches_numpy_refit_on_emulation_beliefs(self, case):
+        stm = STMMap(TriGrid.triangle(0), PriorConfig(),
+                     convergence=ConvergenceConfig(kl_threshold=1e-7))
+        incremental_update(stm, make_emulation_case(case))
+        state = stm.surfels[0]
+        assert len(state.clusters) > 5
+        for c in state.clusters:
+            assert_matches_numpy_refit(state, c)
+
+    # the ranges of `test_matches_reference_on_drawn_states`
+    @given(
+        log_prior_var=st.floats(-14, 0),
+        log_meas_var=st.floats(-4, -1),
+        log_nu=st.floats(-1, 1),
+        log_shape=st.floats(0.2, 12),
+        n=st.integers(1, 4),
+        sweeps=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_numpy_refit_on_drawn_states(
+        self, log_prior_var, log_meas_var, log_nu, log_shape, n, sweeps, seed
+    ):
+        state = drawn_state(log_prior_var, log_meas_var, log_nu, log_shape, n, sweeps, seed)
+        for c in state.clusters:
+            assert_matches_numpy_refit(state, c)
+
+    # Measurement variances of 1e-14..1e-12 put R^-1 entries of 1e12..1e14
+    # beside 1/P = 1e-4 in the point information; the numpy refit factors
+    # them in one 6x6 and drifts from exact arithmetic by up to 1e-4.
+    @given(
+        log_prior_var=st.floats(-4, 4),
+        log_meas_var=st.floats(-14, -12),
+        log_nu=st.floats(-4, 0),
+        log_shape=st.floats(0.2, 6),
+        n=st.integers(1, 3),
+        sweeps=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_two_factors_no_less_accurate_at_tiny_measurement_variance(
+        self, log_prior_var, log_meas_var, log_nu, log_shape, n, sweeps, seed
+    ):
+        state = drawn_state(log_prior_var, log_meas_var, log_nu, log_shape, n, sweeps, seed)
+        for c in state.clusters:
+            exact = exact_deviation_scale(state, c)
+            err_numpy, err_float = (
+                abs(float((Fraction(refit(state, c)[1].out_msg_nu.scale) - exact) / exact))
+                for refit in (numpy_refit, float_refit))
+            # both at the rounding level, either may be the closer
+            assert err_float <= max(err_numpy, 1e-13)
+
+    def test_forced_fallback_is_counted_and_agrees(self, monkeypatch):
+        # the first scalar factor fails; `cholesky_psd` factors that block
+        stm = STMMap(TriGrid.triangle(0), PriorConfig(),
+                     convergence=ConvergenceConfig(kl_threshold=1e-7))
+        incremental_update(stm, make_emulation_case("stereo"))
+        state, cluster = stm.surfels[0], stm.surfels[0].clusters[3]
+        ref_state, ref_cluster = numpy_refit(state, cluster)
+        before = state.refit_jitter
+        failures = iter([None])
+        factor = surfel.cholesky_small
+        monkeypatch.setattr(surfel, "cholesky_small", lambda o, idx: next(failures, factor(o, idx)))
+        update_planar_deviation_factor(state, cluster, update_mean_plane_factor(state, cluster))
+        assert state.refit_jitter == before + 1
+        np.testing.assert_allclose(cluster.out_msg_h.omega, ref_cluster.out_msg_h.omega, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(state.belief_h.xi, ref_state.belief_h.xi, rtol=1e-12, atol=0)
+        assert cluster.nu_scale == pytest.approx(ref_cluster.out_msg_nu.scale, rel=1e-12)
+
+    def test_singular_incoming_takes_the_jitter_retry(self):
+        # no prior and one cluster: the incoming height information is zero,
+        # and the refitted belief has rank one; both take the retry
+        state = SurfelState(sid=0, labels=LABELS, prior_h=GaussianCanonical.vacuous(3),
+                            prior_nu=InverseGammaFactor.normalized(2.0, 0.1))
+        state.clusters.append(init_likelihood_cluster(Measurement([0.2, 0.3, 1.5], 0.01 * np.eye(3), 0), 0.1))
+        state.recompute_beliefs()
+        ref_cluster = numpy_refit(state, state.clusters[0])[1]
+        c = state.clusters[0]
+        update_planar_deviation_factor(state, c, update_mean_plane_factor(state, c))
+        assert state.refit_jitter == 2
+        np.testing.assert_allclose(c.out_msg_h.omega, ref_cluster.out_msg_h.omega, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(c.out_msg_h.xi, ref_cluster.out_msg_h.xi, rtol=1e-12, atol=0)
+        assert math.isfinite(c.nu_scale) and c.nu_scale > 0.0
