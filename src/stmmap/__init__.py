@@ -52,7 +52,6 @@ from .surfel import (
     Measurement,
     SurfelState,
     mean_plane_eval,
-    residual_gradient,
 )
 
 __version__ = "0.1.0"

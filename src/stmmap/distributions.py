@@ -20,7 +20,8 @@ immutable (read-only arrays), so one factor object may have many holders.
 
 Map factors have at most three variables; there `cholesky_small`, in Python
 floats, costs less than a LAPACK call. It decides positive definiteness for
-`kl_gaussian`, `is_normalizable`, `to_moments` and the map's sepset messages.
+`kl_gaussian`, `is_normalizable`, `to_moments` and the map's sepset messages;
+`kl_gaussian` also rejects pivots within rounding of their diagonal entry.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 _JITTER_REL = 1e-12
+# Pivots of a 3x3 rank-one matrix in floats stay within 3.4 eps of their
+# diagonal entry (200,000 drawn w F F^T); `kl_gaussian` rejects below 16 eps.
+_RANK_RTOL = 16 * np.finfo(float).eps
 
 
 class NotADistribution(Exception):
@@ -50,10 +54,11 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def cholesky_small(o: list, idx) -> list | None:
+def cholesky_small(o: list, idx, rtol: float = 0.0) -> list | None:
     """Lower Cholesky factor of the block o[idx][idx] of a nested-list matrix,
     as rows [[l00], [l10, l11], ...], by the unblocked step in Python floats;
-    None unless positive definite. Written for n <= 3, correct for any n."""
+    None unless positive definite with every pivot above rtol times its
+    diagonal entry. Written for n <= 3, correct for any n."""
     lower = []
     for r in idx:
         row = []
@@ -65,7 +70,7 @@ def cholesky_small(o: list, idx) -> list | None:
         s = o[r][r]
         for a in row:
             s -= a * a
-        if not s > 0.0:
+        if not s > 0.0 or s <= rtol * o[r][r]:
             return None
         row.append(math.sqrt(s))
         lower.append(row)
@@ -261,10 +266,12 @@ def kl_gaussian(q: GaussianCanonical, p: GaussianCanonical) -> float:
 
     With omega = L L^T and y = L^-1 xi: tr(omega_p sigma_q) = |Lq^-1 Lp|_F^2,
     and the Mahalanobis term is |Lp^T (mu_p - mu_q)|^2 = |y_p - (Lq^-1 Lp)^T y_q|^2.
+    A Cholesky pivot within rounding of its diagonal entry (_RANK_RTOL) makes
+    a factor singular: rounding leaves some rank-one w F F^T a tiny pivot.
     """
     _same_size(q, p, "KL divergence")
     n = q.dim
-    lq, lp = (cholesky_small(g.omega.tolist(), range(n)) for g in (q, p))
+    lq, lp = (cholesky_small(g.omega.tolist(), range(n), _RANK_RTOL) for g in (q, p))
     if not (lq and lp):
         raise NotADistribution("information matrix is not positive definite")
     cols = [forward_small(lq, [row[j] if j < len(row) else 0.0 for row in lp]) for j in range(n)]

@@ -19,12 +19,13 @@ in natural parameters, for both the Gaussian and inverse-gamma factors.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from operator import add, sub
 
 import numpy as np
 
-from .distributions import (  # solve_psd: the benchmark's tracer patches it here
+from .distributions import (  # gauss_divide, solve_psd: the benchmark's tracer patches them here
     GaussianCanonical,
     InverseGammaFactor,
     cholesky_psd,
@@ -44,6 +45,10 @@ ALPHA_BETA_PRIOR_VAR = 1e4
 
 # Exponent carried by every likelihood cluster's deviation message.
 NU_MSG_EXPONENT = 0.5
+
+# Numerical fallbacks the refits took, by kind, over the process: "refit_jitter"
+# counts refit factors that took `cholesky_psd`'s jitter retry.
+FALLBACKS: Counter = Counter()
 
 
 @dataclass(frozen=True)
@@ -94,8 +99,6 @@ class SurfelState:
     """Belief state of a single surfel. The refits keep the height belief as
     floats (see `height_floats`); `belief_h` makes it a factor on read."""
 
-    refit_jitter = 0  # refit factors that took `cholesky_psd`'s jitter retry
-
     def __init__(self, sid: int, labels: tuple, prior_h: GaussianCanonical,
                  prior_nu: InverseGammaFactor, neighbor_in_msg: GaussianCanonical = None,
                  belief_h: GaussianCanonical = None, belief_nu: InverseGammaFactor = None):
@@ -134,7 +137,7 @@ class SurfelState:
         self._h, nu = gauss_product(self.prior_h, self.neighbor_in_msg), self.prior_nu
         h = self.height_floats()
         for c in self.clusters:
-            h = tuple(map(add, h, height_message(c, c.w)))
+            h = (*map(add, h, height_message(c, c.w)),)
             nu = ig_product(nu, c.out_msg_nu)
         self._h, self.belief_nu = h, nu
 
@@ -146,14 +149,13 @@ def _gaussian(h: tuple) -> GaussianCanonical:
     return GaussianCanonical(h[:3], [h[3:6], (h[4], h[6], h[7]), (h[5], h[7], h[8])])
 
 
-def _factor(state: SurfelState, o) -> list:
+def _factor(o) -> list:
     """`cholesky_small` of the symmetric 3x3 with upper triangle o; where it
-    finds no factor, `cholesky_psd` with its jitter retry, counted in
-    `state.refit_jitter`."""
+    finds no factor, `cholesky_psd` with its jitter retry, counted in FALLBACKS."""
     m = [o[:3], (o[1], o[3], o[4]), (o[2], o[4], o[5])]
     lower = cholesky_small(m, range(3))
     if lower is None:
-        state.refit_jitter += 1
+        FALLBACKS["refit_jitter"] += 1
         lower = [row[:i + 1] for i, row in enumerate(cholesky_psd(np.array(m)).tolist())]
     return lower
 
@@ -179,11 +181,6 @@ def mean_plane_eval(alpha: float, beta: float, h) -> float:
     """Barycentric interpolation of the vertex heights."""
     h = np.asarray(h, dtype=float)
     return float((1.0 - alpha - beta) * h[0] + alpha * h[1] + beta * h[2])
-
-
-def residual_gradient(h0: float, ha: float, hb: float, alpha: float, beta: float) -> np.ndarray:
-    """Gradient of gamma - f(alpha, beta, h) over (h0, h_alpha, h_beta, alpha, beta, gamma)."""
-    return np.array([alpha + beta - 1.0, -alpha, -beta, h0 - ha, h0 - hb, 1.0])
 
 
 def height_message(cluster: LikelihoodClusterState, w: float | None) -> tuple:
@@ -248,15 +245,6 @@ def apportion_nu_scales(
     return max(total / n, 1e-12)
 
 
-def compute_incoming_message(
-    state: SurfelState, cluster: LikelihoodClusterState
-) -> tuple[GaussianCanonical, InverseGammaFactor]:
-    """Incoming message to a cluster: belief divided by its outgoing message."""
-    in_h = gauss_divide(state.belief_h, cluster.out_msg_h)
-    in_nu = ig_divide(state.belief_nu, cluster.out_msg_nu)
-    return in_h, in_nu
-
-
 def update_mean_plane_factor(
     state: SurfelState, cluster: LikelihoodClusterState
 ) -> tuple[float, InverseGammaFactor, tuple]:
@@ -266,9 +254,11 @@ def update_mean_plane_factor(
     incoming height mean, for `update_planar_deviation_factor`.
     """
     nu_bar = ig_expected_deviation(state.belief_nu)
-    in_h = tuple(map(sub, state.height_floats(), height_message(cluster, cluster.w)))
+    # (*map(..),) sizes the tuple exactly; tuple(map(..)) shrinks a 10-slot one,
+    # which CPython then frees onto its 9-slot free list until that holds 2,000
+    in_h = (*map(sub, state.height_floats(), height_message(cluster, cluster.w)),)
     in_nu = ig_divide(state.belief_nu, cluster.out_msg_nu)
-    mu = _solve(_factor(state, in_h[3:]), in_h[:3])
+    mu = _solve(_factor(in_h[3:]), in_h[:3])
     # Linearized, gamma - F.h = g.d + deviation + e_gamma, with g the slope at
     # mu, d ~ N(0, P I) the true minus the measured (alpha, beta) and e ~ N(0, R)
     # the noise. The measurement pins d + e_ab = 0, which leaves 1/w = nu_bar +
@@ -280,7 +270,7 @@ def update_mean_plane_factor(
     a00, a11 = r00 + ALPHA_BETA_PRIOR_VAR, r11 + ALPHA_BETA_PRIOR_VAR
     explained = (a11 * c0 * c0 - 2.0 * r01 * c0 * c1 + a00 * c1 * c1) / (a00 * a11 - r01 * r01)
     cluster.w = 1.0 / (nu_bar + (u0 * c0 + u1 * c1 + c2) - explained)
-    state._h = tuple(map(add, in_h, height_message(cluster, cluster.w)))
+    state._h = (*map(add, in_h, height_message(cluster, cluster.w)),)
     return nu_bar, in_nu, mu
 
 
@@ -300,11 +290,11 @@ def update_planar_deviation_factor(state: SurfelState, cluster: LikelihoodCluste
     alpha, beta, _ = cluster.measurement.mean.tolist()
     f0, u0, u1 = 1.0 - alpha - beta, h0 - ha, h0 - hb
     h = state.height_floats()
-    lower_s = _factor(state, h[3:])
+    lower_s = _factor(h[3:])
     m0, m1, m2 = _solve(lower_s, h[:3])
     b00, b01, b02, b11, b12, b22, p0, p1, p2 = cluster.point_info
-    lower_b = _factor(state, (b00 + u0 * u0 / nu_bar, b01 + u0 * u1 / nu_bar, b02 + u0 / nu_bar,
-                              b11 + u1 * u1 / nu_bar, b12 + u1 / nu_bar, b22 + 1.0 / nu_bar))
+    lower_b = _factor((b00 + u0 * u0 / nu_bar, b01 + u0 * u1 / nu_bar, b02 + u0 / nu_bar,
+                      b11 + u1 * u1 / nu_bar, b12 + u1 / nu_bar, b22 + 1.0 / nu_bar))
     d = (u0 * alpha + u1 * beta + f0 * m0 + alpha * m1 + beta * m2) / nu_bar
     a2, b2, g2 = _solve(lower_b, (p0 + u0 * d, p1 + u1 * d, p2 + d))
     # the residual gradient at the joint's mean: -F2 on h, u2 on (alpha, beta, gamma)

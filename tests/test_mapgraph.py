@@ -805,11 +805,9 @@ class TestRunInference:
         assert report.messages > 0
 
     def test_cluster_test_is_the_divergence_surrogate(self):
-        # a refit height message has rank one, so the KL is undefined: the
-        # cluster test is the natural-parameter surrogate of both messages,
-        # for every refit, the first (from the full-rank initial message)
-        # included. (`_gauss_divergence` cannot tell: rounding leaves about
-        # one rank-one matrix in ten with a scalar Cholesky factor.)
+        # a refit height message has rank one, so `_gauss_divergence` takes
+        # its natural-parameter surrogate for every refit, the first (from
+        # the full-rank initial message) included
         stm = STMMap(TriGrid.triangle(0), PriorConfig())
         run_inference(stm, make_emulation_case("stereo")[:30])
         state = stm.surfels[0]
@@ -818,10 +816,42 @@ class TestRunInference:
         state.recompute_beliefs()
         for _ in range(3):
             for c in state.clusters:
+                old = c.out_msg_h
+                update_planar_deviation_factor(state, c, update_mean_plane_factor(state, c))
+                assert _natural_divergence(c.out_msg_h, old) == _gauss_divergence(c.out_msg_h, old)
+
+    def test_cluster_divergence_is_the_surrogate_of_both_messages(self):
+        # the cluster test, taken on the messages' floats, equals the
+        # surrogate of the height message and `_ig_divergence` of the
+        # deviation message
+        stm = STMMap(TriGrid.triangle(0), PriorConfig())
+        run_inference(stm, make_emulation_case("stereo")[:30])
+        state = stm.surfels[0]
+        for c in state.clusters[:5]:
+            c.w = None
+        state.recompute_beliefs()
+        for _ in range(3):
+            for c in state.clusters:
                 old_w, old_h, old_nu = c.w, c.out_msg_h, c.out_msg_nu
                 update_planar_deviation_factor(state, c, update_mean_plane_factor(state, c))
                 want = max(_natural_divergence(c.out_msg_h, old_h), _ig_divergence(c.out_msg_nu, old_nu))
                 assert _cluster_divergence(c, old_w, old_nu.scale) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**31), st.floats(-3.0, 14.0))
+    def test_rank_one_messages_have_no_kl(self, seed, log_w):
+        # rounding leaves about one w F F^T in ten a positive scalar pivot;
+        # `kl_gaussian` must still find no factor for it
+        rng = np.random.default_rng(seed)
+        alpha, beta = rng.uniform(-0.2, 1.2, 2)
+        cluster = init_likelihood_cluster(Measurement([alpha, beta, rng.uniform(-5, 5)], np.eye(3), 0), 1.0)
+        cluster.w = 10.0**log_w
+        msg = cluster.out_msg_h
+        with pytest.raises(NotADistribution):
+            kl_gaussian(msg, GaussianCanonical(np.zeros(3), np.eye(3)))
+        cluster.w *= 1.5
+        old = cluster.out_msg_h
+        assert _gauss_divergence(msg, old) == _natural_divergence(msg, old)
 
 
 class TestFallbackCount:

@@ -291,9 +291,9 @@ class TestScenarios:
         calls, want = [0], []
         factor = distributions.cholesky_small
 
-        def counted(o, idx):
+        def counted(o, idx, *rtol):
             calls[0] += 1
-            return factor(o, idx)
+            return factor(o, idx, *rtol)
 
         def kls(stm, before):
             want.append(float(reference_belief_change_kls(stm, before).sum()))
