@@ -18,7 +18,7 @@ from .surfel import Measurement
 
 
 class InvalidVariance(Exception):
-    """Raised for a non-positive measurement variance."""
+    """Raised for a measurement variance outside (0, inf) or a non-finite gamma."""
 
 
 class Unobserved(Exception):
@@ -40,8 +40,8 @@ class ElevationCell:
 
 def elev_update(cell: ElevationCell, z_gamma: float, var_gamma: float) -> ElevationCell:
     """Scalar Bayes fusion; a vacuous prior is represented by infinite variance."""
-    if var_gamma <= 0.0:
-        raise InvalidVariance(f"variance must be positive, got {var_gamma}")
+    if not (0.0 < var_gamma < math.inf and math.isfinite(z_gamma)):
+        raise InvalidVariance(f"gamma {z_gamma} must be finite, variance {var_gamma} in (0, inf)")
     prec = (0.0 if math.isinf(cell.variance) else 1.0 / cell.variance) + 1.0 / var_gamma
     info = (0.0 if math.isinf(cell.variance) else cell.mean / cell.variance) + (
         z_gamma / var_gamma

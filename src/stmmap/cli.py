@@ -234,8 +234,8 @@ def export_map_json(stm: STMMap, path: str) -> None:
         "prior": asdict(stm.prior),
         "window": stm.window,
         "metrics": {
-            "message_count": stm.metrics.message_count,
-            "sweep_count": stm.metrics.sweep_count,
+            "message_count": stm.message_count,
+            "sweep_count": stm.sweep_count,
         },
         "surfels": surfels,
     }

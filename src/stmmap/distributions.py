@@ -15,8 +15,10 @@ Scope rule: Gaussian factors are positional, without variable names; the
 caller fixes which variable sits at which position. Products, quotients and
 KL divergences take factors of equal size and work position by position;
 `embed` places a factor at given positions of a larger scope and
-`gauss_marginalize` keeps given positions in the given order. Factors are
-immutable (read-only arrays), so one factor object may have many holders.
+`gauss_marginalize` keeps given positions in the given order. A Gaussian
+factor keeps its natural parameters as one tuple of Python floats and builds
+arrays only on read. Factors are immutable, so one factor object may have
+many holders.
 
 Map factors have at most three variables; there `cholesky_small`, in Python
 floats, costs less than a LAPACK call. It decides positive definiteness for
@@ -28,6 +30,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
+from operator import add, sub
 from typing import Callable, Sequence
 
 import numpy as np
@@ -119,56 +123,98 @@ def inv_psd(a: np.ndarray) -> np.ndarray:
     return _symmetrize(solve_psd(a, np.eye(np.atleast_2d(a).shape[0])))
 
 
-@dataclass(frozen=True)
+@cache
+def upper_index(n: int) -> tuple:
+    """Rows of the positions of omega's entries in an n-variable factor's t."""
+    at = {rc: k for k, rc in enumerate(((r, c) for r in range(n) for c in range(r, n)), n)}
+    return tuple(tuple(at[min(r, c), max(r, c)] for c in range(n)) for r in range(n))
+
+
+@cache
+def scatter_index(positions: tuple, n: int) -> tuple:
+    """The position in an n-variable factor's t of each entry of the t of a
+    factor placed at `positions` (see `GaussianCanonical.embed`)."""
+    rows, m = upper_index(n), len(positions)
+    return (*positions, *(rows[positions[i]][positions[j]] for i in range(m) for j in range(i, m)))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class GaussianCanonical:
     """Gaussian factor in canonical form over n positional variables.
 
-    xi is the information vector and omega the information matrix, both
-    private read-only copies; omega is symmetrized on construction. A
-    vacuous factor has xi = 0 and omega = 0.
+    t holds the natural parameters as Python floats: the information vector
+    xi, then the upper triangle of the information matrix omega by rows.
+    `GaussianCanonical(xi, omega)` symmetrizes omega; `of` wraps a tuple the
+    caller built. `xi` and `omega` return new read-only arrays. A factor is
+    immutable; a vacuous factor has xi = 0 and omega = 0.
     """
 
-    xi: np.ndarray
-    omega: np.ndarray
+    __slots__ = ("n", "t")
 
-    def __post_init__(self):
-        xi = np.asarray(self.xi, dtype=float).reshape(-1).copy()
-        omega = np.asarray(self.omega, dtype=float)
-        if omega.shape != (xi.size, xi.size):
+    def __init__(self, xi, omega):
+        xi = np.asarray(xi, dtype=float).reshape(-1)
+        omega = np.asarray(omega, dtype=float)
+        n = xi.size
+        if omega.shape != (n, n):
             raise ValueError(f"shape mismatch: xi {xi.shape}, omega {omega.shape}")
-        omega = _symmetrize(omega)
-        xi.flags.writeable = False
-        omega.flags.writeable = False
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "omega", omega)
+        t = (*map(float, xi), *map(float, _symmetrize(omega)[np.triu_indices(n)]))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "t", t)
+
+    @classmethod
+    def of(cls, t: tuple, n: int) -> "GaussianCanonical":
+        """The n-variable factor that keeps t, laid out as above."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "t", t)
+        return g
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a GaussianCanonical is immutable: cannot set {name}")
 
     @classmethod
     def vacuous(cls, n: int) -> "GaussianCanonical":
-        return cls(np.zeros(n), np.zeros((n, n)))
+        return cls.of((0.0,) * (n + n * (n + 1) // 2), n)
 
     @property
     def dim(self) -> int:
-        return self.xi.size
+        return self.n
+
+    @property
+    def xi(self) -> np.ndarray:
+        return _read_only(np.array(self.t[:self.n], dtype=float))
+
+    @property
+    def omega(self) -> np.ndarray:
+        return _read_only(np.array(self.rows(), dtype=float).reshape(self.n, self.n).copy())
+
+    def rows(self) -> list:
+        """omega as a list of rows of floats."""
+        t = self.t
+        if self.n == 3:  # a surfel belief: unrolled, as it is read on every visit
+            return [t[3:6], (t[4], t[6], t[7]), (t[5], t[7], t[8])]
+        return [[t[i] for i in row] for row in upper_index(self.n)]
 
     def is_vacuous(self, tol: float = 0.0) -> bool:
-        return bool(
-            np.all(np.abs(self.xi) <= tol) and np.all(np.abs(self.omega) <= tol)
-        )
+        return all(abs(x) <= tol for x in self.t)
 
     def is_normalizable(self) -> bool:
         """True when omega is positive definite (and there is a variable)."""
-        return bool(cholesky_small(self.omega.tolist(), range(self.dim)))
+        return bool(cholesky_small(self.rows(), range(self.n)))
 
     def embed(self, positions: Sequence[int], n: int) -> "GaussianCanonical":
         """This factor placed at `positions` of an n-variable scope, zero elsewhere."""
-        idx = _positions(positions, n)
-        if len(idx) != self.dim:
-            raise ValueError(f"{len(idx)} positions for a {self.dim}-variable factor")
-        xi = np.zeros(n)
-        omega = np.zeros((n, n))
-        xi[idx] = self.xi
-        omega[np.ix_(idx, idx)] = self.omega
-        return GaussianCanonical(xi, omega)
+        idx = tuple(_positions(positions, n))
+        if len(idx) != self.n:
+            raise ValueError(f"{len(idx)} positions for a {self.n}-variable factor")
+        t = list(GaussianCanonical.vacuous(n).t)
+        for k, x in zip(scatter_index(idx, n), self.t):
+            t[k] = x
+        return GaussianCanonical.of(tuple(t), n)
 
     def to_moments(self) -> "GaussianMoment":
         if not self.is_normalizable():
@@ -197,10 +243,8 @@ class GaussianMoment:
         eig_floor = -1e-10 * max(abs(np.trace(sigma)), 1.0)
         if np.linalg.eigvalsh(sigma).min() < eig_floor:
             raise ValueError("covariance is not positive semidefinite")
-        mu.flags.writeable = False
-        sigma.flags.writeable = False
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "mu", _read_only(mu))
+        object.__setattr__(self, "sigma", _read_only(sigma))
 
     @property
     def dim(self) -> int:
@@ -228,27 +272,27 @@ def _positions(positions: Sequence[int], n: int) -> list[int]:
 
 
 def _same_size(g1: GaussianCanonical, g2: GaussianCanonical, op: str) -> None:
-    if g1.dim != g2.dim:
-        raise ValueError(f"{op} of factors over {g1.dim} and {g2.dim} variables")
+    if g1.n != g2.n:
+        raise ValueError(f"{op} of factors over {g1.n} and {g2.n} variables")
 
 
 def gauss_product(g1: GaussianCanonical, g2: GaussianCanonical) -> GaussianCanonical:
     """Product of Gaussian factors of one scope: natural-parameter addition."""
     _same_size(g1, g2, "product")
-    return GaussianCanonical(g1.xi + g2.xi, g1.omega + g2.omega)
+    return GaussianCanonical.of((*map(add, g1.t, g2.t),), g1.n)
 
 
 def gauss_divide(g1: GaussianCanonical, g2: GaussianCanonical) -> GaussianCanonical:
     """Division of Gaussian factors of one scope: natural-parameter subtraction."""
     _same_size(g1, g2, "quotient")
-    return GaussianCanonical(g1.xi - g2.xi, g1.omega - g2.omega)
+    return GaussianCanonical.of((*map(sub, g1.t, g2.t),), g1.n)
 
 
 def gauss_marginalize(g: GaussianCanonical, keep: Sequence[int]) -> GaussianCanonical:
     """Marginal over the positions `keep`, in that order, via the Schur
     complement of the discarded block."""
-    ki = _positions(keep, g.dim)
-    di = [i for i in range(g.dim) if i not in ki]
+    ki = _positions(keep, g.n)
+    di = [i for i in range(g.n) if i not in ki]
     if not di:
         return GaussianCanonical(g.xi[ki], g.omega[np.ix_(ki, ki)])
     okk = g.omega[np.ix_(ki, ki)]
@@ -270,12 +314,12 @@ def kl_gaussian(q: GaussianCanonical, p: GaussianCanonical) -> float:
     a factor singular: rounding leaves some rank-one w F F^T a tiny pivot.
     """
     _same_size(q, p, "KL divergence")
-    n = q.dim
-    lq, lp = (cholesky_small(g.omega.tolist(), range(n), _RANK_RTOL) for g in (q, p))
+    n = q.n
+    lq, lp = (cholesky_small(g.rows(), range(n), _RANK_RTOL) for g in (q, p))
     if not (lq and lp):
         raise NotADistribution("information matrix is not positive definite")
     cols = [forward_small(lq, [row[j] if j < len(row) else 0.0 for row in lp]) for j in range(n)]
-    y_q, y_p = forward_small(lq, q.xi.tolist()), forward_small(lp, p.xi.tolist())
+    y_q, y_p = forward_small(lq, q.t[:n]), forward_small(lp, p.t[:n])
     d = [y_p[j] - sum(m * y for m, y in zip(col, y_q)) for j, col in enumerate(cols)]
     log_det_ratio = 2.0 * sum(math.log(lq[i][i] / lp[i][i]) for i in range(n))
     kl = 0.5 * (sum(m * m for col in cols for m in col) + sum(e * e for e in d) - n + log_det_ratio)

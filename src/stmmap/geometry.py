@@ -61,13 +61,6 @@ class RelativePoint:
     beta: float
     gamma: float
 
-    def inside_submap(self) -> bool:
-        return (
-            0.0 <= self.alpha <= 1.0
-            and 0.0 <= self.beta <= 1.0
-            and self.alpha + self.beta <= 1.0
-        )
-
     def as_array(self) -> np.ndarray:
         return np.array([self.alpha, self.beta, self.gamma])
 

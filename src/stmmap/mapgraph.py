@@ -40,15 +40,15 @@ from .distributions import (
     gauss_product,
     ig_product,
     kl_gaussian,
+    scatter_index,
+    upper_index,
 )
 from .geometry import OutsideSubmap, TriGrid
 from .surfel import (
     FALLBACKS,
-    LikelihoodClusterState,
     Measurement,
     SurfelState,
     apportion_nu_scales,
-    height_message,
     init_likelihood_cluster,
     update_mean_plane_factor,
     update_planar_deviation_factor,
@@ -117,12 +117,6 @@ class Sepset:
         return self.c if sid == self.s else self.s
 
 
-@dataclass
-class Metrics:
-    message_count: int = 0
-    sweep_count: int = 0
-
-
 # The fallbacks of every report that took none: callers may keep many reports.
 _NO_FALLBACKS = MappingProxyType({})
 
@@ -164,7 +158,7 @@ class STMMap:
         self.prior = prior
         self.window = window
         self.convergence = convergence
-        self.metrics = Metrics()
+        self.message_count = self.sweep_count = 0  # over the map's life
         self.batch = 0
 
         # Factors are immutable, so every surfel and sepset shares the same
@@ -228,18 +222,10 @@ def _relative_change(new, old) -> float:
 
 
 def _natural_divergence(new: GaussianCanonical, old: GaussianCanonical) -> float:
-    """Relative change of a Gaussian factor's natural parameters."""
-    return max(_relative_change(new.omega.ravel().tolist(), old.omega.ravel().tolist()),
-               _relative_change(new.xi.tolist(), old.xi.tolist()))
-
-
-def _cluster_divergence(cluster: LikelihoodClusterState, old_w, old_scale: float) -> float:
-    """`_natural_divergence` of a cluster's height message and `_ig_divergence`
-    of its deviation message from their values before a refit, taken on the
-    messages' floats: building the factors would cost 7% of an update."""
-    new, old = height_message(cluster, cluster.w), height_message(cluster, old_w)
-    return max(_relative_change(new[3:], old[3:]), _relative_change(new[:3], old[:3]),
-               _relative_change((cluster.nu_scale,), (old_scale,)))
+    """Relative change of a Gaussian factor's natural parameters; omega's upper
+    triangle holds every value of the symmetric matrix."""
+    n, a, b = new.n, new.t, old.t
+    return max(_relative_change(a[n:], b[n:]), _relative_change(a[:n], b[:n]))
 
 
 def _gauss_divergence(new: GaussianCanonical, old: GaussianCanonical) -> float:
@@ -252,7 +238,7 @@ def _gauss_divergence(new: GaussianCanonical, old: GaussianCanonical) -> float:
 
 
 def _ig_divergence(new: InverseGammaFactor, old: InverseGammaFactor) -> float:
-    return max(abs(new.exponent - old.exponent), _relative_change((new.scale,), (old.scale,)))
+    return max(abs(new.exponent - old.exponent), abs(new.scale - old.scale) / (1.0 + abs(old.scale)))
 
 
 def neighbor_out_message(stm: STMMap, sep: Sepset, sid: int) -> GaussianCanonical:
@@ -263,21 +249,21 @@ def neighbor_out_message(stm: STMMap, sep: Sepset, sid: int) -> GaussianCanonica
     complement, in scalars; a dropped block without a Cholesky factor takes
     the generic path, with its jitter retry and `SingularMarginalization`.
     """
-    stm.metrics.message_count += 1
+    stm.message_count += 1
     pos = sep.positions(sid)
     belief, reverse = stm.surfels[sid].belief_h, sep.msg_to(sid)
-    o = belief.omega.tolist()
+    o = belief.rows()
     drop = [i for i in range(3) if i not in pos]
     lower = cholesky_small(o, drop) if pos else None
     if lower is None:
         return gauss_marginalize(gauss_divide(belief, reverse.embed(pos, 3)), pos)
-    x, r_xi, r_omega = belief.xi.tolist(), reverse.xi.tolist(), reverse.omega.tolist()
+    x, r, m = belief.t, reverse.t, len(pos)
     y = [forward_small(lower, [o[k][d] for d in drop]) for k in pos]
     z = forward_small(lower, [x[d] for d in drop])
-    xi = [x[k] - r_xi[i] - sum(a * b for a, b in zip(y[i], z)) for i, k in enumerate(pos)]
-    omega = [[o[k][l] - r_omega[i][j] - sum(a * b for a, b in zip(y[i], y[j]))
-              for j, l in enumerate(pos)] for i, k in enumerate(pos)]
-    return GaussianCanonical(xi, omega)
+    t = [x[k] - r[i] - sum(a * b for a, b in zip(y[i], z)) for i, k in enumerate(pos)]
+    pairs = enumerate([(i, j) for i in range(m) for j in range(i, m)], m)  # omega's, by place in t
+    t += [o[pos[i]][pos[j]] - r[q] - sum(a * b for a, b in zip(y[i], y[j])) for q, (i, j) in pairs]
+    return GaussianCanonical.of(tuple(t), m)
 
 
 def _associate(stm: STMMap, batch: list[Measurement]) -> tuple[dict, int, int]:
@@ -344,11 +330,11 @@ def run_inference(stm: STMMap, batch: list[Measurement]) -> ConvergenceReport:
         stm._with_clusters.add(sid)
 
     tol = stm.convergence.kl_threshold
-    messages_before = stm.metrics.message_count
+    messages_before = stm.message_count
     active_per_sweep = []
     fallbacks_before = FALLBACKS.copy()
     while stm._active and len(active_per_sweep) < stm.convergence.max_sweeps:
-        stm.metrics.sweep_count += 1
+        stm.sweep_count += 1
         heap = sorted(stm._active)
         queued = set(heap)
         stm._active = set()  # the next sweep's
@@ -361,15 +347,11 @@ def run_inference(stm: STMMap, batch: list[Measurement]) -> ConvergenceReport:
 
             # LBP: refresh the incoming neighbor message and ratio-update.
             # Summing in sepset order gives the bits of a factor product.
-            xi, omega = [0.0] * 3, [[0.0] * 3 for _ in range(3)]
+            t = [0.0] * 9
             for sep in stm.incident_sepsets(sid):
-                msg, pos = sep.msg_to(sid), sep.positions(sid)
-                m_xi, m_omega = msg.xi.tolist(), msg.omega.tolist()
-                for i, k in enumerate(pos):
-                    xi[k] += m_xi[i]
-                    for j, l in enumerate(pos):
-                        omega[k][l] += m_omega[i][j]
-            new_in = GaussianCanonical(xi, omega)
+                for k, x in zip(scatter_index(sep.positions(sid), 3), sep.msg_to(sid).t):
+                    t[k] += x
+            new_in = GaussianCanonical.of(tuple(t), 3)
             ratio = gauss_divide(new_in, state.neighbor_in_msg)
             state.belief_h = gauss_product(state.belief_h, ratio)
             state.neighbor_in_msg = new_in
@@ -388,13 +370,14 @@ def run_inference(stm: STMMap, batch: list[Measurement]) -> ConvergenceReport:
             for cluster in state.clusters:
                 if cluster.converged and not belief_moved:
                     continue
-                old_w, old_scale = cluster.w, cluster.nu_scale
+                old_h, old_nu = cluster.out_msg_h, cluster.out_msg_nu
                 incoming = update_mean_plane_factor(state, cluster)
                 update_planar_deviation_factor(state, cluster, incoming)
-                stm.metrics.message_count += 1
+                stm.message_count += 1
                 any_refit = True
                 # a height message has rank one: KL is undefined
-                cluster.converged = _cluster_divergence(cluster, old_w, old_scale) < tol
+                cluster.converged = max(_natural_divergence(cluster.out_msg_h, old_h),
+                                        _ig_divergence(cluster.out_msg_nu, old_nu)) < tol
                 if not cluster.converged:
                     belief_moved = True
             if any_refit:
@@ -429,7 +412,7 @@ def run_inference(stm: STMMap, batch: list[Measurement]) -> ConvergenceReport:
     return ConvergenceReport(
         converged=not stm._active,
         sweeps=len(active_per_sweep),
-        messages=stm.metrics.message_count - messages_before,
+        messages=stm.message_count - messages_before,
         n_measurements=n_used,
         n_skipped_outside=skipped,
         n_rejected=rejected,
@@ -497,15 +480,15 @@ def belief_moments(stm: STMMap, sids) -> tuple[np.ndarray, np.ndarray]:
     """
     means, variances = np.empty((len(sids), 3)), np.empty((len(sids), 3))
     for lo in range(0, len(sids), _READ_BLOCK):
-        beliefs = [stm.surfels[s].belief_h for s in sids[lo:lo + _READ_BLOCK]]
+        t = np.array([stm.surfels[s].belief_h.t for s in sids[lo:lo + _READ_BLOCK]])
         try:
-            lower = np.linalg.cholesky(np.array([b.omega for b in beliefs]))
+            lower = np.linalg.cholesky(t[:, upper_index(3)])
         except np.linalg.LinAlgError:
             raise NotADistribution("information matrix is not positive definite") from None
         inv_lower = np.linalg.inv(lower)
-        y = np.einsum("sji,si->sj", inv_lower, np.array([b.xi for b in beliefs]))
-        means[lo:lo + len(beliefs)] = np.einsum("sji,sj->si", inv_lower, y)
-        variances[lo:lo + len(beliefs)] = np.einsum("sji,sji->si", inv_lower, inv_lower)
+        y = np.einsum("sji,si->sj", inv_lower, np.ascontiguousarray(t[:, :3]))
+        means[lo:lo + len(t)] = np.einsum("sji,sj->si", inv_lower, y)
+        variances[lo:lo + len(t)] = np.einsum("sji,sji->si", inv_lower, inv_lower)
     return means, variances
 
 

@@ -10,7 +10,9 @@ likelihood of the measured gamma given h, in closed form. The planar
 deviation message fits an inverse-gamma scale to the expected squared
 residual gamma - f under the cluster's joint over (h0, h_alpha, h_beta,
 alpha, beta, gamma); eliminating (alpha, beta, gamma) from it leaves the
-refitted height belief, so this takes two 3x3 Cholesky factors.
+refitted height belief, so this takes two 3x3 Cholesky factors. The refits
+read the height belief's floats from `GaussianCanonical.t` and store a new
+factor.
 
 Beliefs satisfy the additive bookkeeping invariant at all times:
 belief = prior * neighbor_in_msg * product(cluster out messages)
@@ -88,7 +90,7 @@ class LikelihoodClusterState:
 
     @property
     def out_msg_h(self) -> GaussianCanonical:
-        return _gaussian(height_message(self, self.w))
+        return GaussianCanonical.of(height_message(self, self.w), 3)
 
     @property
     def out_msg_nu(self) -> InverseGammaFactor:
@@ -96,8 +98,7 @@ class LikelihoodClusterState:
 
 
 class SurfelState:
-    """Belief state of a single surfel. The refits keep the height belief as
-    floats (see `height_floats`); `belief_h` makes it a factor on read."""
+    """Belief state of one surfel; updates replace its factors, never write them."""
 
     def __init__(self, sid: int, labels: tuple, prior_h: GaussianCanonical,
                  prior_nu: InverseGammaFactor, neighbor_in_msg: GaussianCanonical = None,
@@ -111,42 +112,20 @@ class SurfelState:
         # belief snapshot at the end of this surfel's last processed sweep,
         # used to decide whether converged clusters need refitting
         self.ref_belief_h = self.ref_belief_nu = None
-        self._h, self.belief_nu = belief_h, belief_nu
+        self.belief_h, self.belief_nu = belief_h, belief_nu
         if belief_h is None or belief_nu is None:
             self.recompute_beliefs()
 
-    @property
-    def belief_h(self) -> GaussianCanonical:
-        if type(self._h) is tuple:
-            self._h = _gaussian(self._h)
-        return self._h
-
-    @belief_h.setter
-    def belief_h(self, factor: GaussianCanonical):
-        self._h = factor
-
-    def height_floats(self) -> tuple:
-        """The height belief as nine floats: xi, then omega's upper triangle by rows."""
-        if type(self._h) is tuple:
-            return self._h
-        o = self._h.omega.tolist()
-        return (*self._h.xi.tolist(), o[0][0], o[0][1], o[0][2], o[1][1], o[1][2], o[2][2])
-
     def recompute_beliefs(self):
         """Rebuild beliefs from scratch per the additive bookkeeping."""
-        self._h, nu = gauss_product(self.prior_h, self.neighbor_in_msg), self.prior_nu
-        h = self.height_floats()
+        h, nu = gauss_product(self.prior_h, self.neighbor_in_msg).t, self.prior_nu
         for c in self.clusters:
             h = (*map(add, h, height_message(c, c.w)),)
             nu = ig_product(nu, c.out_msg_nu)
-        self._h, self.belief_nu = h, nu
+        self.belief_h, self.belief_nu = GaussianCanonical.of(h, 3), nu
 
     def expected_deviation(self) -> float:
         return ig_expected_deviation(self.belief_nu)
-
-
-def _gaussian(h: tuple) -> GaussianCanonical:
-    return GaussianCanonical(h[:3], [h[3:6], (h[4], h[6], h[7]), (h[5], h[7], h[8])])
 
 
 def _factor(o) -> list:
@@ -184,7 +163,7 @@ def mean_plane_eval(alpha: float, beta: float, h) -> float:
 
 
 def height_message(cluster: LikelihoodClusterState, w: float | None) -> tuple:
-    """The cluster's height message as nine floats (see `height_floats`).
+    """The cluster's height message as the nine floats of a factor's t.
 
     Given h, the measured gamma has mean F.h, F = (1 - alpha - beta, alpha,
     beta), so the message is omega = w F F^T, xi = w gamma F. With w None it
@@ -256,7 +235,7 @@ def update_mean_plane_factor(
     nu_bar = ig_expected_deviation(state.belief_nu)
     # (*map(..),) sizes the tuple exactly; tuple(map(..)) shrinks a 10-slot one,
     # which CPython then frees onto its 9-slot free list until that holds 2,000
-    in_h = (*map(sub, state.height_floats(), height_message(cluster, cluster.w)),)
+    in_h = (*map(sub, state.belief_h.t, height_message(cluster, cluster.w)),)
     in_nu = ig_divide(state.belief_nu, cluster.out_msg_nu)
     mu = _solve(_factor(in_h[3:]), in_h[:3])
     # Linearized, gamma - F.h = g.d + deviation + e_gamma, with g the slope at
@@ -270,7 +249,7 @@ def update_mean_plane_factor(
     a00, a11 = r00 + ALPHA_BETA_PRIOR_VAR, r11 + ALPHA_BETA_PRIOR_VAR
     explained = (a11 * c0 * c0 - 2.0 * r01 * c0 * c1 + a00 * c1 * c1) / (a00 * a11 - r01 * r01)
     cluster.w = 1.0 / (nu_bar + (u0 * c0 + u1 * c1 + c2) - explained)
-    state._h = (*map(add, in_h, height_message(cluster, cluster.w)),)
+    state.belief_h = GaussianCanonical.of((*map(add, in_h, height_message(cluster, cluster.w)),), 3)
     return nu_bar, in_nu, mu
 
 
@@ -289,7 +268,7 @@ def update_planar_deviation_factor(state: SurfelState, cluster: LikelihoodCluste
     nu_bar, in_nu, (h0, ha, hb) = incoming
     alpha, beta, _ = cluster.measurement.mean.tolist()
     f0, u0, u1 = 1.0 - alpha - beta, h0 - ha, h0 - hb
-    h = state.height_floats()
+    h = state.belief_h.t
     lower_s = _factor(h[3:])
     m0, m1, m2 = _solve(lower_s, h[:3])
     b00, b01, b02, b11, b12, b22, p0, p1, p2 = cluster.point_info

@@ -40,10 +40,12 @@ class TestElevUpdate:
         assert cell.variance == pytest.approx(0.4 / 8)
 
     def test_invalid_variance(self):
-        with pytest.raises(InvalidVariance):
-            elev_update(ElevationCell(), 1.0, 0.0)
-        with pytest.raises(InvalidVariance):
-            elev_update(ElevationCell(), 1.0, -1.0)
+        bad = [(1.0, 0.0), (1.0, -1.0), (1.0, math.nan), (1.0, math.inf),
+               (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0)]
+        for cell in (ElevationCell(), elev_update(ElevationCell(), 0.5, 1.0)):
+            for z, var in bad:
+                with pytest.raises(InvalidVariance):
+                    elev_update(cell, z, var)
 
     def test_variance_non_increasing(self):
         rng = np.random.default_rng(30)

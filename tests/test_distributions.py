@@ -60,6 +60,42 @@ class TestGaussianCanonical:
             with pytest.raises(ValueError):
                 arr[0] = 2.0
 
+    def test_of_keeps_the_tuple(self):
+        t = (1.0, 2.0, 3.0, 4.0, 5.0)
+        g = GaussianCanonical.of(t, 2)
+        assert g.t is t and g.n == 2
+        np.testing.assert_array_equal(g.xi, [1.0, 2.0])
+        np.testing.assert_array_equal(g.omega, [[3.0, 4.0], [4.0, 5.0]])
+
+    def test_assigning_an_attribute_raises(self):
+        g = GaussianCanonical(np.ones(2), np.eye(2))
+        for name in ("n", "t", "xi", "other"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, 0)
+        assert g.n == 2 and g.t == (1.0, 1.0, 1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_t_round_trips_through_xi_and_omega(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, n))
+        g = GaussianCanonical(rng.normal(size=n), a + a.T)
+        assert g.xi.shape == (n,) and g.omega.shape == (n, n)
+        back = GaussianCanonical(g.xi, g.omega)
+        assert back.n == n and back.t == g.t
+        assert len(g.t) == n + n * (n + 1) // 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**31), st.integers(1, 4))
+    def test_product_and_divide_match_numpy_bits(self, seed, n):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-12, 12, size=2)
+        g1, g2 = (random_gaussian(rng, n) for _ in range(2))
+        g1, g2 = (GaussianCanonical(s * g.xi, s * g.omega) for s, g in zip(scale, (g1, g2)))
+        for got, xi, omega in ((gauss_product(g1, g2), g1.xi + g2.xi, g1.omega + g2.omega),
+                               (gauss_divide(g1, g2), g1.xi - g2.xi, g1.omega - g2.omega)):
+            assert got.xi.tobytes() == xi.tobytes()
+            assert got.omega.tobytes() == omega.tobytes()
+
     def test_moment_round_trip(self):
         rng = np.random.default_rng(0)
         g = random_gaussian(rng, 3)

@@ -711,7 +711,7 @@ def exact_deviation_scale(state, cluster) -> Fraction:
     def sym(o):
         return [[o[0], o[1], o[2]], [o[1], o[3], o[4]], [o[2], o[4], o[5]]]
 
-    in_h = [Fraction(x - y) for x, y in zip(state.height_floats(), height_message(cluster, cluster.w))]
+    in_h = [Fraction(x - y) for x, y in zip(state.belief_h.t, height_message(cluster, cluster.w))]
     nu_bar = Fraction(state.belief_nu.scale) / (Fraction(state.belief_nu.exponent) - 1)
     h0, ha, hb = solve(sym(in_h[3:]), in_h[:3])
     alpha, beta, _ = map(Fraction, cluster.measurement.mean.tolist())
