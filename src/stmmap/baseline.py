@@ -65,17 +65,17 @@ class ElevationMap:
         self.cells = [ElevationCell() for _ in grid.surfels]
 
     def update(self, batch: list[Measurement]) -> int:
-        """Fuse a batch of submap-coordinate measurements; returns skipped count."""
-        skipped = 0
+        """Fuse a batch of submap-coordinate measurements, all or none; returns skipped count."""
+        fused, skipped = {}, 0
         for m in batch:
             try:
                 sid = self.grid.locate(float(m.mean[0]), float(m.mean[1]))
             except OutsideSubmap:
                 skipped += 1
                 continue
-            self.cells[sid] = elev_update(
-                self.cells[sid], float(m.mean[2]), float(m.cov[2, 2])
-            )
+            fused[sid] = elev_update(fused.get(sid, self.cells[sid]), float(m.mean[2]), float(m.cov[2, 2]))
+        for sid, cell in fused.items():
+            self.cells[sid] = cell
         return skipped
 
     def height(self, alpha: float, beta: float) -> float:

@@ -20,10 +20,10 @@ factor keeps its natural parameters as one tuple of Python floats and builds
 arrays only on read. Factors are immutable, so one factor object may have
 many holders.
 
-Map factors have at most three variables; there `cholesky_small`, in Python
-floats, costs less than a LAPACK call. It decides positive definiteness for
-`kl_gaussian`, `is_normalizable`, `to_moments` and the map's sepset messages;
-`kl_gaussian` also rejects pivots within rounding of their diagonal entry.
+Map factors have at most three variables; there a Cholesky factor in Python
+floats costs less than a LAPACK call. `cholesky_flat` and `forward3` unroll
+`cholesky_small` and `forward_small`, to the bit, for `kl_gaussian` (which
+also rejects near-zero pivots), the map's sepset messages and its refits.
 """
 
 from __future__ import annotations
@@ -89,6 +89,36 @@ def forward_small(lower: list, v) -> list:
             x -= a * b
         t.append(x / row[-1])
     return t
+
+
+def cholesky_flat(o, rtol: float = 0.0) -> tuple | None:
+    """`cholesky_small` unrolled for one to three variables: o is the upper
+    triangle by rows, the result the factor's rows run together."""
+    if not o[0] > 0.0 or o[0] <= rtol * o[0]:
+        return None
+    l00 = math.sqrt(o[0])
+    if len(o) == 1:
+        return (l00,)
+    l10, o11 = o[1] / l00, o[2] if len(o) == 3 else o[3]
+    s = o11 - l10 * l10
+    if not s > 0.0 or s <= rtol * o11:
+        return None
+    if len(o) == 3:
+        return l00, l10, math.sqrt(s)
+    l11, l20 = math.sqrt(s), o[2] / l00
+    l21 = (o[4] - l20 * l10) / l11
+    s = o[5] - l20 * l20 - l21 * l21
+    if not s > 0.0 or s <= rtol * o[5]:
+        return None
+    return l00, l10, l11, l20, l21, math.sqrt(s)
+
+
+def forward3(lower: tuple, v) -> tuple:
+    """`forward_small` for a 3-variable factor from `cholesky_flat`, unrolled."""
+    l00, l10, l11, l20, l21, l22 = lower
+    t0 = v[0] / l00
+    t1 = (v[1] - l10 * t0) / l11
+    return t0, t1, (v[2] - l20 * t0 - l21 * t1) / l22
 
 
 def cholesky_psd(a: np.ndarray) -> np.ndarray:
@@ -194,10 +224,7 @@ class GaussianCanonical:
 
     def rows(self) -> list:
         """omega as a list of rows of floats."""
-        t = self.t
-        if self.n == 3:  # a surfel belief: unrolled, as it is read on every visit
-            return [t[3:6], (t[4], t[6], t[7]), (t[5], t[7], t[8])]
-        return [[t[i] for i in row] for row in upper_index(self.n)]
+        return [[self.t[i] for i in row] for row in upper_index(self.n)]
 
     def is_vacuous(self, tol: float = 0.0) -> bool:
         return all(abs(x) <= tol for x in self.t)
@@ -312,8 +339,47 @@ def kl_gaussian(q: GaussianCanonical, p: GaussianCanonical) -> float:
     and the Mahalanobis term is |Lp^T (mu_p - mu_q)|^2 = |y_p - (Lq^-1 Lp)^T y_q|^2.
     A Cholesky pivot within rounding of its diagonal entry (_RANK_RTOL) makes
     a factor singular: rounding leaves some rank-one w F F^T a tiny pivot.
+    One to three variables take `_kl_loop` unrolled, to the bit; the 0.0 * y terms keep its NaNs.
     """
     _same_size(q, p, "KL divergence")
+    n, x, z = q.n, q.t, p.t
+    if not 0 < n < 4:
+        return _kl_loop(q, p)
+    lq, lp = cholesky_flat(x[n:], _RANK_RTOL), cholesky_flat(z[n:], _RANK_RTOL)
+    if not (lq and lp):
+        raise NotADistribution("information matrix is not positive definite")
+    if n == 3:
+        (a00, _, a11, _, a21, a22), (b00, b10, b11, b20, b21, b22) = lq, lp
+        m00, m10, m20 = forward3(lq, (b00, b10, b20))  # the columns of Lq^-1 Lp
+        m11, m22 = b11 / a11, b22 / a22
+        m21 = (b21 - a21 * m11) / a22
+        (yq0, yq1, yq2), (yp0, yp1, yp2) = forward3(lq, x), forward3(lp, z)
+        d0 = yp0 - (m00 * yq0 + m10 * yq1 + m20 * yq2)
+        d1 = yp1 - (0.0 * yq0 + m11 * yq1 + m21 * yq2)
+        d2 = yp2 - (0.0 * yq0 + 0.0 * yq1 + m22 * yq2)
+        log_det_ratio = 2.0 * (math.log(a00 / b00) + math.log(a11 / b11) + math.log(a22 / b22))
+        kl = 0.5 * (m00 * m00 + m10 * m10 + m20 * m20 + m11 * m11 + m21 * m21 + m22 * m22
+                    + (d0 * d0 + d1 * d1 + d2 * d2) - 3 + log_det_ratio)
+    elif n == 2:
+        (a00, a10, a11), (b00, b10, b11) = lq, lp
+        m00, m11 = b00 / a00, b11 / a11
+        m10 = (b10 - a10 * m00) / a11
+        yq0, yp0 = x[0] / a00, z[0] / b00
+        yq1, yp1 = (x[1] - a10 * yq0) / a11, (z[1] - b10 * yp0) / b11
+        d0 = yp0 - (m00 * yq0 + m10 * yq1)
+        d1 = yp1 - (0.0 * yq0 + m11 * yq1)
+        log_det_ratio = 2.0 * (math.log(a00 / b00) + math.log(a11 / b11))
+        kl = 0.5 * (m00 * m00 + m10 * m10 + m11 * m11 + (d0 * d0 + d1 * d1) - 2 + log_det_ratio)
+    else:
+        (a,), (b,) = lq, lp
+        m = b / a
+        d = z[0] / b - m * (x[0] / a)
+        kl = 0.5 * (m * m + d * d - 1 + 2.0 * math.log(a / b))
+    return max(kl, 0.0)
+
+
+def _kl_loop(q: GaussianCanonical, p: GaussianCanonical) -> float:
+    """`kl_gaussian` by the `cholesky_small` and `forward_small` loops, any size."""
     n = q.n
     lq, lp = (cholesky_small(g.rows(), range(n), _RANK_RTOL) for g in (q, p))
     if not (lq and lp):

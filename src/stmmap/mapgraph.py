@@ -33,8 +33,7 @@ from .distributions import (
     GaussianCanonical,
     InverseGammaFactor,
     NotADistribution,
-    cholesky_small,
-    forward_small,
+    cholesky_flat,
     gauss_divide,
     gauss_marginalize,
     gauss_product,
@@ -49,6 +48,7 @@ from .surfel import (
     Measurement,
     SurfelState,
     apportion_nu_scales,
+    height_message,
     init_likelihood_cluster,
     update_mean_plane_factor,
     update_planar_deviation_factor,
@@ -221,11 +221,10 @@ def _relative_change(new, old) -> float:
     return max(map(abs, map(sub, new, old))) / (1.0 + max(map(abs, old)))
 
 
-def _natural_divergence(new: GaussianCanonical, old: GaussianCanonical) -> float:
-    """Relative change of a Gaussian factor's natural parameters; omega's upper
-    triangle holds every value of the symmetric matrix."""
-    n, a, b = new.n, new.t, old.t
-    return max(_relative_change(a[n:], b[n:]), _relative_change(a[:n], b[:n]))
+def _natural_divergence(new: tuple, old: tuple, n: int) -> float:
+    """Relative change of the natural parameters t of an n-variable Gaussian
+    factor; omega's upper triangle holds every value of the symmetric matrix."""
+    return max(_relative_change(new[n:], old[n:]), _relative_change(new[:n], old[:n]))
 
 
 def _gauss_divergence(new: GaussianCanonical, old: GaussianCanonical) -> float:
@@ -234,11 +233,15 @@ def _gauss_divergence(new: GaussianCanonical, old: GaussianCanonical) -> float:
     try:
         return kl_gaussian(new, old)
     except NotADistribution:
-        return _natural_divergence(new, old)
+        return _natural_divergence(new.t, old.t, new.n)
+
+
+def _scale_change(new: float, old: float) -> float:
+    return abs(new - old) / (1.0 + abs(old))
 
 
 def _ig_divergence(new: InverseGammaFactor, old: InverseGammaFactor) -> float:
-    return max(abs(new.exponent - old.exponent), abs(new.scale - old.scale) / (1.0 + abs(old.scale)))
+    return max(abs(new.exponent - old.exponent), _scale_change(new.scale, old.scale))
 
 
 def neighbor_out_message(stm: STMMap, sep: Sepset, sid: int) -> GaussianCanonical:
@@ -246,24 +249,32 @@ def neighbor_out_message(stm: STMMap, sep: Sepset, sid: int) -> GaussianCanonica
 
     Marginal of the surfel height belief divided by the reverse message.
     The dropped block is the belief's own, so the message is its Schur
-    complement, in scalars; a dropped block without a Cholesky factor takes
-    the generic path, with its jitter retry and `SingularMarginalization`.
+    complement, in closed form: `cholesky_small` and `forward_small` unrolled,
+    each sum started from 0 as theirs are. A dropped block without a Cholesky
+    factor takes the generic path, with its jitter retry and `SingularMarginalization`.
     """
     stm.message_count += 1
     pos = sep.positions(sid)
     belief, reverse = stm.surfels[sid].belief_h, sep.msg_to(sid)
-    o = belief.rows()
-    drop = [i for i in range(3) if i not in pos]
-    lower = cholesky_small(o, drop) if pos else None
-    if lower is None:
-        return gauss_marginalize(gauss_divide(belief, reverse.embed(pos, 3)), pos)
-    x, r, m = belief.t, reverse.t, len(pos)
-    y = [forward_small(lower, [o[k][d] for d in drop]) for k in pos]
-    z = forward_small(lower, [x[d] for d in drop])
-    t = [x[k] - r[i] - sum(a * b for a, b in zip(y[i], z)) for i, k in enumerate(pos)]
-    pairs = enumerate([(i, j) for i in range(m) for j in range(i, m)], m)  # omega's, by place in t
-    t += [o[pos[i]][pos[j]] - r[q] - sum(a * b for a, b in zip(y[i], y[j])) for q, (i, j) in pairs]
-    return GaussianCanonical.of(tuple(t), m)
+    x, r, u = belief.t, reverse.t, upper_index(3)
+    if len(pos) == 2:
+        (a, b), d = pos, 3 - sum(pos)
+        if x[u[d][d]] > 0.0:
+            ld = math.sqrt(x[u[d][d]])
+            ya, yb, z = x[u[a][d]] / ld, x[u[b][d]] / ld, x[d] / ld
+            return GaussianCanonical.of((
+                x[a] - r[0] - (0.0 + ya * z), x[b] - r[1] - (0.0 + yb * z), x[u[a][a]] - r[2] - ya * ya,
+                x[u[a][b]] - r[3] - (0.0 + ya * yb), x[u[b][b]] - r[4] - yb * yb), 2)
+    elif len(pos) == 1:
+        (k,), (d, e) = pos, [i for i in range(3) if i not in pos]
+        lower = cholesky_flat((x[u[d][d]], x[u[d][e]], x[u[e][e]]))
+        if lower is not None:
+            l00, l10, l11 = lower
+            y0, z0 = x[u[k][d]] / l00, x[d] / l00
+            y1, z1 = (x[u[k][e]] - l10 * y0) / l11, (x[e] - l10 * z0) / l11
+            return GaussianCanonical.of((x[k] - r[0] - (0.0 + y0 * z0 + y1 * z1),
+                                         x[u[k][k]] - r[1] - (y0 * y0 + y1 * y1)), 1)
+    return gauss_marginalize(gauss_divide(belief, reverse.embed(pos, 3)), pos)
 
 
 def _associate(stm: STMMap, batch: list[Measurement]) -> tuple[dict, int, int]:
@@ -358,26 +369,24 @@ def run_inference(stm: STMMap, batch: list[Measurement]) -> ConvergenceReport:
 
             # VMP: refit likelihood clusters. A cluster whose messages are
             # at their fixed point only needs refitting once the surfel
-            # belief has moved since its last update.
-            if state.ref_belief_h is None:
-                belief_moved = True
-            else:
-                belief_moved = (
-                    _gauss_divergence(state.belief_h, state.ref_belief_h) >= tol
-                    or _ig_divergence(state.belief_nu, state.ref_belief_nu) >= tol
-                )
+            # belief has moved since its last update (unread without clusters).
+            belief_moved = state.clusters and (
+                state.ref_belief_h is None
+                or _gauss_divergence(state.belief_h, state.ref_belief_h) >= tol
+                or _ig_divergence(state.belief_nu, state.ref_belief_nu) >= tol
+            )
             any_refit = False
             for cluster in state.clusters:
                 if cluster.converged and not belief_moved:
                     continue
-                old_h, old_nu = cluster.out_msg_h, cluster.out_msg_nu
+                old_h, old_scale = height_message(cluster, cluster.w), cluster.nu_scale
                 incoming = update_mean_plane_factor(state, cluster)
                 update_planar_deviation_factor(state, cluster, incoming)
                 stm.message_count += 1
                 any_refit = True
-                # a height message has rank one: KL is undefined
-                cluster.converged = max(_natural_divergence(cluster.out_msg_h, old_h),
-                                        _ig_divergence(cluster.out_msg_nu, old_nu)) < tol
+                # a height message has rank one: no KL; both nu messages carry NU_MSG_EXPONENT
+                cluster.converged = max(_natural_divergence(height_message(cluster, cluster.w), old_h, 3),
+                                        _scale_change(cluster.nu_scale, old_scale)) < tol
                 if not cluster.converged:
                     belief_moved = True
             if any_refit:

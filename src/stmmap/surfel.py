@@ -30,8 +30,9 @@ import numpy as np
 from .distributions import (  # gauss_divide, solve_psd: the benchmark's tracer patches them here
     GaussianCanonical,
     InverseGammaFactor,
+    cholesky_flat,
     cholesky_psd,
-    cholesky_small,
+    forward3,
     gauss_divide,
     gauss_product,
     ig_divide,
@@ -76,12 +77,13 @@ class Measurement:
 
 @dataclass(slots=True)
 class LikelihoodClusterState:
-    """One measurement's likelihood cluster: its height message of weight w
-    (see `height_message`), its deviation message (NU_MSG_EXPONENT, nu_scale)
-    and the information B of (alpha, beta, gamma) from the measurement z and
-    the (alpha, beta) prior, as B's upper triangle and B z."""
+    """One measurement's likelihood cluster: its height message of weight w (see
+    `height_message`), its deviation message (NU_MSG_EXPONENT, nu_scale), its mean z
+    as floats, and the information B of (alpha, beta, gamma) from z and the
+    (alpha, beta) prior, as B's upper triangle and B z."""
 
     measurement: Measurement
+    mean: tuple
     point_info: tuple
     nu_scale: float
     w: float | None = None
@@ -128,29 +130,21 @@ class SurfelState:
         return ig_expected_deviation(self.belief_nu)
 
 
-def _factor(o) -> list:
-    """`cholesky_small` of the symmetric 3x3 with upper triangle o; where it
-    finds no factor, `cholesky_psd` with its jitter retry, counted in FALLBACKS."""
-    m = [o[:3], (o[1], o[3], o[4]), (o[2], o[4], o[5])]
-    lower = cholesky_small(m, range(3))
+def _factor(o) -> tuple:
+    """`cholesky_flat` of the symmetric 3x3 with upper triangle o; where it finds
+    no factor, `cholesky_psd` with its jitter retry, counted in FALLBACKS."""
+    lower = cholesky_flat(o)
     if lower is None:
         FALLBACKS["refit_jitter"] += 1
-        lower = [row[:i + 1] for i, row in enumerate(cholesky_psd(np.array(m)).tolist())]
+        m = [o[:3], (o[1], o[3], o[4]), (o[2], o[4], o[5])]
+        lower = tuple(cholesky_psd(np.array(m))[np.tril_indices(3)].tolist())
     return lower
 
 
-def _forward(lower: list, v) -> tuple:
-    """t with L t = v, for a 3x3 factor."""
-    (l00,), (l10, l11), (l20, l21, l22) = lower
-    t0 = v[0] / l00
-    t1 = (v[1] - l10 * t0) / l11
-    return t0, t1, (v[2] - l20 * t0 - l21 * t1) / l22
-
-
-def _solve(lower: list, v) -> tuple:
-    """x with L L^T x = v, for a 3x3 factor."""
-    (l00,), (l10, l11), (l20, l21, l22) = lower
-    t0, t1, t2 = _forward(lower, v)
+def _solve(lower: tuple, v) -> tuple:
+    """x with L L^T x = v, for a factor from `_factor`."""
+    l00, l10, l11, l20, l21, l22 = lower
+    t0, t1, t2 = forward3(lower, v)
     x2 = t2 / l22
     x1 = (t1 - l21 * x2) / l11
     return (t0 - l10 * x1 - l20 * x2) / l00, x1, x2
@@ -169,7 +163,7 @@ def height_message(cluster: LikelihoodClusterState, w: float | None) -> tuple:
     beta), so the message is omega = w F F^T, xi = w gamma F. With w None it
     is the initial one: centred at gamma, variance INIT_HEIGHT_VAR per vertex.
     """
-    alpha, beta, gamma = cluster.measurement.mean.tolist()
+    alpha, beta, gamma = cluster.mean
     if w is None:
         p = 1.0 / INIT_HEIGHT_VAR
         return (gamma * p,) * 3 + (p, 0.0, 0.0, p, 0.0, p)
@@ -192,7 +186,8 @@ def init_likelihood_cluster(measurement: Measurement, nu_scale: float, batch: in
     (o00, o01, o02), (o10, o11, o12), (o20, o21, o22) = point_omega.tolist()
     info = (o00, 0.5 * (o01 + o10), 0.5 * (o02 + o20), o11, 0.5 * (o12 + o21), o22,
             *(point_omega @ measurement.mean).tolist())
-    return LikelihoodClusterState(measurement, info, float(nu_scale), batch=batch)
+    return LikelihoodClusterState(measurement, (*measurement.mean.tolist(),), info, float(nu_scale),
+                                  batch=batch)
 
 
 def apportion_nu_scales(
@@ -266,7 +261,7 @@ def update_planar_deviation_factor(state: SurfelState, cluster: LikelihoodCluste
     r = L_B^-1 g_B, rho = (L_B^-1 u).r / nu_bar, v = L_S^-1 (g_h + rho F).
     """
     nu_bar, in_nu, (h0, ha, hb) = incoming
-    alpha, beta, _ = cluster.measurement.mean.tolist()
+    alpha, beta, _ = cluster.mean
     f0, u0, u1 = 1.0 - alpha - beta, h0 - ha, h0 - hb
     h = state.belief_h.t
     lower_s = _factor(h[3:])
@@ -278,10 +273,10 @@ def update_planar_deviation_factor(state: SurfelState, cluster: LikelihoodCluste
     a2, b2, g2 = _solve(lower_b, (p0 + u0 * d, p1 + u1 * d, p2 + d))
     # the residual gradient at the joint's mean: -F2 on h, u2 on (alpha, beta, gamma)
     f2 = 1.0 - a2 - b2
-    r0, r1, r2 = _forward(lower_b, (m0 - m1, m0 - m2, 1.0))
-    q0, q1, q2 = _forward(lower_b, (u0, u1, 1.0))
+    r0, r1, r2 = forward3(lower_b, (m0 - m1, m0 - m2, 1.0))
+    q0, q1, q2 = forward3(lower_b, (u0, u1, 1.0))
     rho = (q0 * r0 + q1 * r1 + q2 * r2) / nu_bar
-    v0, v1, v2 = _forward(lower_s, (rho * f0 - f2, rho * alpha - a2, rho * beta - b2))
+    v0, v1, v2 = forward3(lower_s, (rho * f0 - f2, rho * alpha - a2, rho * beta - b2))
     resid = g2 - (f2 * m0 + a2 * m1 + b2 * m2)
     scale = 0.5 * (r0 * r0 + r1 * r1 + r2 * r2 + v0 * v0 + v1 * v1 + v2 * v2) + 0.5 * resid**2
     cluster.nu_scale = max(scale, 1e-300)

@@ -115,6 +115,20 @@ class TestElevationMap:
         meas = [Measurement([0.9, 0.9, 1.0], 0.01 * np.eye(3), 0)]
         assert emap.update(meas) == 1
 
+    def test_invalid_batch_leaves_the_map_unchanged(self):
+        # a valid point before an invalid one is not fused either
+        emap = ElevationMap(TriGrid.triangle(1))
+        emap.update([Measurement([0.3, 0.3, 1.0], 0.01 * np.eye(3), 0)])
+        before = list(emap.cells)
+        for z, var in ((math.nan, 0.01), (1.0, math.inf), (1.0, -0.01)):
+            cov = np.diag([0.01, 0.01, var])
+            batch = [Measurement([0.1, 0.1, 2.0], 0.01 * np.eye(3), 1),
+                     Measurement([0.3, 0.3, 1.5], 0.01 * np.eye(3), 2),
+                     Measurement([0.12, 0.08, z], cov, 3)]
+            with pytest.raises(InvalidVariance):
+                emap.update(batch)
+            assert emap.cells == before
+
     def test_unobserved_cell_raises(self):
         grid = TriGrid.triangle(1)
         emap = ElevationMap(grid)

@@ -1,5 +1,6 @@
 """Tests for the exponential-family factor algebra."""
 
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,13 @@ from stmmap.distributions import (
     NotADistribution,
     SingularMarginalization,
     UTParams,
+    _RANK_RTOL,
+    _kl_loop,
     _same_size,
+    cholesky_flat,
+    cholesky_small,
+    forward3,
+    forward_small,
     gauss_divide,
     gauss_marginalize,
     gauss_product,
@@ -338,6 +345,94 @@ class TestKLGaussian:
         q = GaussianMoment([mu1], [[v1]]).to_canonical()
         p = GaussianMoment([mu2], [[v2]]).to_canonical()
         assert kl_gaussian(q, p) >= 0.0
+
+
+def same_bits(a, b) -> bool:
+    """Equal float sequences, signed zeros included; NaN matches NaN."""
+    return len(a) == len(b) and all(
+        (x != x and y != y) or (x == y and math.copysign(1.0, x) == math.copysign(1.0, y))
+        for x, y in zip(a, b))
+
+
+def outcome(f, *args):
+    """f's result, or the type of what it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:  # compared, not handled
+        return type(exc)
+
+
+KERNEL_KINDS = ["proper", "rank_one", "near_singular", "indefinite", "sparse", "infinite_xi"]
+
+
+def drawn_t(rng, n, kind):
+    """The t of an n-variable factor of the given kind, built in floats."""
+    if kind == "rank_one":  # w F F^T and w gamma F, as a height message builds it
+        f, w, g = rng.normal(size=n).tolist(), 10.0 ** rng.uniform(-3, 14), rng.normal()
+        return (*(w * g * a for a in f), *(w * f[i] * f[j] for i in range(n) for j in range(i, n)))
+    if kind == "sparse":  # zeros of either sign, off the diagonal and in xi
+        pick = [0.0, -0.0, 0.0, -0.0, rng.normal()]
+        xi = [pick[k] for k in rng.integers(0, 5, n)]
+        return (*xi, *(abs(rng.normal()) + 0.1 if i == j else pick[rng.integers(0, 5)] * 0.1
+                       for i in range(n) for j in range(i, n)))
+    eig = 10.0 ** rng.uniform(0, 8, n)
+    if kind == "near_singular":  # one eigenvalue within 1e-17..1e-12 of the largest
+        eig[0] = eig.max() * 10.0 ** rng.uniform(-17, -12)
+    if kind == "indefinite":
+        eig[0] = -eig[0]
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    omega = (q * (10.0 ** rng.uniform(-8, 8) * eig)) @ q.T
+    g = GaussianCanonical(rng.normal(size=n) * np.sqrt(abs(eig).max()), omega)
+    if kind == "infinite_xi":
+        k = rng.integers(0, n)
+        return (*g.t[:k], math.copysign(math.inf, rng.normal()), *g.t[k + 1:])
+    return g.t
+
+
+class TestUnrolledKernels:
+    """`cholesky_flat`, `forward3` and `kl_gaussian` against the loops they
+    unroll, bit for bit, signed zeros included."""
+
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(KERNEL_KINDS),
+           rtol=st.sampled_from([0.0, _RANK_RTOL]))
+    @settings(max_examples=400, deadline=None)
+    def test_factors_match_the_loop(self, seed, kind, rtol):
+        rng = np.random.default_rng(seed)
+        t = drawn_t(rng, 3, kind)
+        rows = GaussianCanonical.of(t, 3).rows()
+        want = cholesky_small(rows, range(3), rtol)
+        got = cholesky_flat(t[3:], rtol)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert same_bits(got, [x for row in want for x in row])
+            for v in (t[:3], [0.0, -0.0, rng.normal()], [-0.0, 0.0, -0.0]):
+                assert same_bits(forward3(got, v), forward_small(want, v))
+        for d in itertools.chain.from_iterable(itertools.permutations(range(3), k) for k in (1, 2)):
+            want = cholesky_small(rows, d, rtol)
+            got = cholesky_flat([rows[i][j] for k, i in enumerate(d) for j in d[k:]], rtol)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert same_bits(got, [x for row in want for x in row])
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+           kinds=st.tuples(st.sampled_from(KERNEL_KINDS), st.sampled_from(KERNEL_KINDS + ["close"])))
+    @settings(max_examples=600, deadline=None)
+    def test_kl_matches_the_loop(self, seed, n, kinds):
+        # rank-one, near-singular and indefinite factors are rejected alike
+        rng = np.random.default_rng(seed)
+        q = GaussianCanonical.of(drawn_t(rng, n, kinds[0]), n)
+        if kinds[1] == "close":
+            p = GaussianCanonical.of(tuple(x * (1.0 + 1e-9 * rng.normal()) for x in q.t), n)
+        else:
+            p = GaussianCanonical.of(drawn_t(rng, n, kinds[1]), n)
+        for a, b in ((q, p), (p, q), (q, q)):
+            got, want = outcome(kl_gaussian, a, b), outcome(_kl_loop, a, b)
+            if isinstance(want, float):
+                assert isinstance(got, float) and same_bits([got], [want])
+            else:
+                assert got is want
+        if kinds[0] == "rank_one" and n > 1:
+            assert outcome(kl_gaussian, q, p) is NotADistribution
 
 
 class TestInverseGamma:

@@ -130,7 +130,7 @@ def reference_run_inference(stm, batch, converged):
                 any_refit = True
                 # a height message has rank one: KL is undefined
                 cluster.converged = (
-                    _natural_divergence(cluster.out_msg_h, old_h) < tol
+                    _natural_divergence(cluster.out_msg_h.t, old_h.t, 3) < tol
                     and _ig_divergence(cluster.out_msg_nu, old_nu) < tol
                 )
                 if not cluster.converged:
@@ -186,6 +186,30 @@ def reference_incremental_update(stm, batch, converged):
 def reference_neighbor_out_message(belief, reverse, pos):
     """The generic LBP message: the marginal of belief / reverse on `pos`."""
     return gauss_marginalize(gauss_divide(belief, reverse.embed(pos, 3)), pos)
+
+
+def reference_schur_message(belief, reverse, pos):
+    """The sepset message by the `cholesky_small` and `forward_small` loops, the
+    steps `neighbor_out_message` unrolls; the generic message without a factor."""
+    o = belief.rows()
+    drop = [i for i in range(3) if i not in pos]
+    lower = cholesky_small(o, drop) if pos else None
+    if lower is None:
+        return reference_neighbor_out_message(belief, reverse, pos)
+    x, r, m = belief.t, reverse.t, len(pos)
+    y = [forward_small(lower, [o[k][d] for d in drop]) for k in pos]
+    z = forward_small(lower, [x[d] for d in drop])
+    t = [x[k] - r[i] - sum(a * b for a, b in zip(y[i], z)) for i, k in enumerate(pos)]
+    pairs = enumerate([(i, j) for i in range(m) for j in range(i, m)], m)  # omega's, by place in t
+    t += [o[pos[i]][pos[j]] - r[q] - sum(a * b for a, b in zip(y[i], y[j])) for q, (i, j) in pairs]
+    return GaussianCanonical.of(tuple(t), m)
+
+
+def same_bits(a, b) -> bool:
+    """Equal float sequences, signed zeros included; NaN matches NaN."""
+    return len(a) == len(b) and all(
+        (x != x and y != y) or (x == y and math.copysign(1.0, x) == math.copysign(1.0, y))
+        for x, y in zip(a, b))
 
 
 # The divergence check before one scalar Cholesky kernel served every size:
@@ -268,7 +292,7 @@ def reference_gauss_divergence(new: GaussianCanonical, old: GaussianCanonical) -
     surrogate when either iterate is improper (KL is then undefined)."""
     if reference_well_conditioned(new) and reference_well_conditioned(old):
         return reference_kl_gaussian(new, old) if new.dim == 3 else reference_kl_small(new, old)
-    return _natural_divergence(new, old)
+    return _natural_divergence(new.t, old.t, new.n)
 
 
 # The per-vertex union-find scope reduction, and the map reads that convert
@@ -576,6 +600,36 @@ class TestNeighborMessage:
             assert relative_gap(got.xi, want.xi) <= 1e-9
             assert relative_gap(got.omega, want.omega) <= 1e-9
 
+    @given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-8, 8),
+           kind=st.sampled_from(["proper", "signed_zeros", "no_pivot"]))
+    @settings(max_examples=300, deadline=None)
+    def test_closed_form_matches_the_loop_bit_for_bit(self, seed, log_scale, kind):
+        # both sepset shapes, every position order; zeros of either sign in
+        # the belief and the reverse message; dropped blocks without a factor
+        rng = np.random.default_rng(seed)
+        t = list(drawn_factor(rng, 3, 10.0**log_scale, rng.uniform(0, 8, 3)).t)
+        zeros = [0.0, -0.0]
+        if kind == "signed_zeros":  # xi and omega's off-diagonal entries
+            for k in (0, 1, 2, 4, 5, 7):
+                t[k] = zeros[rng.integers(0, 2)] if rng.random() < 0.5 else t[k]
+        elif kind == "no_pivot":  # a diagonal entry at or below zero, or an indefinite 2x2 block
+            k = [3, 6, 8][rng.integers(0, 3)]
+            t[k] = [0.0, -0.0, -t[k]][rng.integers(0, 3)]
+            t[7] = 10.0 * math.sqrt(abs(t[6] * t[8])) if rng.random() < 0.5 else t[7]
+        belief = GaussianCanonical.of(tuple(t), 3)
+        for pos in self.PATTERNS:
+            r = [x if rng.random() < 0.5 else zeros[rng.integers(0, 2)]
+                 for x in drawn_factor(rng, len(pos), 10.0**log_scale, rng.uniform(-1, 1, 2)).t]
+            reverse = GaussianCanonical.of(tuple(r), len(pos))
+            try:
+                want = reference_schur_message(belief, reverse, pos)
+            except SingularMarginalization:
+                with pytest.raises(SingularMarginalization):
+                    self._out_message(belief, reverse, pos)
+                continue
+            got = self._out_message(belief, reverse, pos)
+            assert got.n == want.n and same_bits(got.t, want.t)
+
     @pytest.mark.parametrize("block", ["zero", "negative", "indefinite"])
     def test_dropped_block_without_factor_takes_generic_path(self, block):
         # the generic path's jitter retry rescues a zero block and raises
@@ -642,7 +696,7 @@ class TestGaussDivergence:
             proper[1] = proper[0]
         got, want = _gauss_divergence(q, p), reference_gauss_divergence(q, p)
         if not all(proper):
-            assert got == want == _natural_divergence(q, p)
+            assert got == want == _natural_divergence(q.t, p.t, n)
             return
         # Both KL forms lose about eps * condition relative to the KL, and,
         # in the Mahalanobis term |y_p - M^T y_q|^2 (y = L^-1 xi), eps *
@@ -817,7 +871,7 @@ class TestRunInference:
             for c in state.clusters:
                 old = c.out_msg_h
                 update_planar_deviation_factor(state, c, update_mean_plane_factor(state, c))
-                assert _natural_divergence(c.out_msg_h, old) == _gauss_divergence(c.out_msg_h, old)
+                assert _natural_divergence(c.out_msg_h.t, old.t, 3) == _gauss_divergence(c.out_msg_h, old)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2**31), st.floats(-3.0, 14.0))
@@ -833,7 +887,7 @@ class TestRunInference:
             kl_gaussian(msg, GaussianCanonical(np.zeros(3), np.eye(3)))
         cluster.w *= 1.5
         old = cluster.out_msg_h
-        assert _gauss_divergence(msg, old) == _natural_divergence(msg, old)
+        assert _gauss_divergence(msg, old) == _natural_divergence(msg.t, old.t, 3)
 
 
 class TestFallbackCount:
@@ -844,13 +898,13 @@ class TestFallbackCount:
         assert clean.fallbacks == {}
         # the second scalar factor of the update fails once
         calls = [0]
-        factor = surfel.cholesky_small
+        factor = surfel.cholesky_flat
 
-        def failing(o, idx):
+        def failing(o):
             calls[0] += 1
-            return None if calls[0] == 2 else factor(o, idx)
+            return None if calls[0] == 2 else factor(o)
 
-        monkeypatch.setattr(surfel, "cholesky_small", failing)
+        monkeypatch.setattr(surfel, "cholesky_flat", failing)
         report = run_inference(STMMap(grid, PriorConfig()), meas)
         assert report.fallbacks == {"refit_jitter": 1}
         assert (report.sweeps, report.messages) == (clean.sweeps, clean.messages)

@@ -289,18 +289,18 @@ class TestScenarios:
         # the step KLs take two scalar Cholesky factors per changed surfel,
         # one per belief, and keep the bits of the checked-first reference
         calls, want = [0], []
-        factor = distributions.cholesky_small
+        factor = distributions.cholesky_flat
 
-        def counted(o, idx, *rtol):
+        def counted(o, *rtol):
             calls[0] += 1
-            return factor(o, idx, *rtol)
+            return factor(o, *rtol)
 
         def kls(stm, before):
             want.append(float(reference_belief_change_kls(stm, before).sum()))
             changed = sum(s.belief_h is not b for s, b in zip(stm.surfels, before))
             calls[0] = 0
             with monkeypatch.context() as m:
-                m.setattr(distributions, "cholesky_small", counted)
+                m.setattr(distributions, "cholesky_flat", counted)
                 got = belief_change_kls(stm, before)
             assert calls[0] == 2 * changed > 0
             return got

@@ -16,7 +16,9 @@ from stmmap.distributions import (
     GaussianCanonical,
     GaussianMoment,
     InverseGammaFactor,
+    SingularMarginalization,
     cholesky_psd,
+    cholesky_small,
     gauss_divide,
     gauss_product,
     ig_divide,
@@ -783,6 +785,41 @@ class TestFloatRefit:
             # both at the rounding level, either may be the closer
             assert err_float <= max(err_numpy, 1e-13)
 
+    @given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-8, 8),
+           kind=st.sampled_from(["proper", "rank_one", "indefinite", "signed_zeros"]))
+    @settings(max_examples=300, deadline=None)
+    def test_factor_matches_the_loop(self, seed, log_scale, kind):
+        # `_factor` is `cholesky_small` bit for bit, signed zeros included;
+        # where that finds no factor, `cholesky_psd`'s retry, counted once
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        eig = 10.0 ** (log_scale + rng.uniform(0, 8, 3))
+        if kind == "rank_one":
+            eig[1:] = 0.0
+        elif kind == "indefinite":
+            eig[0] = -eig[0]
+        omega = (q * eig) @ q.T
+        if kind == "signed_zeros":
+            omega = np.where(rng.random((3, 3)) < 0.5, 0.0, -0.0)
+            np.fill_diagonal(omega, abs(eig))
+        o = (*omega[np.triu_indices(3)].tolist(),)
+        m = [o[:3], (o[1], o[3], o[4]), (o[2], o[4], o[5])]
+        want, before = cholesky_small(m, range(3)), FALLBACKS["refit_jitter"]
+        fell_back = want is None
+        if fell_back:
+            try:
+                want = cholesky_psd(np.array(m))[np.tril_indices(3)].tolist()
+            except SingularMarginalization:
+                with pytest.raises(SingularMarginalization):
+                    surfel._factor(o)
+                assert FALLBACKS["refit_jitter"] == before + 1
+                return
+        else:
+            want = [x for row in want for x in row]
+        got = surfel._factor(o)
+        assert FALLBACKS["refit_jitter"] == before + fell_back
+        assert [(x, math.copysign(1.0, x)) for x in got] == [(x, math.copysign(1.0, x)) for x in want]
+
     def test_forced_fallback_is_counted_and_agrees(self, monkeypatch):
         # the first scalar factor fails; `cholesky_psd` factors that block
         stm = STMMap(TriGrid.triangle(0), PriorConfig(),
@@ -792,8 +829,8 @@ class TestFloatRefit:
         ref_state, ref_cluster = numpy_refit(state, cluster)
         before = FALLBACKS["refit_jitter"]
         failures = iter([None])
-        factor = surfel.cholesky_small
-        monkeypatch.setattr(surfel, "cholesky_small", lambda o, idx: next(failures, factor(o, idx)))
+        factor = surfel.cholesky_flat
+        monkeypatch.setattr(surfel, "cholesky_flat", lambda o: next(failures, factor(o)))
         update_planar_deviation_factor(state, cluster, update_mean_plane_factor(state, cluster))
         assert FALLBACKS["refit_jitter"] == before + 1
         np.testing.assert_allclose(cluster.out_msg_h.omega, ref_cluster.out_msg_h.omega, rtol=1e-12, atol=0)
