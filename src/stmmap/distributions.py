@@ -21,9 +21,10 @@ arrays only on read. Factors are immutable, so one factor object may have
 many holders.
 
 Map factors have at most three variables; there a Cholesky factor in Python
-floats costs less than a LAPACK call. `cholesky_flat` and `forward3` unroll
-`cholesky_small` and `forward_small`, to the bit, for `kl_gaussian` (which
-also rejects near-zero pivots), the map's sepset messages and its refits.
+floats costs less than a LAPACK call. `cholesky_small` is the loop for any
+size; `cholesky_flat` and `forward3` unroll it and its forward solve, to the
+bit, for `kl_gaussian` (which also rejects near-zero pivots), the map's sepset
+messages and its refits.
 """
 
 from __future__ import annotations
@@ -81,16 +82,6 @@ def cholesky_small(o: list, idx, rtol: float = 0.0) -> list | None:
     return lower
 
 
-def forward_small(lower: list, v) -> list:
-    """Solve lower @ t = v for a factor from `cholesky_small`."""
-    t = []
-    for row, x in zip(lower, v):
-        for a, b in zip(row, t):
-            x -= a * b
-        t.append(x / row[-1])
-    return t
-
-
 def cholesky_flat(o, rtol: float = 0.0) -> tuple | None:
     """`cholesky_small` unrolled for one to three variables: o is the upper
     triangle by rows, the result the factor's rows run together."""
@@ -114,7 +105,8 @@ def cholesky_flat(o, rtol: float = 0.0) -> tuple | None:
 
 
 def forward3(lower: tuple, v) -> tuple:
-    """`forward_small` for a 3-variable factor from `cholesky_flat`, unrolled."""
+    """Solve lower @ t = v for a 3-variable factor from `cholesky_flat`, each
+    row's products subtracted left to right."""
     l00, l10, l11, l20, l21, l22 = lower
     t0 = v[0] / l00
     t1 = (v[1] - l10 * t0) / l11
@@ -339,12 +331,17 @@ def kl_gaussian(q: GaussianCanonical, p: GaussianCanonical) -> float:
     and the Mahalanobis term is |Lp^T (mu_p - mu_q)|^2 = |y_p - (Lq^-1 Lp)^T y_q|^2.
     A Cholesky pivot within rounding of its diagonal entry (_RANK_RTOL) makes
     a factor singular: rounding leaves some rank-one w F F^T a tiny pivot.
-    One to three variables take `_kl_loop` unrolled, to the bit; the 0.0 * y terms keep its NaNs.
+    Map factors have one to three variables. Each size unrolls the loop over
+    `cholesky_small` and its forward solve, with the same operations in the
+    same order, so the result is the loop's to the bit; the 0.0 * y terms keep
+    the loop's NaNs.
     """
     _same_size(q, p, "KL divergence")
     n, x, z = q.n, q.t, p.t
-    if not 0 < n < 4:
-        return _kl_loop(q, p)
+    if n == 0:
+        raise NotADistribution("a factor of no variables has no density")
+    if n > 3:
+        raise ValueError(f"KL divergence of {n} variables; map factors have one to three")
     lq, lp = cholesky_flat(x[n:], _RANK_RTOL), cholesky_flat(z[n:], _RANK_RTOL)
     if not (lq and lp):
         raise NotADistribution("information matrix is not positive definite")
@@ -375,20 +372,6 @@ def kl_gaussian(q: GaussianCanonical, p: GaussianCanonical) -> float:
         m = b / a
         d = z[0] / b - m * (x[0] / a)
         kl = 0.5 * (m * m + d * d - 1 + 2.0 * math.log(a / b))
-    return max(kl, 0.0)
-
-
-def _kl_loop(q: GaussianCanonical, p: GaussianCanonical) -> float:
-    """`kl_gaussian` by the `cholesky_small` and `forward_small` loops, any size."""
-    n = q.n
-    lq, lp = (cholesky_small(g.rows(), range(n), _RANK_RTOL) for g in (q, p))
-    if not (lq and lp):
-        raise NotADistribution("information matrix is not positive definite")
-    cols = [forward_small(lq, [row[j] if j < len(row) else 0.0 for row in lp]) for j in range(n)]
-    y_q, y_p = forward_small(lq, q.t[:n]), forward_small(lp, p.t[:n])
-    d = [y_p[j] - sum(m * y for m, y in zip(col, y_q)) for j, col in enumerate(cols)]
-    log_det_ratio = 2.0 * sum(math.log(lq[i][i] / lp[i][i]) for i in range(n))
-    kl = 0.5 * (sum(m * m for col in cols for m in col) + sum(e * e for e in d) - n + log_det_ratio)
     return max(kl, 0.0)
 
 

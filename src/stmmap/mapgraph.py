@@ -249,9 +249,10 @@ def neighbor_out_message(stm: STMMap, sep: Sepset, sid: int) -> GaussianCanonica
 
     Marginal of the surfel height belief divided by the reverse message.
     The dropped block is the belief's own, so the message is its Schur
-    complement, in closed form: `cholesky_small` and `forward_small` unrolled,
-    each sum started from 0 as theirs are. A dropped block without a Cholesky
-    factor takes the generic path, with its jitter retry and `SingularMarginalization`.
+    complement, in closed form: `cholesky_small` and its forward solve
+    unrolled, each sum of products added left to right from 0.0. A dropped
+    block without a Cholesky factor takes the generic path, with its jitter
+    retry and `SingularMarginalization`.
     """
     stm.message_count += 1
     pos = sep.positions(sid)

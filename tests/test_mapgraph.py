@@ -14,7 +14,6 @@ from stmmap.distributions import (
     NotADistribution,
     SingularMarginalization,
     cholesky_small,
-    forward_small,
     gauss_divide,
     gauss_marginalize,
     gauss_product,
@@ -51,6 +50,7 @@ from stmmap.surfel import (
     update_mean_plane_factor,
     update_planar_deviation_factor,
 )
+from floatref import add_up, forward_small, same_bits
 
 EPS = np.finfo(float).eps
 
@@ -199,17 +199,10 @@ def reference_schur_message(belief, reverse, pos):
     x, r, m = belief.t, reverse.t, len(pos)
     y = [forward_small(lower, [o[k][d] for d in drop]) for k in pos]
     z = forward_small(lower, [x[d] for d in drop])
-    t = [x[k] - r[i] - sum(a * b for a, b in zip(y[i], z)) for i, k in enumerate(pos)]
+    t = [x[k] - r[i] - add_up(a * b for a, b in zip(y[i], z)) for i, k in enumerate(pos)]
     pairs = enumerate([(i, j) for i in range(m) for j in range(i, m)], m)  # omega's, by place in t
-    t += [o[pos[i]][pos[j]] - r[q] - sum(a * b for a, b in zip(y[i], y[j])) for q, (i, j) in pairs]
+    t += [o[pos[i]][pos[j]] - r[q] - add_up(a * b for a, b in zip(y[i], y[j])) for q, (i, j) in pairs]
     return GaussianCanonical.of(tuple(t), m)
-
-
-def same_bits(a, b) -> bool:
-    """Equal float sequences, signed zeros included; NaN matches NaN."""
-    return len(a) == len(b) and all(
-        (x != x and y != y) or (x == y and math.copysign(1.0, x) == math.copysign(1.0, y))
-        for x, y in zip(a, b))
 
 
 # The divergence check before one scalar Cholesky kernel served every size:
@@ -256,9 +249,9 @@ def reference_kl_small(q: GaussianCanonical, p: GaussianCanonical) -> float:
     lq, lp = (reference_cholesky_small(g.omega.tolist(), range(n)) for g in (q, p))
     cols = [reference_forward(lq, [row[j] if j < len(row) else 0.0 for row in lp]) for j in range(n)]
     y_q, y_p = reference_forward(lq, q.xi.tolist()), reference_forward(lp, p.xi.tolist())
-    d = [y_p[j] - sum(m * y for m, y in zip(col, y_q)) for j, col in enumerate(cols)]
-    log_det_ratio = 2.0 * sum(math.log(lq[i][i] / lp[i][i]) for i in range(n))
-    kl = 0.5 * (sum(m * m for col in cols for m in col) + sum(e * e for e in d) - n + log_det_ratio)
+    d = [y_p[j] - add_up(m * y for m, y in zip(col, y_q)) for j, col in enumerate(cols)]
+    log_det_ratio = 2.0 * add_up(math.log(lq[i][i] / lp[i][i]) for i in range(n))
+    kl = 0.5 * (add_up(m * m for col in cols for m in col) + add_up(e * e for e in d) - n + log_det_ratio)
     return max(kl, 0.0)
 
 
@@ -728,8 +721,7 @@ class TestGaussDivergence:
             if lower is not None:
                 for w in (v, v[::-1], [o[0][k] for k in d]):
                     got, want = forward_small(lower, w[:len(d)]), reference_forward(lower, w[:len(d)])
-                    assert [(t, math.copysign(1.0, t)) for t in got] == [
-                        (t, math.copysign(1.0, t)) for t in want]
+                    assert same_bits(got, want)
         for n in range(1, 6):
             g = drawn_factor(rng, n, 10.0**log_scale, rng.uniform(0, min(log_cond, 6), n))
             want = np.linalg.cholesky(g.omega)

@@ -46,6 +46,7 @@ from stmmap.surfel import (
     update_mean_plane_factor,
     update_planar_deviation_factor,
 )
+from floatref import same_bits
 
 LABELS = ("h0", "ha", "hb")
 
@@ -818,7 +819,7 @@ class TestFloatRefit:
             want = [x for row in want for x in row]
         got = surfel._factor(o)
         assert FALLBACKS["refit_jitter"] == before + fell_back
-        assert [(x, math.copysign(1.0, x)) for x in got] == [(x, math.copysign(1.0, x)) for x in want]
+        assert same_bits(got, want)
 
     def test_forced_fallback_is_counted_and_agrees(self, monkeypatch):
         # the first scalar factor fails; `cholesky_psd` factors that block
