@@ -29,7 +29,6 @@ from .geometry import (
     DepthTooLarge,
     OutsideSubmap,
     RelativeIRF,
-    RelativePoint,
     TriGrid,
     global_to_relative,
     make_relative_irf,

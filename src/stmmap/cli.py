@@ -21,12 +21,14 @@ import configparser
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import __version__
 from .baseline import ElevationMap
 from .geometry import MAX_DEPTH, DegenerateLandmarks, TriGrid, make_relative_irf
 from .mapgraph import (
@@ -92,18 +94,13 @@ class RunConfig:
         return NoiseSpec.stereo_like() if self.sensor == "stereo" else NoiseSpec.lidar_like()
 
 
+# The keys of each config section; a value takes the type of its RunConfig default.
 _CONFIG_SCHEMA = {
-    "map": {"depth": int, "window": int},
-    "prior": {"rho": float, "sigma2": float, "a_p": float, "b_p": float},
-    "convergence": {"kl_threshold": float, "max_sweeps": int},
-    "run": {"seed": int, "sensor": str, "batch_size": int},
-    "scenario": {
-        "steps": int,
-        "density": float,
-        "amplitude": float,
-        "surface_seed": int,
-        "n_eval": int,
-    },
+    "map": ("depth", "window"),
+    "prior": ("rho", "sigma2", "a_p", "b_p"),
+    "convergence": ("kl_threshold", "max_sweeps"),
+    "run": ("seed", "sensor", "batch_size"),
+    "scenario": ("steps", "density", "amplitude", "surface_seed", "n_eval"),
 }
 
 
@@ -126,7 +123,7 @@ def load_config(path: str) -> RunConfig:
         for key, raw in parser.items(section):
             if key not in _CONFIG_SCHEMA[section]:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
-            typ = _CONFIG_SCHEMA[section][key]
+            typ = type(getattr(RunConfig, key))
             try:
                 value = typ(raw)
             except ValueError as exc:
@@ -147,7 +144,8 @@ def _validate(cfg: RunConfig) -> None:
         (cfg.window >= 1, "window must be >= 1"),
         (cfg.sensor in ("stereo", "lidar"), "sensor must be stereo or lidar"),
         (cfg.steps >= 2, "steps must be >= 2"),
-        (cfg.density > 0, "density must be positive"),
+        (0 < cfg.density < math.inf, "density must be positive and finite"),
+        (math.isfinite(cfg.amplitude), "amplitude must be finite"),
         (cfg.n_eval >= 1, "n_eval must be >= 1"),
         (cfg.batch_size >= 0, "batch_size must be >= 0"),
     ]
@@ -165,7 +163,7 @@ def write_manifest(out_prefix: str, command: str, cfg: RunConfig) -> None:
         "config_hash": hashlib.sha256(payload).hexdigest(),
         "seed": cfg.seed,
         "versions": {
-            "stmmap": _package_version(),
+            "stmmap": __version__,
             "numpy": np.__version__,
             "python": sys.version.split()[0],
         },
@@ -173,12 +171,6 @@ def write_manifest(out_prefix: str, command: str, cfg: RunConfig) -> None:
     with open(out_prefix + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _package_version() -> str:
-    from . import __version__
-
-    return __version__
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +213,8 @@ def export_map_json(stm: STMMap, path: str) -> None:
             {
                 "sid": state.sid,
                 "vertex_ids": list(state.labels),
-                "height_xi": state.belief_h.xi.tolist(),
-                "height_omega": state.belief_h.omega.tolist(),
+                "height_xi": state.belief_h.t[:3],
+                "height_omega": state.belief_h.rows(),
                 "deviation_exponent": state.belief_nu.exponent,
                 "deviation_scale": state.belief_nu.scale,
                 "n_meas": state.n_meas_total,
@@ -380,53 +372,34 @@ def _cmd_simulate(args) -> int:
         export_map_json(stm, out + ".map.json")
         return 0
 
-    if args.scenario == "accuracy2d":
-        surface = profile_surface(amplitude=cfg.amplitude)
-        rows = []
-        for n in range(1, 7):
-            grid = TriGrid.strip(n)
-            region = [[0, 0], [1, 0], [1 - 1 / n, 1 / n], [0, 1 / n]]
-            per_area = grid.n_surfels / (1 / n - 0.5 / n**2)
-            meas = sample_measurements(surface, region, cfg.density, noise,
-                                       seed=cfg.seed, n_elements_per_unit_area=per_area)
-            stm = STMMap(grid, cfg.prior(), window=cfg.window,
-                         convergence=cfg.convergence())
+    # accuracy2d: one profile over strips of 1..6 divisions; accuracy3d: full
+    # grids of depth 1..4, each averaged over 10 gradient-noise surfaces
+    rows = []
+    for d in range(1, 7) if args.scenario == "accuracy2d" else range(1, 5):
+        if args.scenario == "accuracy2d":
+            grid, area = TriGrid.strip(d), 1 / d - 0.5 / d**2
+            region = [[0, 0], [1, 0], [1 - 1 / d, 1 / d], [0, 1 / d]]
+            draws = [(profile_surface(amplitude=cfg.amplitude), cfg.seed)]
+        else:
+            grid, area, region = TriGrid.triangle(d), 0.5, SUBMAP_TRIANGLE
+            draws = [(perlin_surface(seed=cfg.surface_seed + 100 + k, amplitude=cfg.amplitude), cfg.seed + k)
+                     for k in range(10)]
+        mse_s, mse_e = [], []
+        for surface, seed in draws:
+            meas = sample_measurements(surface, region, cfg.density, noise, seed=seed,
+                                       n_elements_per_unit_area=grid.n_surfels / area)
+            stm = STMMap(grid, cfg.prior(), window=cfg.window, convergence=cfg.convergence())
             incremental_update(stm, meas)
             elev = ElevationMap(grid)
-            elev.update(meas)
-            rows.append({
-                "division": n,
-                "mse_stm": evaluate_mse(stm, surface, cfg.n_eval, seed=1, companion=elev),
-                "mse_elevation": evaluate_mse(elev, surface, cfg.n_eval, seed=1, companion=stm),
-                "loglik_ratio": evaluate_loglik_ratio(stm, elev, surface, cfg.n_eval, seed=1),
-            })
-        _write_accuracy(out, rows)
-        return 0
-
-    # accuracy3d: batch over 10 gradient-noise seeds
-    rows = []
-    for depth in range(1, 5):
-        grid0 = TriGrid.triangle(depth)
-        per_area = grid0.n_surfels / 0.5
-        mse_s, mse_e = [], []
-        for k in range(10):
-            surface = perlin_surface(seed=cfg.surface_seed + 100 + k,
-                                     amplitude=cfg.amplitude)
-            meas = sample_measurements(surface, SUBMAP_TRIANGLE, cfg.density, noise,
-                                       seed=cfg.seed + k,
-                                       n_elements_per_unit_area=per_area)
-            stm = STMMap(TriGrid.triangle(depth), cfg.prior(), window=cfg.window,
-                         convergence=cfg.convergence())
-            incremental_update(stm, meas)
-            elev = ElevationMap(TriGrid.triangle(depth))
             elev.update(meas)
             mse_s.append(evaluate_mse(stm, surface, cfg.n_eval, seed=1, companion=elev))
             mse_e.append(evaluate_mse(elev, surface, cfg.n_eval, seed=1, companion=stm))
         rows.append({
-            "division": depth,
+            "division": d,
             "mse_stm": float(np.mean(mse_s)),
             "mse_elevation": float(np.mean(mse_e)),
-            "loglik_ratio": float("nan"),
+            "loglik_ratio": (evaluate_loglik_ratio(stm, elev, surface, cfg.n_eval, seed=1)
+                             if args.scenario == "accuracy2d" else float("nan")),
         })
     _write_accuracy(out, rows)
     return 0
@@ -434,8 +407,7 @@ def _cmd_simulate(args) -> int:
 
 def _write_accuracy(out: str, rows: list[dict]) -> None:
     with open(out + ".csv", "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=["division", "mse_stm", "mse_elevation",
-                                           "loglik_ratio"])
+        w = csv.DictWriter(fh, fieldnames=list(rows[0]))
         w.writeheader()
         w.writerows(rows)
     with open(out + ".json", "w") as fh:

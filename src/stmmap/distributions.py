@@ -21,10 +21,10 @@ arrays only on read. Factors are immutable, so one factor object may have
 many holders.
 
 Map factors have at most three variables; there a Cholesky factor in Python
-floats costs less than a LAPACK call. `cholesky_small` is the loop for any
-size; `cholesky_flat` and `forward3` unroll it and its forward solve, to the
-bit, for `kl_gaussian` (which also rejects near-zero pivots), the map's sepset
-messages and its refits.
+floats costs less than a LAPACK call. `cholesky_flat` and `forward3` are the
+unblocked Cholesky step and its forward solve, unrolled for one to three
+variables; they serve `is_normalizable`, `kl_gaussian` (which also rejects
+near-zero pivots), the map's sepset messages and its refits.
 """
 
 from __future__ import annotations
@@ -59,32 +59,11 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def cholesky_small(o: list, idx, rtol: float = 0.0) -> list | None:
-    """Lower Cholesky factor of the block o[idx][idx] of a nested-list matrix,
-    as rows [[l00], [l10, l11], ...], by the unblocked step in Python floats;
-    None unless positive definite with every pivot above rtol times its
-    diagonal entry. Written for n <= 3, correct for any n."""
-    lower = []
-    for r in idx:
-        row = []
-        for c, prev in zip(idx, lower):
-            x = o[r][c]
-            for a, b in zip(row, prev):
-                x -= a * b
-            row.append(x / prev[-1])
-        s = o[r][r]
-        for a in row:
-            s -= a * a
-        if not s > 0.0 or s <= rtol * o[r][r]:
-            return None
-        row.append(math.sqrt(s))
-        lower.append(row)
-    return lower
-
-
 def cholesky_flat(o, rtol: float = 0.0) -> tuple | None:
-    """`cholesky_small` unrolled for one to three variables: o is the upper
-    triangle by rows, the result the factor's rows run together."""
+    """Lower Cholesky factor of a one- to three-variable symmetric matrix by the
+    unblocked step in Python floats: o is the upper triangle by rows, the
+    result the factor's rows run together; None unless positive definite with
+    every pivot above rtol times its diagonal entry."""
     if not o[0] > 0.0 or o[0] <= rtol * o[0]:
         return None
     l00 = math.sqrt(o[0])
@@ -203,10 +182,6 @@ class GaussianCanonical:
         return cls.of((0.0,) * (n + n * (n + 1) // 2), n)
 
     @property
-    def dim(self) -> int:
-        return self.n
-
-    @property
     def xi(self) -> np.ndarray:
         return _read_only(np.array(self.t[:self.n], dtype=float))
 
@@ -223,7 +198,9 @@ class GaussianCanonical:
 
     def is_normalizable(self) -> bool:
         """True when omega is positive definite (and there is a variable)."""
-        return bool(cholesky_small(self.rows(), range(self.n)))
+        if self.n > 3:
+            raise ValueError(f"a factor of {self.n} variables; map factors have one to three")
+        return self.n > 0 and cholesky_flat(self.t[self.n:]) is not None
 
     def embed(self, positions: Sequence[int], n: int) -> "GaussianCanonical":
         """This factor placed at `positions` of an n-variable scope, zero elsewhere."""
@@ -331,10 +308,10 @@ def kl_gaussian(q: GaussianCanonical, p: GaussianCanonical) -> float:
     and the Mahalanobis term is |Lp^T (mu_p - mu_q)|^2 = |y_p - (Lq^-1 Lp)^T y_q|^2.
     A Cholesky pivot within rounding of its diagonal entry (_RANK_RTOL) makes
     a factor singular: rounding leaves some rank-one w F F^T a tiny pivot.
-    Map factors have one to three variables. Each size unrolls the loop over
-    `cholesky_small` and its forward solve, with the same operations in the
-    same order, so the result is the loop's to the bit; the 0.0 * y terms keep
-    the loop's NaNs.
+    Map factors have one to three variables. Each size unrolls the loop of
+    the unblocked Cholesky step and its forward solve, with the same
+    operations in the same order, so the result is the loop's to the bit; the
+    0.0 * y terms keep the loop's NaNs.
     """
     _same_size(q, p, "KL divergence")
     n, x, z = q.n, q.t, p.t
@@ -381,10 +358,6 @@ class InverseGammaFactor:
 
     exponent: float
     scale: float
-
-    @classmethod
-    def flat(cls) -> "InverseGammaFactor":
-        return cls(0.0, 0.0)
 
     @classmethod
     def normalized(cls, shape: float, scale: float) -> "InverseGammaFactor":

@@ -53,18 +53,6 @@ class RelativeIRF:
         return np.column_stack([self.axis_a, self.axis_b, self.axis_n])
 
 
-@dataclass(frozen=True)
-class RelativePoint:
-    """A point in submap coordinates."""
-
-    alpha: float
-    beta: float
-    gamma: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.alpha, self.beta, self.gamma])
-
-
 def make_relative_irf(l0, l_alpha, l_beta) -> RelativeIRF:
     """Build the submap frame from three non-collinear landmarks."""
     l0 = np.asarray(l0, dtype=float).reshape(3)
@@ -77,14 +65,14 @@ def make_relative_irf(l0, l_alpha, l_beta) -> RelativeIRF:
     return RelativeIRF(l0, a, b, cross / norm)
 
 
-def global_to_relative(irf: RelativeIRF, m) -> RelativePoint:
-    m = np.asarray(m, dtype=float).reshape(3)
-    rel = np.linalg.solve(irf.basis, m - irf.l0)
-    return RelativePoint(float(rel[0]), float(rel[1]), float(rel[2]))
+def global_to_relative(irf: RelativeIRF, m) -> np.ndarray:
+    """Submap coordinates (alpha, beta, gamma) of a global point."""
+    return np.linalg.solve(irf.basis, np.asarray(m, dtype=float).reshape(3) - irf.l0)
 
 
-def relative_to_global(irf: RelativeIRF, p: RelativePoint) -> np.ndarray:
-    return irf.basis @ p.as_array() + irf.l0
+def relative_to_global(irf: RelativeIRF, p) -> np.ndarray:
+    """The global point at submap coordinates (alpha, beta, gamma)."""
+    return irf.basis @ np.asarray(p, dtype=float).reshape(3) + irf.l0
 
 
 def _euler_rotation(yaw: float, pitch: float, roll: float) -> np.ndarray:
@@ -121,8 +109,7 @@ def transform_measurement_to_relative(
     m_global = unscented_transform(stacked, body_to_global)
 
     def global_to_rel(x: np.ndarray) -> np.ndarray:
-        irf = make_relative_irf(x[0:3], x[3:6], x[6:9])
-        return np.linalg.solve(irf.basis, x[9:12] - irf.l0)
+        return global_to_relative(make_relative_irf(x[0:3], x[3:6], x[6:9]), x[9:12])
 
     stacked = _stack_moments(landmark_belief, m_global)
     return unscented_transform(stacked, global_to_rel)
@@ -143,7 +130,8 @@ class Surfel:
     """One grid element: orientation, lattice cell, and its vertex triple.
 
     vertex_ids are ordered (v0, v_alpha, v_beta): the lattice vertices mapped
-    to (0,0), (1,0) and (0,1) by the element normalization.
+    to (0,0), (1,0) and (0,1) by the element normalization. Their (alpha,
+    beta) are the grid's `vertex_coords` rows.
     """
 
     sid: int
@@ -151,7 +139,6 @@ class Surfel:
     row: int
     col: int
     vertex_ids: tuple[int, int, int]
-    corners: np.ndarray  # 3x2, (alpha, beta) of (v0, v_alpha, v_beta)
 
 
 class TriGrid:
@@ -191,10 +178,7 @@ class TriGrid:
                     # the local frame is a point reflection of the up element.
                     trip = ((r + 1, j + 1), (r + 1, j), (r, j + 1))
                 vids = tuple(self._vertex_id[v] for v in trip)
-                corners = self.vertex_coords[list(vids)]
-                self.surfels.append(
-                    Surfel(self._row_offset[r] + t, up, r, j, vids, corners)
-                )
+                self.surfels.append(Surfel(self._row_offset[r] + t, up, r, j, vids))
 
         self.adjacency: list[tuple[int, int, tuple[int, int]]] = []
         for s in self.surfels:
@@ -260,7 +244,7 @@ class TriGrid:
         s = self.surfels[sid]
         scale = float(self.n) if s.up else -float(self.n)
         a = np.diag([scale, scale, 1.0])
-        v0 = np.array([s.corners[0, 0], s.corners[0, 1], 0.0])
+        v0 = np.array([*self.vertex_coords[s.vertex_ids[0]], 0.0])
         return a, v0
 
     def normalize_to_element(self, sid: int, g: GaussianMoment) -> GaussianMoment:

@@ -175,7 +175,8 @@ class STMMap:
 
         var_lists = enforce_rip(grid)
         self.sepsets: list[Sepset] = []
-        self._incident: list[list[Sepset]] = [[] for _ in grid.surfels]
+        # the sepsets with a variable at each surfel, in sepset order
+        self.incident: list[list[Sepset]] = [[] for _ in grid.surfels]
         for (a, b, _), variables in zip(grid.adjacency, var_lists):
             ids_a, ids_b = grid.surfels[a].vertex_ids, grid.surfels[b].vertex_ids
             empty = vacuous[len(variables)]
@@ -183,17 +184,14 @@ class STMMap:
                          tuple(ids_b.index(v) for v in variables), empty, empty)
             self.sepsets.append(sep)
             if variables:
-                self._incident[a].append(sep)
-                self._incident[b].append(sep)
+                self.incident[a].append(sep)
+                self.incident[b].append(sep)
 
         # Surfels are activated by measurements or by changed neighbor
         # messages; an untouched map is at its (empty) fixed point.
         self._active: set[int] = set()
         # surfels holding likelihood clusters, the only ones a fold changes
         self._with_clusters: set[int] = set()
-
-    def incident_sepsets(self, sid: int) -> list[Sepset]:
-        return self._incident[sid]
 
 
 def enforce_rip(grid: TriGrid) -> list[tuple]:
@@ -249,8 +247,8 @@ def neighbor_out_message(stm: STMMap, sep: Sepset, sid: int) -> GaussianCanonica
 
     Marginal of the surfel height belief divided by the reverse message.
     The dropped block is the belief's own, so the message is its Schur
-    complement, in closed form: `cholesky_small` and its forward solve
-    unrolled, each sum of products added left to right from 0.0. A dropped
+    complement, in closed form: the unblocked Cholesky step and its forward
+    solve unrolled, each sum of products added left to right from 0.0. A dropped
     block without a Cholesky factor takes the generic path, with its jitter
     retry and `SingularMarginalization`.
     """
@@ -340,6 +338,7 @@ def run_inference(stm: STMMap, batch: list[Measurement]) -> ConvergenceReport:
         state.recompute_beliefs()
         stm._active.add(sid)
         stm._with_clusters.add(sid)
+    del per_surfel  # the clusters keep their points as floats: free the element-frame copies
 
     tol = stm.convergence.kl_threshold
     messages_before = stm.message_count
@@ -360,7 +359,7 @@ def run_inference(stm: STMMap, batch: list[Measurement]) -> ConvergenceReport:
             # LBP: refresh the incoming neighbor message and ratio-update.
             # Summing in sepset order gives the bits of a factor product.
             t = [0.0] * 9
-            for sep in stm.incident_sepsets(sid):
+            for sep in stm.incident[sid]:
                 for k, x in zip(scatter_index(sep.positions(sid), 3), sep.msg_to(sid).t):
                     t[k] += x
             new_in = GaussianCanonical.of(tuple(t), 3)
@@ -371,10 +370,11 @@ def run_inference(stm: STMMap, batch: list[Measurement]) -> ConvergenceReport:
             # VMP: refit likelihood clusters. A cluster whose messages are
             # at their fixed point only needs refitting once the surfel
             # belief has moved since its last update (unread without clusters).
+            # Every check is `not d < tol`: a NaN divergence counts as a change.
             belief_moved = state.clusters and (
                 state.ref_belief_h is None
-                or _gauss_divergence(state.belief_h, state.ref_belief_h) >= tol
-                or _ig_divergence(state.belief_nu, state.ref_belief_nu) >= tol
+                or not _gauss_divergence(state.belief_h, state.ref_belief_h) < tol
+                or not _ig_divergence(state.belief_nu, state.ref_belief_nu) < tol
             )
             any_refit = False
             for cluster in state.clusters:
@@ -386,8 +386,8 @@ def run_inference(stm: STMMap, batch: list[Measurement]) -> ConvergenceReport:
                 stm.message_count += 1
                 any_refit = True
                 # a height message has rank one: no KL; both nu messages carry NU_MSG_EXPONENT
-                cluster.converged = max(_natural_divergence(height_message(cluster, cluster.w), old_h, 3),
-                                        _scale_change(cluster.nu_scale, old_scale)) < tol
+                cluster.converged = (_natural_divergence(height_message(cluster, cluster.w), old_h, 3) < tol
+                                     and _scale_change(cluster.nu_scale, old_scale) < tol)
                 if not cluster.converged:
                     belief_moved = True
             if any_refit:
@@ -397,17 +397,17 @@ def run_inference(stm: STMMap, batch: list[Measurement]) -> ConvergenceReport:
             # The surfel settles once its belief stops moving over a sweep;
             # internal message churn that cancels in the belief is ignored.
             changed = (
-                _gauss_divergence(state.belief_h, belief_h_start) >= tol
-                or _ig_divergence(state.belief_nu, belief_nu_start) >= tol
+                not _gauss_divergence(state.belief_h, belief_h_start) < tol
+                or not _ig_divergence(state.belief_nu, belief_nu_start) < tol
             )
 
             # LBP: emit messages to each neighbor.
-            for sep in stm.incident_sepsets(sid):
+            for sep in stm.incident[sid]:
                 other = sep.other(sid)
                 old = sep.msg_to(other)
                 msg = neighbor_out_message(stm, sep, sid)
                 sep.set_msg_to(other, msg)
-                if _gauss_divergence(msg, old) >= tol:
+                if not _gauss_divergence(msg, old) < tol:
                     changed = True
                     # a lower id was passed in this sweep: it waits for the next
                     if other < sid:
@@ -535,7 +535,7 @@ def mean_plane_heights(stm: STMMap, pts: np.ndarray, sids) -> np.ndarray:
     h = belief_moments(stm, sids)[0]
     surfels = [stm.grid.surfels[s] for s in sids]
     scale = np.array([stm.grid.n if s.up else -stm.grid.n for s in surfels], dtype=float)
-    a, b = (scale[:, None] * (pts - np.array([s.corners[0] for s in surfels]))).T
+    a, b = (scale[:, None] * (pts - stm.grid.vertex_coords[[s.vertex_ids[0] for s in surfels]])).T
     return (1.0 - a - b) * h[:, 0] + a * h[:, 1] + b * h[:, 2]
 
 

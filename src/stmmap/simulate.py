@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -275,16 +275,7 @@ class ScenarioReport:
             "scenario": self.scenario,
             "total_measurements": self.total_measurements,
             "total_messages": self.total_messages,
-            "steps": [
-                {
-                    "step": s.step,
-                    "n_new": s.n_new,
-                    "messages": s.messages,
-                    "normalized": s.normalized,
-                    "total_kl": s.total_kl,
-                }
-                for s in self.steps
-            ],
+            "steps": [asdict(s) for s in self.steps],
         }
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2)

@@ -30,6 +30,7 @@ import numpy as np
 from .distributions import (  # gauss_divide, solve_psd: the benchmark's tracer patches them here
     GaussianCanonical,
     InverseGammaFactor,
+    _read_only,
     cholesky_flat,
     cholesky_psd,
     forward3,
@@ -67,23 +68,20 @@ class Measurement:
 
     def __post_init__(self):
         # one owned copy each, so the caller's buffers cannot alias them
-        mean = np.asarray(self.mean, dtype=float).reshape(3).copy()
-        cov = np.asarray(self.cov, dtype=float).reshape(3, 3).copy()
-        mean.flags.writeable = False
-        cov.flags.writeable = False
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "mean", _read_only(np.asarray(self.mean, dtype=float).reshape(3).copy()))
+        object.__setattr__(self, "cov", _read_only(np.asarray(self.cov, dtype=float).reshape(3, 3).copy()))
 
 
 @dataclass(slots=True)
 class LikelihoodClusterState:
     """One measurement's likelihood cluster: its height message of weight w (see
     `height_message`), its deviation message (NU_MSG_EXPONENT, nu_scale), its mean z
-    as floats, and the information B of (alpha, beta, gamma) from z and the
-    (alpha, beta) prior, as B's upper triangle and B z."""
+    and covariance R's upper triangle by rows as floats, and the information B of
+    (alpha, beta, gamma) from z and the (alpha, beta) prior, as B's upper
+    triangle and B z."""
 
-    measurement: Measurement
     mean: tuple
+    cov: tuple
     point_info: tuple
     nu_scale: float
     w: float | None = None
@@ -186,8 +184,9 @@ def init_likelihood_cluster(measurement: Measurement, nu_scale: float, batch: in
     (o00, o01, o02), (o10, o11, o12), (o20, o21, o22) = point_omega.tolist()
     info = (o00, 0.5 * (o01 + o10), 0.5 * (o02 + o20), o11, 0.5 * (o12 + o21), o22,
             *(point_omega @ measurement.mean).tolist())
-    return LikelihoodClusterState(measurement, (*measurement.mean.tolist(),), info, float(nu_scale),
-                                  batch=batch)
+    r = measurement.cov.tolist()
+    return LikelihoodClusterState((*measurement.mean.tolist(),), (*r[0], *r[1][1:], r[2][2]), info,
+                                  float(nu_scale), batch=batch)
 
 
 def apportion_nu_scales(
@@ -239,7 +238,7 @@ def update_mean_plane_factor(
     # Var(u.e | d + e_ab = 0), u = (-g, 1): a 2x2 Schur complement with terms
     # the size of R. Taken on the full innovation covariance it cancels at P >> R.
     u0, u1 = mu[0] - mu[1], mu[0] - mu[2]
-    (r00, r01, r02), (_, r11, r12), (_, _, r22) = cluster.measurement.cov.tolist()
+    r00, r01, r02, r11, r12, r22 = cluster.cov
     c0, c1, c2 = r00 * u0 + r01 * u1 + r02, r01 * u0 + r11 * u1 + r12, r02 * u0 + r12 * u1 + r22
     a00, a11 = r00 + ALPHA_BETA_PRIOR_VAR, r11 + ALPHA_BETA_PRIOR_VAR
     explained = (a11 * c0 * c0 - 2.0 * r01 * c0 * c1 + a00 * c1 * c1) / (a00 * a11 - r01 * r01)

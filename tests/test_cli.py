@@ -88,6 +88,9 @@ class TestLoadConfig:
             ("run", "sensor", "sonar"),
             ("scenario", "steps", "1"),
             ("scenario", "density", "0"),
+            ("scenario", "density", "inf"),
+            ("scenario", "amplitude", "nan"),
+            ("scenario", "amplitude", "inf"),
         ],
     )
     def test_out_of_range(self, tmp_path, section, key, value):

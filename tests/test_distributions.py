@@ -18,7 +18,6 @@ from stmmap.distributions import (
     _RANK_RTOL,
     _same_size,
     cholesky_flat,
-    cholesky_small,
     forward3,
     gauss_divide,
     gauss_marginalize,
@@ -30,7 +29,7 @@ from stmmap.distributions import (
     solve_psd,
     unscented_transform,
 )
-from floatref import add_up, forward_small, same_bits
+from floatref import add_up, cholesky_small, forward_small, same_bits
 
 
 def random_gaussian(rng, n):
@@ -45,6 +44,7 @@ class TestGaussianCanonical:
         g = GaussianCanonical.vacuous(2)
         assert g.is_vacuous()
         assert not g.is_normalizable()
+        assert not GaussianCanonical.vacuous(0).is_normalizable()
 
     def test_symmetrization_on_construction(self):
         omega = np.array([[2.0, 0.1], [0.1 + 1e-13, 2.0]])
@@ -304,6 +304,10 @@ class TestKLGaussian:
         g = GaussianMoment(np.zeros(4), np.eye(4)).to_canonical()
         with pytest.raises(ValueError):
             kl_gaussian(g, g)
+        with pytest.raises(ValueError):
+            g.is_normalizable()
+        with pytest.raises(ValueError):
+            g.to_moments()
 
     def test_rejects_improper(self):
         g = GaussianCanonical.vacuous(1)
@@ -450,7 +454,7 @@ class TestUnrolledKernels:
 class TestInverseGamma:
     def test_flat_identity(self):
         f = InverseGammaFactor(2.5, 1.5)
-        out = ig_product(f, InverseGammaFactor.flat())
+        out = ig_product(f, InverseGammaFactor(0.0, 0.0))
         assert out == f
 
     def test_measurement_message_sum(self):

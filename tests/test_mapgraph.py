@@ -13,7 +13,6 @@ from stmmap.distributions import (
     GaussianCanonical,
     NotADistribution,
     SingularMarginalization,
-    cholesky_small,
     gauss_divide,
     gauss_marginalize,
     gauss_product,
@@ -50,7 +49,7 @@ from stmmap.surfel import (
     update_mean_plane_factor,
     update_planar_deviation_factor,
 )
-from floatref import add_up, forward_small, same_bits
+from floatref import add_up, cholesky_small, forward_small, same_bits
 
 EPS = np.finfo(float).eps
 
@@ -102,7 +101,7 @@ def reference_run_inference(stm, batch, converged):
 
             # LBP: refresh the incoming neighbor message and ratio-update.
             new_in = GaussianCanonical.vacuous(3)
-            for sep in stm.incident_sepsets(sid):
+            for sep in stm.incident[sid]:
                 new_in = gauss_product(new_in, sep.msg_to(sid).embed(sep.positions(sid), 3))
             ratio = gauss_divide(new_in, state.neighbor_in_msg)
             state.belief_h = gauss_product(state.belief_h, ratio)
@@ -148,7 +147,7 @@ def reference_run_inference(stm, batch, converged):
                 changed = True
 
             # LBP: emit messages to each neighbor.
-            for sep in stm.incident_sepsets(sid):
+            for sep in stm.incident[sid]:
                 other = sep.other(sid)
                 old = sep.msg_to(other)
                 msg = neighbor_out_message(stm, sep, sid)
@@ -231,10 +230,10 @@ def reference_forward(lower: list, v) -> list:
 
 def reference_well_conditioned(g: GaussianCanonical) -> bool:
     """Lowest eigenvalue of omega above 1e-9 times the highest."""
-    if g.dim == 3:
+    if g.n == 3:
         lam = np.linalg.eigvalsh(g.omega)
         lo, hi = lam[0], lam[-1]
-    elif g.dim == 1:
+    elif g.n == 1:
         lo = hi = float(g.omega[0, 0])
     else:
         (a, b), (_, c) = g.omega.tolist()
@@ -245,7 +244,7 @@ def reference_well_conditioned(g: GaussianCanonical) -> bool:
 
 def reference_kl_small(q: GaussianCanonical, p: GaussianCanonical) -> float:
     """`kl_gaussian` on 1- or 2-variable factors, from scalar Cholesky factors."""
-    n = q.dim
+    n = q.n
     lq, lp = (reference_cholesky_small(g.omega.tolist(), range(n)) for g in (q, p))
     cols = [reference_forward(lq, [row[j] if j < len(row) else 0.0 for row in lp]) for j in range(n)]
     y_q, y_p = reference_forward(lq, q.xi.tolist()), reference_forward(lp, p.xi.tolist())
@@ -258,7 +257,7 @@ def reference_kl_small(q: GaussianCanonical, p: GaussianCanonical) -> float:
 def reference_cholesky(g: GaussianCanonical) -> np.ndarray:
     """Lower Cholesky factor of omega; NotADistribution unless positive definite."""
     try:
-        if g.dim:
+        if g.n:
             return np.linalg.cholesky(g.omega)
     except np.linalg.LinAlgError:
         pass
@@ -276,7 +275,7 @@ def reference_kl_gaussian(q: GaussianCanonical, p: GaussianCanonical) -> float:
     lq_lp, y_q = sol[:, :-1], sol[:, -1]
     d = np.linalg.solve(lp, p.xi) - lq_lp.T @ y_q
     log_det_ratio = 2.0 * np.sum(np.log(np.diagonal(lq) / np.diagonal(lp)))
-    kl = 0.5 * (np.sum(lq_lp * lq_lp) + d @ d - q.dim + log_det_ratio)
+    kl = 0.5 * (np.sum(lq_lp * lq_lp) + d @ d - q.n + log_det_ratio)
     return max(float(kl), 0.0)
 
 
@@ -284,7 +283,7 @@ def reference_gauss_divergence(new: GaussianCanonical, old: GaussianCanonical) -
     """Exclusive KL between message iterates, with a relative natural-parameter
     surrogate when either iterate is improper (KL is then undefined)."""
     if reference_well_conditioned(new) and reference_well_conditioned(old):
-        return reference_kl_gaussian(new, old) if new.dim == 3 else reference_kl_small(new, old)
+        return reference_kl_gaussian(new, old) if new.n == 3 else reference_kl_small(new, old)
     return _natural_divergence(new.t, old.t, new.n)
 
 
@@ -532,7 +531,7 @@ class TestNeighborMessage:
             msg = neighbor_out_message(stm, sep, sep.s)
             # prior-only map: messages carry prior information only, and
             # must be well-defined
-            assert msg.dim == len(sep.variables)
+            assert msg.n == len(sep.variables)
 
     def test_observed_surfel_informs_neighbor(self):
         grid = TriGrid.strip(2)
@@ -848,6 +847,18 @@ class TestRunInference:
         report = run_inference(stm, make_measurements(grid, 5, seed=6))
         assert stm.message_count - before == report.messages
         assert report.messages > 0
+
+    def test_nan_divergence_is_not_convergence(self):
+        # a sepset message whose xi overflowed gives its receiver a belief
+        # whose KL from the last one is NaN: a change, not convergence
+        stm = STMMap(TriGrid.strip(2), PriorConfig(), convergence=ConvergenceConfig(1e-3, 5))
+        sep = stm.sepsets[0]
+        n = len(sep.variables)
+        sep.msg_to_s = GaussianCanonical(np.r_[math.inf, np.zeros(n - 1)], np.eye(n))
+        stm._active.add(sep.s)
+        report = run_inference(stm, [])
+        assert not report.converged
+        assert report.sweeps == 5
 
     def test_cluster_test_is_the_divergence_surrogate(self):
         # a refit height message has rank one, so `_gauss_divergence` takes
@@ -1221,7 +1232,7 @@ class TestBatchedRead:
         stm = STMMap(grid, PriorConfig())
         run_inference(stm, make_measurements(grid, 3, seed=23))
         stm.surfels[5].belief_h = indefinite_belief()
-        inside, other = grid.surfels[5].corners.mean(axis=0), grid.surfels[0].corners.mean(axis=0)
+        inside, other = (grid.vertex_coords[list(grid.surfels[s].vertex_ids)].mean(axis=0) for s in (5, 0))
         for read in (query_map, reference_query_map):
             with pytest.raises(NotADistribution):
                 read(stm)

@@ -18,7 +18,6 @@ from stmmap.distributions import (
     InverseGammaFactor,
     SingularMarginalization,
     cholesky_psd,
-    cholesky_small,
     gauss_divide,
     gauss_product,
     ig_divide,
@@ -46,7 +45,7 @@ from stmmap.surfel import (
     update_mean_plane_factor,
     update_planar_deviation_factor,
 )
-from floatref import same_bits
+from floatref import cholesky_small, same_bits
 
 LABELS = ("h0", "ha", "hb")
 
@@ -61,6 +60,12 @@ def compute_incoming_message(
     in_h = gauss_divide(state.belief_h, cluster.out_msg_h)
     in_nu = ig_divide(state.belief_nu, cluster.out_msg_nu)
     return in_h, in_nu
+
+
+def measurement_cov(cluster) -> np.ndarray:
+    """The cluster's measurement covariance R, from its upper triangle, as a 3x3 array."""
+    r00, r01, r02, r11, r12, r22 = cluster.cov
+    return np.array([[r00, r01, r02], [r01, r11, r12], [r02, r12, r22]])
 
 
 def residual_gradient(h0: float, ha: float, hb: float, alpha: float, beta: float) -> np.ndarray:
@@ -87,7 +92,7 @@ def reference_fused_cluster_joint(state, cluster):
 
     sigma_in = inv_psd(in_h.omega)
     mu_in = sigma_in @ in_h.xi
-    z = cluster.measurement.mean
+    z = np.array(cluster.mean)
     mu_c = np.concatenate([mu_in, z[:2]])
     sigma_c = np.zeros((5, 5))
     sigma_c[:3, :3] = sigma_in
@@ -105,7 +110,7 @@ def reference_fused_cluster_joint(state, cluster):
     pred_mean = np.append(mu_c, mean_plane_eval(mu_c[3], mu_c[4], mu_c[:3]))
     xi_bar = omega_bar @ pred_mean
 
-    prec_z = inv_psd(cluster.measurement.cov)
+    prec_z = inv_psd(measurement_cov(cluster))
     omega = omega_bar.copy()
     omega[3:, 3:] += prec_z
     xi = xi_bar.copy()
@@ -164,7 +169,7 @@ def numpy_cluster(cluster):
     """A stand-in for `cluster` with its messages and point information as factors."""
     b00, b01, b02, b11, b12, b22, *p_xi = cluster.point_info
     point_omega = [[b00, b01, b02], [b01, b11, b12], [b02, b12, b22]]
-    return SimpleNamespace(measurement=cluster.measurement, out_msg_h=cluster.out_msg_h,
+    return SimpleNamespace(mean=cluster.mean, cov=cluster.cov, out_msg_h=cluster.out_msg_h,
                            out_msg_nu=cluster.out_msg_nu, point_info=GaussianCanonical(p_xi, point_omega))
 
 
@@ -181,16 +186,16 @@ def numpy_update_mean_plane_factor(
     in_h, in_nu = compute_incoming_message(state, cluster)
     mu = solve_psd(in_h.omega, in_h.xi)
     h0, ha, hb = mu.tolist()
-    alpha, beta, gamma = cluster.measurement.mean.tolist()
+    alpha, beta, gamma = cluster.mean
     # Linearized, gamma - F.h = g.d + deviation + e_gamma, with g the slope at
     # mu, d ~ N(0, P I) the true minus the measured (alpha, beta) and e ~ N(0, R)
     # the noise. The measurement pins d + e_ab = 0, which leaves 1/w = nu_bar +
     # Var(u.e | d + e_ab = 0), u = (-g, 1): a 2x2 Schur complement with terms
     # the size of R. Taken on the full innovation covariance it cancels at P >> R.
     u = np.array([h0 - ha, h0 - hb, 1.0])
-    ru = cluster.measurement.cov @ u
+    ru = measurement_cov(cluster) @ u
     c0, c1, _ = ru.tolist()
-    (r00, r01, _), (_, r11, _), _ = cluster.measurement.cov.tolist()
+    r00, r01, _, r11, _, _ = cluster.cov
     a00, a11 = r00 + ALPHA_BETA_PRIOR_VAR, r11 + ALPHA_BETA_PRIOR_VAR
     explained = (a11 * c0 * c0 - 2.0 * r01 * c0 * c1 + a00 * c1 * c1) / (a00 * a11 - r01 * r01)
     w = 1.0 / (ig_expected_deviation(state.belief_nu) + float(u @ ru) - explained)
@@ -216,7 +221,7 @@ def numpy_update_planar_deviation_factor(
     """
     in_h, in_nu, mu_in = incoming
     nu_bar = ig_expected_deviation(state.belief_nu)
-    alpha, beta, _ = cluster.measurement.mean.tolist()
+    alpha, beta, _ = cluster.mean
     h0, ha, hb = mu_in.tolist()
     # the linearized residual grad.x - offset is N(0, nu_bar); f is linear
     # in h, so offset = -g.(alpha, beta) with g the slope at mu_in
@@ -717,7 +722,7 @@ def exact_deviation_scale(state, cluster) -> Fraction:
     in_h = [Fraction(x - y) for x, y in zip(state.belief_h.t, height_message(cluster, cluster.w))]
     nu_bar = Fraction(state.belief_nu.scale) / (Fraction(state.belief_nu.exponent) - 1)
     h0, ha, hb = solve(sym(in_h[3:]), in_h[:3])
-    alpha, beta, _ = map(Fraction, cluster.measurement.mean.tolist())
+    alpha, beta, _ = map(Fraction, cluster.mean)
     point = [Fraction(x) for x in cluster.point_info]
     grad = [alpha + beta - 1, -alpha, -beta, h0 - ha, h0 - hb, Fraction(1)]
     omega = [[gi * gj / nu_bar for gj in grad] for gi in grad]
