@@ -12,6 +12,9 @@ adaptation failure.
 Every run writes a manifest (config hash, seed, versions) next to its
 outputs; re-running with the same config and seed reproduces the outputs
 byte for byte.
+
+`stm build` carries its points as arrays: parse checks, the map into the
+submap frame and each ingestion batch's `MeasurementBatch` are stacked.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from .simulate import (
     scenario_pushbroom,
     scenario_reobserve,
 )
-from .surfel import Measurement
+from .surfel import Measurement, MeasurementBatch
 
 FORMAT_VERSION = 1
 
@@ -265,9 +268,11 @@ def parse_points_csv(path: str) -> ParseResult:
 
     Accepts the 9-column form x,y,z,sxx,syy,szz,sxy,sxz,syz or the
     4-column isotropic form x,y,z,sigma. Malformed rows, including rows
-    with a NaN or infinite field, are skipped with line-numbered warnings.
+    with a NaN or infinite field, are skipped with line-numbered warnings in
+    line order, each naming the first of: a field that is not a number, a
+    non-finite value, the column count, sigma or the covariance (checked stacked).
     """
-    means, covs, warnings = [], [], []
+    rows, lines, faults = [], [], {}
     n_rows = 0
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -275,11 +280,7 @@ def parse_points_csv(path: str) -> ParseResult:
         if header is None:
             raise ConfigError(f"{path}: empty points file")
         header = [h.strip().lower() for h in header]
-        if header == _FULL_COLS:
-            iso = False
-        elif header == _ISO_COLS:
-            iso = True
-        else:
+        if header not in (_FULL_COLS, _ISO_COLS):
             raise ConfigError(
                 f"{path}: unrecognized header {header}; expected "
                 f"{','.join(_FULL_COLS)} or {','.join(_ISO_COLS)}"
@@ -289,32 +290,32 @@ def parse_points_csv(path: str) -> ParseResult:
                 continue
             n_rows += 1
             try:
-                vals = _finite_floats(row)
-                if len(vals) != len(header):
-                    raise ValueError(f"expected {len(header)} columns, got {len(vals)}")
-                if iso:
-                    x, y, z, sigma = vals
-                    if sigma <= 0:
-                        raise ValueError("sigma must be positive")
-                    cov = sigma * sigma * np.eye(3)
-                else:
-                    x, y, z, sxx, syy, szz, sxy, sxz, syz = vals
-                    cov = np.array(
-                        [[sxx, sxy, sxz], [sxy, syy, syz], [sxz, syz, szz]]
-                    )
-                    if np.linalg.eigvalsh(cov).min() <= 0:
-                        raise ValueError("covariance is not positive definite")
+                vals = [float(c) for c in row]
             except ValueError as exc:
-                warnings.append(f"{path}:{lineno}: skipping row: {exc}")
+                faults[lineno] = exc
                 continue
-            means.append([x, y, z])
-            covs.append(cov)
-    return ParseResult(
-        means=np.asarray(means).reshape(len(means), 3),
-        covs=np.asarray(covs).reshape(len(covs), 3, 3),
-        warnings=warnings,
-        n_total_rows=n_rows,
-    )
+            if len(vals) == len(header):
+                rows.append(vals)
+                lines.append(lineno)
+            else:
+                faults[lineno] = (f"expected {len(header)} columns, got {len(vals)}"
+                                  if all(map(math.isfinite, vals)) else "non-finite value")
+    vals = np.array(rows).reshape(-1, len(header))
+    finite = np.isfinite(vals).all(axis=1)
+    if header == _ISO_COLS:
+        covs = (vals[:, 3] * vals[:, 3])[:, None, None] * np.eye(3)
+        bad = finite & (vals[:, 3] <= 0)
+        fault = "sigma must be positive"
+    else:
+        covs = vals[:, [3, 6, 7, 6, 4, 8, 7, 8, 5]].reshape(-1, 3, 3)
+        bad = finite.copy()
+        bad[finite] = np.linalg.eigvalsh(covs[finite]).min(axis=1) <= 0
+        fault = "covariance is not positive definite"
+    faults.update({lines[i]: "non-finite value" for i in np.flatnonzero(~finite)})
+    faults.update({lines[i]: fault for i in np.flatnonzero(bad)})
+    keep = finite & ~bad
+    warnings = [f"{path}:{lineno}: skipping row: {faults[lineno]}" for lineno in sorted(faults)]
+    return ParseResult(means=vals[keep, :3], covs=covs[keep], warnings=warnings, n_total_rows=n_rows)
 
 
 def parse_landmarks_csv(path: str) -> np.ndarray:
@@ -436,31 +437,30 @@ def _cmd_build(args) -> int:
     except DegenerateLandmarks as exc:
         raise ConfigError(f"submap frame: {exc}") from exc
     b_inv = np.linalg.inv(irf.basis)
-
-    measurements = []
+    # the per-point products b_inv @ (m - l0) and b_inv @ C @ b_inv.T, stacked
+    means = (b_inv @ (parsed.means - irf.l0)[..., None])[..., 0]
+    covs = b_inv @ parsed.covs @ b_inv.T
+    n_points, ids = len(means), np.arange(len(means))
     n_outside = n_rejected = 0
-    for i in range(len(parsed.means)):
-        rel_mean = b_inv @ (parsed.means[i] - irf.l0)
-        rel_cov = b_inv @ parsed.covs[i] @ b_inv.T
-        measurements.append(Measurement(rel_mean, rel_cov, i))
 
     skipped_frac = len(parsed.warnings) / max(parsed.n_total_rows, 1)
 
     grid = TriGrid.triangle(cfg.depth)
     stm = STMMap(grid, cfg.prior(), window=cfg.window, convergence=cfg.convergence())
-    batch_size = cfg.batch_size or len(measurements) or 1
+    batch_size = cfg.batch_size or n_points or 1
     all_converged = True
     t0 = time.perf_counter()
-    for start in range(0, len(measurements), batch_size):
-        report = incremental_update(stm, measurements[start:start + batch_size])
+    for start in range(0, n_points, batch_size):
+        rows = slice(start, start + batch_size)
+        report = incremental_update(stm, MeasurementBatch(means[rows], covs[rows], ids[rows]))
         all_converged = all_converged and report.converged
         n_outside += report.n_skipped_outside
         n_rejected += sum(report.n_rejected.values())
     elapsed = time.perf_counter() - t0
 
-    n_used = len(measurements) - n_outside - n_rejected
+    n_used = n_points - n_outside - n_rejected
     per_meas_ms = 1e3 * elapsed / max(n_used, 1)
-    print(f"ingested {n_used} of {len(measurements)} points "
+    print(f"ingested {n_used} of {n_points} points "
           f"({len(parsed.warnings)} rows skipped, {n_outside} outside the submap, "
           f"{n_rejected} rejected by the map); "
           f"update time {per_meas_ms:.3f} ms/measurement")

@@ -222,7 +222,8 @@ class TriGrid:
         return len(self.vertex_coords)
 
     def locate(self, alpha: float, beta: float) -> int:
-        """Surfel id containing (alpha, beta); edge ties go to the up element."""
+        """Surfel id containing (alpha, beta); edge ties go to the up element, as
+        do points of a row's last cell that rounding puts past the hypotenuse."""
         if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0 and alpha + beta <= 1.0):
             raise OutsideSubmap(f"({alpha}, {beta}) outside the unit triangle")
         n = self.n
@@ -232,27 +233,36 @@ class TriGrid:
             raise OutsideSubmap(f"({alpha}, {beta}) outside the grid rows")
         j = min(int(x), n - r - 1)
         fx, fy = x - j, y - r
-        t = 2 * j if fx + fy <= 1.0 else 2 * j + 1
+        t = 2 * j if fx + fy <= 1.0 or j == n - r - 1 else 2 * j + 1
         return self._row_offset[r] + t
 
-    def element_affine(self, sid: int) -> tuple[np.ndarray, np.ndarray]:
-        """(A, v0) of the map local = A @ (p - v0) on (alpha, beta, gamma).
+    def locate_all(self, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+        """`locate` of every point, in its arithmetic and with its edge ties; -1 outside the grid."""
+        n = self.n
+        inside = (0.0 <= alpha) & (alpha <= 1.0) & (0.0 <= beta) & (beta <= 1.0) & (alpha + beta <= 1.0)
+        x, y = np.where(inside, alpha, 0.0) * n, np.where(inside, beta, 0.0) * n
+        r = np.minimum(y.astype(int), self.rows - 1)
+        j = np.minimum(x.astype(int), n - r - 1)
+        t = 2 * j + ((x - j + (y - r) > 1.0) & (j < n - r - 1))
+        return np.where(inside & (y - r <= 1.0), np.array(self._row_offset)[r] + t, -1)
 
-        Sends the element's vertex triple to the unit corners; gamma is
-        untouched. Down-oriented elements use a point reflection.
-        """
-        s = self.surfels[sid]
-        scale = float(self.n) if s.up else -float(self.n)
-        a = np.diag([scale, scale, 1.0])
-        v0 = np.array([*self.vertex_coords[s.vertex_ids[0]], 0.0])
+    def element_frames(self, sids) -> tuple[np.ndarray, np.ndarray]:
+        """(A, v0) of the map local = A @ (p - v0) on (alpha, beta, gamma) of each
+        element, stacked: A (k, 3, 3), v0 (k, 3). A sends the element's vertex triple to
+        the unit corners, leaving gamma; down elements use a point reflection."""
+        surfels = [self.surfels[s] for s in sids]
+        a, v0 = np.zeros((len(surfels), 3, 3)), np.zeros((len(surfels), 3))
+        a[:, 0, 0] = a[:, 1, 1] = [self.n if s.up else -self.n for s in surfels]
+        a[:, 2, 2] = 1.0
+        v0[:, :2] = self.vertex_coords[[s.vertex_ids[0] for s in surfels]]
         return a, v0
+
+    def element_affine(self, sid: int) -> tuple[np.ndarray, np.ndarray]:
+        """`element_frames` of one element: A (3, 3) and v0 (3,)."""
+        a, v0 = self.element_frames([sid])
+        return a[0], v0[0]
 
     def normalize_to_element(self, sid: int, g: GaussianMoment) -> GaussianMoment:
         """Express a 3-D submap-coordinate Gaussian in unit-element coordinates."""
         a, v0 = self.element_affine(sid)
         return GaussianMoment(a @ (g.mu - v0), a @ g.sigma @ a.T)
-
-    def denormalize_from_element(self, sid: int, g: GaussianMoment) -> GaussianMoment:
-        a, v0 = self.element_affine(sid)
-        ainv = np.diag(1.0 / np.diag(a))
-        return GaussianMoment(ainv @ g.mu + v0, ainv @ g.sigma @ ainv.T)

@@ -15,6 +15,9 @@ A changed message activates its receiver, in this sweep if the receiver's
 id is higher, else in the next; a surfel that changed stays active. This
 is the order of a full scan that skips converged surfels, so a sweep costs
 only the active surfels; those left at `max_sweeps` carry over.
+
+A measurement batch is a `MeasurementBatch` of arrays before the map
+changes; validation and association run once per batch, stacked.
 """
 
 from __future__ import annotations
@@ -42,12 +45,13 @@ from .distributions import (
     scatter_index,
     upper_index,
 )
-from .geometry import OutsideSubmap, TriGrid
+from .geometry import TriGrid
 from .surfel import (
     FALLBACKS,
-    Measurement,
+    MeasurementBatch,
     SurfelState,
     apportion_nu_scales,
+    cluster_rows,
     height_message,
     init_likelihood_cluster,
     update_mean_plane_factor,
@@ -215,13 +219,16 @@ def enforce_rip(grid: TriGrid) -> list[tuple]:
 
 
 def _relative_change(new, old) -> float:
-    """Largest change of a parameter sequence, relative to 1 + its old largest magnitude."""
+    """Largest change of a sequence of finite parameters, relative to 1 + its old largest magnitude."""
     return max(map(abs, map(sub, new, old))) / (1.0 + max(map(abs, old)))
 
 
 def _natural_divergence(new: tuple, old: tuple, n: int) -> float:
     """Relative change of the natural parameters t of an n-variable Gaussian
-    factor; omega's upper triangle holds every value of the symmetric matrix."""
+    factor; omega's upper triangle holds every value of the symmetric matrix.
+    Inf where a value is not finite: one check of both parts of t."""
+    if not math.isfinite(sum(new) - sum(old)) and not all(map(math.isfinite, (*new, *old))):
+        return math.inf  # (a sum of finite values may overflow: then each is checked)
     return max(_relative_change(new[n:], old[n:]), _relative_change(new[:n], old[:n]))
 
 
@@ -276,69 +283,67 @@ def neighbor_out_message(stm: STMMap, sep: Sepset, sid: int) -> GaussianCanonica
     return gauss_marginalize(gauss_divide(belief, reverse.embed(pos, 3)), pos)
 
 
-def _associate(stm: STMMap, batch: list[Measurement]) -> tuple[dict, int, int]:
-    """Group measurements by surfel, expressed in normalized-element coordinates
-    and paired with the inverse of their covariance there; also count those
-    outside the submap and those whose covariance has no LU inverse."""
-    per_surfel: dict[int, list[tuple[Measurement, np.ndarray]]] = {}
-    skipped = singular = 0
-    for m in batch:
-        try:
-            sid = stm.grid.locate(float(m.mean[0]), float(m.mean[1]))
-        except OutsideSubmap:
-            skipped += 1
-            continue
-        # `TriGrid.normalize_to_element` without its moment-form checks
-        a, v0 = stm.grid.element_affine(sid)
-        cov = a @ (0.5 * (m.cov + m.cov.T)) @ a.T
-        cov = 0.5 * (cov + cov.T)
-        try:
-            cov_inv = np.linalg.inv(cov)
-        except np.linalg.LinAlgError:
-            singular += 1
-            continue
-        per_surfel.setdefault(sid, []).append((Measurement(a @ (m.mean - v0), cov, m.id), cov_inv))
-    return per_surfel, skipped, singular
+def _stacked(fn, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """fn of the rows of a matrix stack it does not raise LinAlgError on, in one
+    stacked call, and a mask of those rows; row by row only if the stack raises."""
+    ok = np.ones(len(stack), dtype=bool)
+    try:
+        return fn(stack), ok
+    except np.linalg.LinAlgError:
+        for i, m in enumerate(stack):
+            try:
+                fn(m)
+            except np.linalg.LinAlgError:
+                ok[i] = False
+        return fn(stack[ok]), ok
 
 
-def run_inference(stm: STMMap, batch: list[Measurement]) -> ConvergenceReport:
+def _associate(stm: STMMap, batch: MeasurementBatch) -> tuple[np.ndarray, list, np.ndarray, int, int]:
+    """Locate a batch's points, map them into element coordinates (the products of
+    `TriGrid.element_affine`, stacked) and invert their covariances there in one
+    stacked call. Returns the surfel id, `cluster_rows` row and element gamma of
+    each point used, and counts those outside and those without an LU inverse."""
+    sids = stm.grid.locate_all(batch.means[:, 0], batch.means[:, 1])
+    inside = sids >= 0
+    a, v0 = stm.grid.element_frames(sids[inside].tolist())
+    covs = batch.covs[inside]
+    covs = a @ (0.5 * (covs + covs.swapaxes(1, 2))) @ a.swapaxes(1, 2)
+    covs = 0.5 * (covs + covs.swapaxes(1, 2))
+    cov_invs, ok = _stacked(np.linalg.inv, covs)
+    means = (a @ (batch.means[inside] - v0)[..., None])[ok, :, 0]
+    return (sids[inside][ok], cluster_rows(means, covs[ok], cov_invs), means[:, 2],
+            len(sids) - len(covs), len(covs) - len(means))
+
+
+def run_inference(stm: STMMap, batch) -> ConvergenceReport:
     """Incorporate one measurement batch and iterate to convergence.
 
-    Measurements must already be in submap (alpha, beta, gamma) coordinates.
-    Points outside the submap are counted and skipped; measurements
-    `validate_batch` rejects, and those whose covariance in element
-    coordinates is singular ("cov_singular"), are skipped before the map
-    changes and counted on the report.
+    The batch is a `MeasurementBatch` or a list of `Measurement`, already in
+    submap (alpha, beta, gamma) coordinates. Points outside the submap are
+    counted and skipped; measurements `validate_batch` rejects, and those
+    whose covariance in element coordinates is singular ("cov_singular"),
+    are skipped before the map changes and counted on the report.
     """
-    batch, rejected = validate_batch(batch)
-    per_surfel, skipped, singular = _associate(stm, batch)
+    batch, rejected = validate_batch(MeasurementBatch.of(batch))
+    sids, rows, gammas, skipped, singular = _associate(stm, batch)
     if singular:
         rejected["cov_singular"] = singular
-    n_used = sum(len(v) for v in per_surfel.values())
-
-    gamma_all = np.array(
-        [m.mean[2] for ms in per_surfel.values() for m, _ in ms], dtype=float
-    )
+    per_surfel: dict[int, list[int]] = {}  # rows by surfel in the order of first sight, as np.var sums them
+    for i, sid in enumerate(sids.tolist()):
+        per_surfel.setdefault(sid, []).append(i)
+    gamma_all = gammas[[i for rs in per_surfel.values() for i in rs]]
     fallback_var = float(np.var(gamma_all)) if gamma_all.size >= 2 else 1e-2
 
-    for sid, ms in per_surfel.items():
+    for sid, rs in per_surfel.items():
         state = stm.surfels[sid]
-        gammas = np.array([m.mean[2] for m, _ in ms])
         target = state.expected_deviation() if state.n_meas_total > 0 else None
-        nu_scale = apportion_nu_scales(
-            gammas,
-            state.belief_nu.exponent,
-            state.belief_nu.scale,
-            fallback_var,
-            target_var=target,
-        )
-        state.clusters += [init_likelihood_cluster(m, nu_scale, stm.batch, cov_inv)
-                           for m, cov_inv in ms]
-        state.n_meas_total += len(ms)
+        nu_scale = apportion_nu_scales(gammas[rs], state.belief_nu.exponent, state.belief_nu.scale,
+                                       fallback_var, target_var=target)
+        state.clusters += [init_likelihood_cluster(rows[i], nu_scale, stm.batch) for i in rs]
+        state.n_meas_total += len(rs)
         state.recompute_beliefs()
         stm._active.add(sid)
         stm._with_clusters.add(sid)
-    del per_surfel  # the clusters keep their points as floats: free the element-frame copies
 
     tol = stm.convergence.kl_threshold
     messages_before = stm.message_count
@@ -423,7 +428,7 @@ def run_inference(stm: STMMap, batch: list[Measurement]) -> ConvergenceReport:
         converged=not stm._active,
         sweeps=len(active_per_sweep),
         messages=stm.message_count - messages_before,
-        n_measurements=n_used,
+        n_measurements=len(rows),
         n_skipped_outside=skipped,
         n_rejected=rejected,
         active_per_sweep=active_per_sweep,
@@ -431,34 +436,31 @@ def run_inference(stm: STMMap, batch: list[Measurement]) -> ConvergenceReport:
     )
 
 
-def validate_batch(batch: list[Measurement]) -> tuple[list[Measurement], dict]:
+def validate_batch(batch: MeasurementBatch) -> tuple[MeasurementBatch, dict]:
     """The measurements a map can take, and counts of the others by reason:
     a non-finite value, an asymmetric covariance, or a covariance without a
     Cholesky factor (no jitter)."""
-    means = np.array([m.mean for m in batch]).reshape(-1, 3)
-    covs = np.array([m.cov for m in batch]).reshape(-1, 3, 3)
+    means, covs = batch.means, batch.covs
     with np.errstate(invalid="ignore"):
         finite = np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))
         asym = abs(covs - covs.swapaxes(1, 2)).max(axis=(1, 2)) > 1e-9 * abs(covs).max(axis=(1, 2))
     reasons = np.where(finite, np.where(asym, "asymmetric_cov", ""), "non_finite").astype(object)
-    try:
-        np.linalg.cholesky(covs[reasons == ""])
-    except np.linalg.LinAlgError:  # find the rows without a factor
-        for i in np.flatnonzero(reasons == ""):
-            try:
-                np.linalg.cholesky(covs[i])
-            except np.linalg.LinAlgError:
-                reasons[i] = "cov_not_positive_definite"
-    return [m for m, r in zip(batch, reasons) if not r], dict(Counter(r for r in reasons if r))
+    rest = np.flatnonzero(reasons == "")
+    reasons[rest[~_stacked(np.linalg.cholesky, covs[rest])[1]]] = "cov_not_positive_definite"
+    keep = reasons == ""
+    return MeasurementBatch(means[keep], covs[keep], batch.ids[keep]), dict(Counter(r for r in reasons if r))
 
 
-def incremental_update(stm: STMMap, batch: list[Measurement]) -> ConvergenceReport:
+def incremental_update(stm: STMMap, batch) -> ConvergenceReport:
     """Window old clusters into the priors, then run inference on the new batch.
 
     With window W, clusters from batches older than the W most recent are
     folded into the priors; the default W=1 keeps only the incoming batch
     live. Sepset messages are retained as the warm start for the new batch.
+    The batch is a `MeasurementBatch` or a list of `Measurement`; one of any
+    other type or shape raises before the map changes.
     """
+    batch = MeasurementBatch.of(batch)
     stm.batch += 1
     cutoff = stm.batch - stm.window
     for sid in list(stm._with_clusters):
@@ -533,9 +535,8 @@ def mean_plane_heights(stm: STMMap, pts: np.ndarray, sids) -> np.ndarray:
     of the given elements are read.
     """
     h = belief_moments(stm, sids)[0]
-    surfels = [stm.grid.surfels[s] for s in sids]
-    scale = np.array([stm.grid.n if s.up else -stm.grid.n for s in surfels], dtype=float)
-    a, b = (scale[:, None] * (pts - stm.grid.vertex_coords[[s.vertex_ids[0] for s in surfels]])).T
+    scale, v0 = stm.grid.element_frames(sids)
+    a, b = (scale[:, 0, :1] * (pts - v0[:, :2])).T
     return (1.0 - a - b) * h[:, 0] + a * h[:, 1] + b * h[:, 2]
 
 

@@ -12,7 +12,8 @@ residual gamma - f under the cluster's joint over (h0, h_alpha, h_beta,
 alpha, beta, gamma); eliminating (alpha, beta, gamma) from it leaves the
 refitted height belief, so this takes two 3x3 Cholesky factors. The refits
 read the height belief's floats from `GaussianCanonical.t` and store a new
-factor.
+factor. A batch's clusters are seeded from float rows that `cluster_rows`
+computes for the whole batch at once.
 
 Beliefs satisfy the additive bookkeeping invariant at all times:
 belief = prior * neighbor_in_msg * product(cluster out messages)
@@ -24,6 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from operator import add, sub
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,6 +72,29 @@ class Measurement:
         # one owned copy each, so the caller's buffers cannot alias them
         object.__setattr__(self, "mean", _read_only(np.asarray(self.mean, dtype=float).reshape(3).copy()))
         object.__setattr__(self, "cov", _read_only(np.asarray(self.cov, dtype=float).reshape(3, 3).copy()))
+
+
+class MeasurementBatch(NamedTuple):
+    """Measurements as arrays: means (n, 3), covariances (n, 3, 3) and ids (n,)."""
+
+    means: np.ndarray
+    covs: np.ndarray
+    ids: np.ndarray
+
+    @classmethod
+    def of(cls, batch) -> "MeasurementBatch":
+        """The batch as float arrays, from a batch or from a list of `Measurement`;
+        TypeError or ValueError for anything else."""
+        if not isinstance(batch, cls):
+            if not all(isinstance(m, Measurement) for m in batch):
+                raise TypeError("a measurement batch is a MeasurementBatch or a list of Measurement")
+            batch = cls(np.array([m.mean for m in batch]).reshape(-1, 3),
+                        np.array([m.cov for m in batch]).reshape(-1, 3, 3), [m.id for m in batch])
+        means, covs, ids = (np.asarray(x, dtype=t) for x, t in zip(batch, (float, float, None)))
+        if ids.ndim != 1 or means.shape != (len(ids), 3) or covs.shape != (len(ids), 3, 3):
+            raise ValueError(f"means {means.shape}, covs {covs.shape} and ids {ids.shape} "
+                             "are not (n, 3), (n, 3, 3) and (n,)")
+        return cls(means, covs, ids)
 
 
 @dataclass(slots=True)
@@ -170,23 +195,24 @@ def height_message(cluster: LikelihoodClusterState, w: float | None) -> tuple:
             w * alpha * alpha, w * alpha * beta, w * beta * beta)
 
 
-def init_likelihood_cluster(measurement: Measurement, nu_scale: float, batch: int = 0,
-                            cov_inv: np.ndarray = None) -> LikelihoodClusterState:
-    """Initial near-vacuous messages for a new measurement's cluster.
-
-    The height message is the initial one (see `height_message`); the
-    deviation message carries the caller-apportioned scale (see
-    `apportion_nu_scales`). `cov_inv` is the covariance's inverse, if known.
+def cluster_rows(means: np.ndarray, covs: np.ndarray, cov_invs: np.ndarray) -> list[tuple]:
+    """The floats each new likelihood cluster keeps (see `LikelihoodClusterState`):
+    its mean, its covariance's upper triangle by rows and its point information,
+    from stacked element-frame means (k, 3), covariances and their inverses (k, 3, 3).
     """
-    if cov_inv is None:
-        cov_inv = np.linalg.inv(measurement.cov)  # checked by `validate_batch`, `_associate`
-    point_omega = cov_inv + np.diag([1.0 / ALPHA_BETA_PRIOR_VAR] * 2 + [0.0])
-    (o00, o01, o02), (o10, o11, o12), (o20, o21, o22) = point_omega.tolist()
-    info = (o00, 0.5 * (o01 + o10), 0.5 * (o02 + o20), o11, 0.5 * (o12 + o21), o22,
-            *(point_omega @ measurement.mean).tolist())
-    r = measurement.cov.tolist()
-    return LikelihoodClusterState((*measurement.mean.tolist(),), (*r[0], *r[1][1:], r[2][2]), info,
-                                  float(nu_scale), batch=batch)
+    omega = cov_invs + np.diag([1.0 / ALPHA_BETA_PRIOR_VAR] * 2 + [0.0])
+    o = omega.reshape(-1, 9)
+    info = np.column_stack([o[:, 0], 0.5 * (o[:, 1] + o[:, 3]), 0.5 * (o[:, 2] + o[:, 6]), o[:, 4],
+                            0.5 * (o[:, 5] + o[:, 7]), o[:, 8], (omega @ means[..., None])[..., 0]])
+    upper = covs.reshape(-1, 9)[:, [0, 1, 2, 4, 5, 8]]
+    return list(zip(map(tuple, means.tolist()), map(tuple, upper.tolist()), map(tuple, info.tolist())))
+
+
+def init_likelihood_cluster(row: tuple, nu_scale: float, batch: int = 0) -> LikelihoodClusterState:
+    """Initial near-vacuous messages for a new measurement's cluster, from its
+    `cluster_rows` row: the initial height message (see `height_message`) and
+    the caller-apportioned deviation scale (see `apportion_nu_scales`)."""
+    return LikelihoodClusterState(*row, float(nu_scale), batch=batch)
 
 
 def apportion_nu_scales(

@@ -185,6 +185,71 @@ class TestParsePoints:
         assert res.warnings == []
 
 
+class TestMixedMalformedRows:
+    # each bad row names its first fault: a field that is not a number, a
+    # non-finite value, the column count, then sigma or the covariance
+    FORMS = {
+        "full": ("x,y,z,sxx,syy,szz,sxy,sxz,syz", [
+            ("0.1,0.2,0.3,1,1,1,0,0,0", None),
+            ("0,0,abc,1,1,1,0,0,0", "could not convert string to float: 'abc'"),
+            ("0,0,nan,1,1,1,0,0,0", "non-finite value"),
+            ("0,0,0,1,1,1,0,0", "expected 9 columns, got 8"),
+            ("nan,0,0,1,1,1,0,0", "non-finite value"),
+            ("0,0,0,1,1,1,5,0,0", "covariance is not positive definite"),
+            ("", None),
+            ("1,2,3,2,2,2,0.1,0.2,0.3", None),
+            ("0,0,0,1,1,1,0,0,0,7,x", "could not convert string to float: 'x'"),
+            ("0,0,0,0,0,0,0,0,0", "covariance is not positive definite"),
+            ("0,0,0,1,1,inf,0,0,0", "non-finite value"),
+            ("0,0,0,1,-1,1,0,0,0", "covariance is not positive definite"),
+        ]),
+        "iso": ("x,y,z,sigma", [
+            ("1,2,3,0.5", None),
+            ("1,2,3,0", "sigma must be positive"),
+            ("1,2,3,-1", "sigma must be positive"),
+            ("1,2", "expected 4 columns, got 2"),
+            ("1,inf,3", "non-finite value"),
+            ("1,2,3,zz", "could not convert string to float: 'zz'"),
+            ("1,2,3,nan", "non-finite value"),
+            (" , ", None),
+            ("4,5,6,1", None),
+            ("q,2,3,-1,5", "could not convert string to float: 'q'"),
+            ("-inf,1,2,3,4", "non-finite value"),
+        ]),
+    }
+
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    def test_warnings_keep_text_order_and_precedence(self, tmp_path, form):
+        header, rows = self.FORMS[form]
+        p = tmp_path / "pts.csv"
+        p.write_text("\n".join([header] + [r for r, _ in rows]) + "\n")
+        res = parse_points_csv(str(p))
+        assert res.warnings == [f"{p}:{line}: skipping row: {fault}"
+                                for line, (_, fault) in enumerate(rows, start=2) if fault]
+        assert res.n_total_rows == sum(1 for r, _ in rows if r.strip(" ,"))
+        good = [[float(v) for v in r.split(",")] for r, fault in rows if not fault and r.strip(" ,")]
+        assert res.means.tolist() == [g[:3] for g in good]
+        if form == "iso":
+            assert res.covs.tolist() == [(g[3] * g[3] * np.eye(3)).tolist() for g in good]
+        else:
+            assert res.covs.tolist() == [[[g[3], g[6], g[7]], [g[6], g[4], g[8]], [g[7], g[8], g[5]]]
+                                         for g in good]
+
+    @pytest.mark.parametrize("n_bad, code", [(5, 0), (6, 4)])
+    def test_build_exit_code_at_ten_percent(self, tmp_path, capsys, n_bad, code):
+        # 5 bad rows of 55 are 9.1 %, 6 of 56 are 10.7 %: over 10 % exits 4
+        pts = tmp_path / "pts.csv"
+        write_plane_points(pts, np.random.default_rng(7), n=50)
+        bad = [r for r, fault in self.FORMS["iso"][1] if fault][:n_bad]
+        pts.write_text(pts.read_text() + "\n".join(bad) + "\n")
+        assert main(["build", "--points", str(pts), "--global-frame", "0,0,1,1",
+                     "--depth", "1", "--out", str(tmp_path / "m")]) == code
+        captured = capsys.readouterr()
+        assert [line.split(":")[1] for line in captured.err.splitlines() if "skipping row" in line] == \
+            [str(52 + k) for k in range(n_bad)]
+        assert captured.out.startswith(f"ingested 50 of 50 points ({n_bad} rows skipped, ")
+
+
 class TestParseLandmarks:
     def test_three_rows(self, tmp_path):
         p = tmp_path / "lm.csv"

@@ -24,6 +24,13 @@ def corners(grid: TriGrid, sid: int) -> np.ndarray:
     return grid.vertex_coords[list(grid.surfels[sid].vertex_ids)]
 
 
+def denormalize_from_element(grid: TriGrid, sid: int, g: GaussianMoment) -> GaussianMoment:
+    """The inverse of `TriGrid.normalize_to_element`."""
+    a, v0 = grid.element_affine(sid)
+    ainv = np.diag(1.0 / np.diag(a))
+    return GaussianMoment(ainv @ g.mu + v0, ainv @ g.sigma @ ainv.T)
+
+
 class TestRelativeIRF:
     def test_canonical_frame_normal(self):
         irf = make_relative_irf([0, 0, 0], [1, 0, 0], [0, 1, 0])
@@ -181,6 +188,15 @@ class TestLocate:
             sid = g.locate(1 - eps, eps * 0.5)
             assert np.max(corners(g, sid)[:, 0]) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("n, alpha, beta", [(5, 0.8539573427527741, 0.14604265724722587),
+                                                 (12, 0.9391488928136559, 0.06085110718634412)])
+    def test_hypotenuse_rounding_stays_in_the_last_up_element(self, n, alpha, beta):
+        # alpha + beta rounds to 1, but (alpha n - j) + beta n rounds past 1: the
+        # point lies in the row's last element, an up one, not in an element past it
+        g = TriGrid.strip(n)
+        assert alpha + beta == 1.0 and g.locate(alpha, beta) == 2 * n - 2
+        assert g.locate_all(np.array([alpha]), np.array([beta])).tolist() == [2 * n - 2]
+
     def test_outside_raises(self):
         g = TriGrid.triangle(2)
         with pytest.raises(OutsideSubmap):
@@ -230,8 +246,8 @@ class TestNormalization:
             m = rng.normal(size=3)
             a = rng.normal(size=(3, 3))
             mom = GaussianMoment(m, a @ a.T + np.eye(3))
-            back = g.denormalize_from_element(
-                int(sid), g.normalize_to_element(int(sid), mom)
+            back = denormalize_from_element(
+                g, int(sid), g.normalize_to_element(int(sid), mom)
             )
             np.testing.assert_allclose(back.mu, mom.mu, atol=1e-12)
             np.testing.assert_allclose(back.sigma, mom.sigma, atol=1e-12)

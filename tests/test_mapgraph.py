@@ -2,10 +2,11 @@
 
 import itertools
 import math
+from operator import sub
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stmmap.cli import make_emulation_case
@@ -21,7 +22,7 @@ from stmmap.distributions import (
 )
 import stmmap.mapgraph as mapgraph
 import stmmap.surfel as surfel
-from stmmap.geometry import TriGrid
+from stmmap.geometry import OutsideSubmap, TriGrid
 from stmmap.mapgraph import (
     ConvergenceConfig,
     ConvergenceReport,
@@ -33,6 +34,7 @@ from stmmap.mapgraph import (
     _gauss_divergence,
     _ig_divergence,
     _natural_divergence,
+    _relative_change,
     apportion_nu_scales,
     enforce_rip,
     incremental_update,
@@ -44,11 +46,13 @@ from stmmap.mapgraph import (
 )
 from stmmap.surfel import (
     Measurement,
+    MeasurementBatch,
     init_likelihood_cluster,
     mean_plane_eval,
     update_mean_plane_factor,
     update_planar_deviation_factor,
 )
+from batchref import one_cluster, reference_associate, reference_row
 from floatref import add_up, cholesky_small, forward_small, same_bits
 
 EPS = np.finfo(float).eps
@@ -57,7 +61,7 @@ EPS = np.finfo(float).eps
 def reference_run_inference(stm, batch, converged):
     """The full-scan sweep loop: every sweep scans all surfels and skips those
     marked in the bool array `converged`, which the caller keeps between calls."""
-    per_surfel, skipped, _ = _associate(stm, batch)
+    per_surfel, skipped, _ = reference_associate(stm.grid, batch)
     n_used = sum(len(v) for v in per_surfel.values())
 
     gamma_all = np.array(
@@ -76,9 +80,9 @@ def reference_run_inference(stm, batch, converged):
             fallback_var,
             target_var=target,
         )
-        for m, _ in ms:
+        for m, cov_inv in ms:
             state.clusters.append(
-                init_likelihood_cluster(m, nu_scale, batch=stm.batch)
+                init_likelihood_cluster(reference_row(m, cov_inv), nu_scale, batch=stm.batch)
             )
         state.n_meas_total += len(ms)
         state.recompute_beliefs()
@@ -765,6 +769,39 @@ class TestGaussDivergence:
         assert got[1] == want[1]
 
 
+class TestRelativeChange:
+    def test_overflowed_improper_factor_is_a_change(self):
+        # an infinity in the old factor once made the surrogate divide by inf and read 0
+        a = GaussianCanonical.of((1.0, math.inf, 1.0, 0.0, 0.0), 2)
+        b = GaussianCanonical.of((5.0, math.inf, 1.0, 0.0, 0.0), 2)
+        assert _gauss_divergence(a, b) == _gauss_divergence(b, a) == math.inf
+        # a NaN that does not come first was dropped by `max`
+        t = (1.0, 2.0, 1.0, 0.0, 0.0)
+        for nan_at in range(5):
+            u = tuple(math.nan if k == nan_at else x for k, x in enumerate(t))
+            assert _natural_divergence(u, t, 2) == _natural_divergence(t, u, 2) == math.inf
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.sampled_from([0.0, 1.0, 30.0, 300.0, 307.5]))
+    def test_finite_inputs_keep_their_bits(self, seed, n, log_scale):
+        # the old rule, kept for finite inputs, including those whose differences
+        # or sums overflow
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        old = tuple((rng.normal(size=n + n * (n + 1) // 2) * scale).tolist())
+        with np.errstate(over="ignore"):
+            step = rng.normal(size=len(old)) * scale * rng.choice([0.0, 1e-9, 1.0])
+            new = tuple((np.array(old) + step).tolist())
+        assume(all(map(math.isfinite, new)))
+
+        def change(a, b):
+            return max(map(abs, map(sub, a, b))) / (1.0 + max(map(abs, b)))
+
+        want = max(change(new[n:], old[n:]), change(new[:n], old[:n]))
+        assert same_bits([_natural_divergence(new, old, n)], [want])
+        assert same_bits([_relative_change(new, old)], [change(new, old)])
+
+
 class TestSharedFactors:
     def test_shared_factors_are_never_written(self):
         # One prior, one empty message and one initial belief serve every
@@ -883,7 +920,7 @@ class TestRunInference:
         # `kl_gaussian` must still find no factor for it
         rng = np.random.default_rng(seed)
         alpha, beta = rng.uniform(-0.2, 1.2, 2)
-        cluster = init_likelihood_cluster(Measurement([alpha, beta, rng.uniform(-5, 5)], np.eye(3), 0), 1.0)
+        cluster = one_cluster(Measurement([alpha, beta, rng.uniform(-5, 5)], np.eye(3), 0), 1.0)
         cluster.w = 10.0**log_w
         msg = cluster.out_msg_h
         with pytest.raises(NotADistribution):
@@ -1116,37 +1153,141 @@ class TestValidateBatch:
         assert self._beliefs(stm_mixed) == self._beliefs(stm_clean)
 
     def test_one_inverse_per_measurement(self, monkeypatch):
-        # the inverse `_associate` checks is the one the cluster takes, with
-        # the bits of the cluster's own
+        # one stacked inverse whose rows are the used measurements, each once,
+        # in element coordinates; the clusters keep the rows' point information
         grid = TriGrid.triangle(1)
         batch = make_measurements(grid, 4, seed=15, truth=lambda a, b: a)
-        for pairs in _associate(STMMap(grid, PriorConfig()), batch)[0].values():
-            for m, cov_inv in pairs:
-                assert (init_likelihood_cluster(m, 1.0, cov_inv=cov_inv).point_info
-                        == init_likelihood_cluster(m, 1.0).point_info)
-        stm, calls = STMMap(grid, PriorConfig()), [0]
+        stm, stacks = STMMap(grid, PriorConfig()), []
         inv = np.linalg.inv
 
-        def counted(a):
-            calls[0] += 1
+        def recorded(a):
+            stacks.append(a)
             return inv(a)
 
-        monkeypatch.setattr(np.linalg, "inv", counted)
+        monkeypatch.setattr(np.linalg, "inv", recorded)
         report = run_inference(stm, batch)
-        assert calls[0] == report.n_measurements == len(batch)
+        monkeypatch.undo()
+        assert len(stacks) == 1 and stacks[0].shape == (report.n_measurements, 3, 3)
+        assert report.n_measurements == len(batch)
+        per_surfel = reference_associate(grid, batch)[0]
+        want = [m.cov.tobytes() for pairs in per_surfel.values() for m, _ in pairs]
+        assert sorted(c.tobytes() for c in stacks[0]) == sorted(want)
+        for sid, pairs in per_surfel.items():
+            got = [x for c in stm.surfels[sid].clusters for x in c.point_info]
+            assert same_bits(got, [x for m, c in pairs for x in reference_row(m, c)[2]])
 
     def test_counts_by_reason(self):
         # a singular covariance is found where the map inverts it, in element
         # coordinates, so `validate_batch` passes it and the report counts it
         rows = [Measurement(mean, cov, k) for k, (mean, cov, _) in enumerate(self.BAD.values())]
         rows.append(Measurement([0.2, 0.1, 0.0], np.eye(3) * 1e-4, 99))
-        valid, rejected = validate_batch(rows)
-        assert [m.id for m in valid] == [list(self.BAD).index("singular_cov"), 99]
+        valid, rejected = validate_batch(MeasurementBatch.of(rows))
+        assert valid.ids.tolist() == [list(self.BAD).index("singular_cov"), 99]
         assert rejected == {"non_finite": 4, "cov_not_positive_definite": 3, "asymmetric_cov": 1}
-        assert validate_batch([]) == ([], {})
+        empty, none = validate_batch(MeasurementBatch.of([]))
+        assert none == {} and empty.means.shape == (0, 3) and empty.covs.shape == (0, 3, 3)
         report = run_inference(STMMap(TriGrid.triangle(1), PriorConfig()), rows)
         assert report.n_rejected == {**rejected, "cov_singular": 1}
         assert report.n_measurements == 1
+
+
+def drawn_points(grid, rng, k):
+    """k points on the grid's lattice lines and element diagonals, on the
+    hypotenuse, at beta == 1, at signed zeros and outside the grid."""
+    n, top = grid.n, grid.rows / grid.n
+    pts = []
+    for _ in range(k):
+        u, i, m = rng.uniform(), int(rng.integers(0, n + 1)), int(rng.integers(0, grid.rows + 1))
+        pts.append([(i / n, m / n), (u, m / n), (i / n, u * top), (u * i / n, i / n - u * i / n),
+                    (u, 1.0 - u), (0.0, 1.0), (u, 1.0), (-0.0, u * top), (u, -0.0),
+                    tuple(rng.uniform(-0.1, 1.1, 2)), (u * 0.5, top + u * 0.1),
+                    (u * (1.0 - top), u * top)][int(rng.integers(0, 12))])
+    return np.array(pts)
+
+
+def drawn_covs(rng, k, singular_share):
+    """k positive-definite covariances, some diagonal (signed zeros), a share
+    of them singular: a zero row and column."""
+    b = rng.normal(size=(k, 3, 3)) * 10.0 ** rng.uniform(-3, 0, (k, 1, 1))
+    covs = b @ b.swapaxes(1, 2) + 1e-8 * np.eye(3)
+    covs[rng.uniform(size=k) < 0.3] *= np.eye(3)
+    for i in np.flatnonzero(rng.uniform(size=k) < singular_share):
+        d = rng.integers(0, 3)
+        covs[i, d, :] = covs[i, :, d] = 0.0
+    return covs
+
+
+GRIDS = {"depth0": lambda: TriGrid.triangle(0), "depth2": lambda: TriGrid.triangle(2),
+         "depth3": lambda: TriGrid.triangle(3), "strip12": lambda: TriGrid.strip(12),
+         "strip5": lambda: TriGrid.strip(5)}
+
+
+class TestBatchedAssociation:
+    @settings(max_examples=150, deadline=None)
+    @given(grid=st.sampled_from(sorted(GRIDS)), seed=st.integers(0, 2**32 - 1), k=st.integers(0, 40),
+           singular_share=st.sampled_from([0.0, 0.2, 1.0]))
+    def test_matches_the_per_point_reference(self, grid, seed, k, singular_share):
+        grid, rng = GRIDS[grid](), np.random.default_rng(seed)
+        pts = drawn_points(grid, rng, k)
+        means = np.column_stack([pts.reshape(-1, 2), rng.normal(size=k)])
+        covs = drawn_covs(rng, k, singular_share)
+        batch = [Measurement(mean, cov, i) for i, (mean, cov) in enumerate(zip(means, covs))]
+
+        def scalar(a, b):
+            try:
+                return grid.locate(a, b)
+            except OutsideSubmap:
+                return -1
+
+        want = [scalar(a, b) for a, b in means[:, :2].tolist()]
+        assert grid.locate_all(means[:, 0], means[:, 1]).tolist() == want
+        per_surfel, skipped, singular = reference_associate(grid, batch)
+        sids, rows, gammas, got_skipped, got_singular = _associate(STMMap(grid, PriorConfig()),
+                                                                   MeasurementBatch.of(batch))
+        assert (got_skipped, got_singular) == (skipped, singular)
+        assert singular_share < 1.0 or not rows
+        got = {}
+        for sid, row, gamma in zip(sids.tolist(), rows, gammas.tolist()):
+            got.setdefault(sid, []).append((row, gamma))
+        assert list(got) == list(per_surfel)
+        for sid, pairs in per_surfel.items():
+            for (row, gamma), (m, cov_inv) in zip(got[sid], pairs, strict=True):
+                assert all(same_bits(a, b) for a, b in zip(row, reference_row(m, cov_inv), strict=True))
+                assert same_bits([gamma], [m.mean[2]])
+
+    @pytest.mark.parametrize("points", [np.zeros((0, 2)), np.array([[-0.1, 0.2], [0.6, 0.6], [1.0, -1e-300]])])
+    def test_empty_and_all_outside_batches(self, points):
+        grid = TriGrid.triangle(2)
+        stm = STMMap(grid, PriorConfig())
+        batch = [Measurement([a, b, 0.0], 1e-4 * np.eye(3), i) for i, (a, b) in enumerate(points)]
+        sids, rows, gammas, skipped, singular = _associate(stm, MeasurementBatch.of(batch))
+        assert (sids.tolist(), rows, gammas.tolist(), skipped, singular) == ([], [], [], len(points), 0)
+        report = incremental_update(stm, MeasurementBatch.of(batch))
+        assert (report.n_measurements, report.n_skipped_outside, report.sweeps) == (0, len(points), 0)
+        assert stm.batch == 1 and not any(s.clusters for s in stm.surfels)
+
+    @staticmethod
+    def _state(stm):
+        return stm.batch, [(s.prior_h.t, s.prior_nu, s.belief_h.t, s.belief_nu, s.n_meas_total,
+                            [(id(c), c.batch, c.w, c.nu_scale) for c in s.clusters]) for s in stm.surfels]
+
+    @pytest.mark.parametrize("bad", ["short_means", "short_covs", "ids", "not_a_measurement"])
+    def test_malformed_batch_leaves_the_map_unchanged(self, bad):
+        # raised before the window fold would fold the first batch's clusters
+        grid = TriGrid.triangle(1)
+        stm = STMMap(grid, PriorConfig())
+        incremental_update(stm, make_measurements(grid, 4, seed=15))
+        before = self._state(stm)
+        later = make_measurements(grid, 2, seed=16)
+        batch = MeasurementBatch.of(later)
+        malformed = {"short_means": batch._replace(means=batch.means[:, :2]),
+                     "short_covs": batch._replace(covs=batch.covs[:-1]),
+                     "ids": batch._replace(ids=batch.ids[:, None]),
+                     "not_a_measurement": later + [(0.2, 0.1, 0.0)]}[bad]
+        with pytest.raises(TypeError if bad == "not_a_measurement" else ValueError):
+            incremental_update(stm, malformed)
+        assert self._state(stm) == before
+        assert incremental_update(stm, later).converged
 
 
 class TestQueryMap:

@@ -40,11 +40,11 @@ from stmmap.surfel import (
     SurfelState,
     apportion_nu_scales,
     height_message,
-    init_likelihood_cluster,
     mean_plane_eval,
     update_mean_plane_factor,
     update_planar_deviation_factor,
 )
+from batchref import one_cluster
 from floatref import cholesky_small, same_bits
 
 LABELS = ("h0", "ha", "hb")
@@ -345,7 +345,7 @@ class TestInitialization:
     def test_single_measurement_mean(self):
         state = fresh_state(prior_var=1e12)
         m = Measurement([0.2, 0.3, 2.0], 0.01 * np.eye(3), 0)
-        cluster = init_likelihood_cluster(m, nu_scale=1.0)
+        cluster = one_cluster(m, nu_scale=1.0)
         state.clusters.append(cluster)
         state.recompute_beliefs()
         mom = state.belief_h.to_moments()
@@ -353,7 +353,7 @@ class TestInitialization:
 
     def test_init_height_message_variance(self):
         m = Measurement([0.2, 0.3, 2.0], 0.01 * np.eye(3), 0)
-        cluster = init_likelihood_cluster(m, nu_scale=1.0)
+        cluster = one_cluster(m, nu_scale=1.0)
         np.testing.assert_allclose(
             cluster.out_msg_h.omega, np.eye(3) / INIT_HEIGHT_VAR
         )
@@ -371,7 +371,7 @@ class TestInitialization:
         )
         for k, g in enumerate(gammas):
             m = Measurement([0.2, 0.3, g], 0.01 * np.eye(3), k)
-            state.clusters.append(init_likelihood_cluster(m, scale))
+            state.clusters.append(one_cluster(m, scale))
         state.recompute_beliefs()
         assert state.expected_deviation() == pytest.approx(1.0)
 
@@ -404,14 +404,14 @@ class TestIncomingMessage:
                 0.05 * np.eye(3),
                 k,
             )
-            state.clusters.append(init_likelihood_cluster(m, 0.5))
+            state.clusters.append(one_cluster(m, 0.5))
         state.recompute_beliefs()
         return state
 
     def test_single_cluster_vacuous_context(self):
         state = fresh_state(prior_var=1e18)
         m = Measurement([0.2, 0.3, 2.0], 0.01 * np.eye(3), 0)
-        state.clusters.append(init_likelihood_cluster(m, 1.0))
+        state.clusters.append(one_cluster(m, 1.0))
         state.recompute_beliefs()
         in_h, _ = compute_incoming_message(state, state.clusters[0])
         assert np.max(np.abs(in_h.omega)) < 1e-12
@@ -470,7 +470,7 @@ class TestMeanPlaneUpdate:
         prior_var = 1e6
         state = fixed_nu_state(nu, prior_var=prior_var)
         m = Measurement([0.0, 0.0, 1.7], np.diag([1e-12, 1e-12, r]), 0)
-        state.clusters.append(init_likelihood_cluster(m, nu))
+        state.clusters.append(one_cluster(m, nu))
         state.recompute_beliefs()
         for _ in range(40):
             update_mean_plane_factor(state, state.clusters[0])
@@ -486,7 +486,7 @@ class TestMeanPlaneUpdate:
         state = fixed_nu_state(0.1, prior_var=1.0)
         mom = state.belief_h.to_moments()
         m = Measurement([1 / 3, 1 / 3, 0.0], 1e9 * np.eye(3), 0)
-        state.clusters.append(init_likelihood_cluster(m, 0.1))
+        state.clusters.append(one_cluster(m, 0.1))
         state.recompute_beliefs()
         before = state.belief_h
         update_mean_plane_factor(state, state.clusters[0])
@@ -495,7 +495,7 @@ class TestMeanPlaneUpdate:
     def test_fixed_point_of_repeated_update(self):
         state = fresh_state()
         m = Measurement([0.3, 0.3, 1.0], 0.05 * np.eye(3), 0)
-        state.clusters.append(init_likelihood_cluster(m, 0.5))
+        state.clusters.append(one_cluster(m, 0.5))
         state.recompute_beliefs()
         for _ in range(60):
             update_mean_plane_factor(state, state.clusters[0])
@@ -510,7 +510,7 @@ class TestDeviationUpdate:
     def _converged_state(self, meas_mean, meas_cov):
         state = fresh_state()
         m = Measurement(meas_mean, meas_cov, 0)
-        state.clusters.append(init_likelihood_cluster(m, 0.5))
+        state.clusters.append(one_cluster(m, 0.5))
         state.recompute_beliefs()
         return state
 
@@ -526,7 +526,7 @@ class TestDeviationUpdate:
         # (alpha, beta) measurement with residual 2
         state = fixed_nu_state(1.0, prior_var=1e-14)
         m = Measurement([0.25, 0.25, 2.0], np.diag([1e-14, 1e-14, 1e-14]), 0)
-        state.clusters.append(init_likelihood_cluster(m, 1.0))
+        state.clusters.append(one_cluster(m, 1.0))
         state.recompute_beliefs()
         c = state.clusters[0]
         assert_refit_matches_reference(state, c)
@@ -538,7 +538,7 @@ class TestDeviationUpdate:
         rng = np.random.default_rng(22)
         state = fresh_state(prior_var=0.3, a_p=3.0, b_p=0.6)
         m = Measurement([0.3, 0.4, 0.8], np.diag([0.001, 0.001, 0.05]), 0)
-        state.clusters.append(init_likelihood_cluster(m, 0.2))
+        state.clusters.append(one_cluster(m, 0.2))
         state.recompute_beliefs()
         joint = reference_fused_cluster_joint(state, state.clusters[0])
         incoming = update_mean_plane_factor(state, state.clusters[0])
@@ -567,7 +567,7 @@ class TestBeliefBookkeeping:
                 np.diag([0.001, 0.001, 0.04]),
                 k,
             )
-            state.clusters.append(init_likelihood_cluster(m, 0.3))
+            state.clusters.append(one_cluster(m, 0.3))
         state.recompute_beliefs()
         for _ in range(5):
             for c in state.clusters:
@@ -600,7 +600,7 @@ class TestBeliefBookkeeping:
                 np.diag([0.001, 0.001, 0.04]),
                 k,
             )
-            state.clusters.append(init_likelihood_cluster(m, 0.3))
+            state.clusters.append(one_cluster(m, 0.3))
         state.recompute_beliefs()
         for _ in range(3):
             for c in state.clusters:
@@ -659,7 +659,7 @@ def drawn_state(log_prior_var, log_meas_var, log_nu, log_shape, n, sweeps, seed)
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         cov = 10.0**log_meas_var * (q * 10.0 ** rng.uniform(0.0, 2.0, 3)) @ q.T
         gamma = 0.1 + 0.3 * a - 0.2 * b + rng.normal(0.0, math.sqrt(nu))
-        state.clusters.append(init_likelihood_cluster(Measurement([a, b, gamma], cov, k), nu))
+        state.clusters.append(one_cluster(Measurement([a, b, gamma], cov, k), nu))
     state.recompute_beliefs()
     for _ in range(sweeps):
         for c in state.clusters:
@@ -848,7 +848,7 @@ class TestFloatRefit:
         # and the refitted belief has rank one; both take the retry
         state = SurfelState(sid=0, labels=LABELS, prior_h=GaussianCanonical.vacuous(3),
                             prior_nu=InverseGammaFactor.normalized(2.0, 0.1))
-        state.clusters.append(init_likelihood_cluster(Measurement([0.2, 0.3, 1.5], 0.01 * np.eye(3), 0), 0.1))
+        state.clusters.append(one_cluster(Measurement([0.2, 0.3, 1.5], 0.01 * np.eye(3), 0), 0.1))
         state.recompute_beliefs()
         ref_cluster = numpy_refit(state, state.clusters[0])[1]
         c = state.clusters[0]
