@@ -14,7 +14,6 @@ from .distributions import (
     NotADistribution,
     NotPSD,
     SingularMarginalization,
-    UTParams,
     gauss_divide,
     gauss_marginalize,
     gauss_product,
@@ -50,7 +49,6 @@ from .surfel import (
     LikelihoodClusterState,
     Measurement,
     SurfelState,
-    mean_plane_eval,
 )
 
 __version__ = "0.1.0"

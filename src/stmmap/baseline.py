@@ -9,12 +9,10 @@ variance of each measurement feed the filter; the baseline has no
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-from .geometry import OutsideSubmap, TriGrid
-from .surfel import Measurement
+from .geometry import TriGrid
+from .surfel import MeasurementBatch
 
 
 class InvalidVariance(Exception):
@@ -64,19 +62,18 @@ class ElevationMap:
         self.grid = grid
         self.cells = [ElevationCell() for _ in grid.surfels]
 
-    def update(self, batch: list[Measurement]) -> int:
-        """Fuse a batch of submap-coordinate measurements, all or none; returns skipped count."""
-        fused, skipped = {}, 0
-        for m in batch:
-            try:
-                sid = self.grid.locate(float(m.mean[0]), float(m.mean[1]))
-            except OutsideSubmap:
-                skipped += 1
-                continue
-            fused[sid] = elev_update(fused.get(sid, self.cells[sid]), float(m.mean[2]), float(m.cov[2, 2]))
+    def update(self, batch) -> int:
+        """Fuse a batch of submap-coordinate measurements (a `MeasurementBatch` or a
+        list of `Measurement`), all or none, point by point; returns skipped count."""
+        batch = MeasurementBatch.of(batch)
+        sids = self.grid.locate_all(batch.means[:, 0], batch.means[:, 1])
+        fused = {}
+        for sid, z, var in zip(sids.tolist(), batch.means[:, 2].tolist(), batch.covs[:, 2, 2].tolist()):
+            if sid >= 0:
+                fused[sid] = elev_update(fused.get(sid, self.cells[sid]), z, var)
         for sid, cell in fused.items():
             self.cells[sid] = cell
-        return skipped
+        return int((sids < 0).sum())
 
     def height(self, alpha: float, beta: float) -> float:
         cell = self.cells[self.grid.locate(alpha, beta)]

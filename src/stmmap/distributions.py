@@ -193,9 +193,6 @@ class GaussianCanonical:
         """omega as a list of rows of floats."""
         return [[self.t[i] for i in row] for row in upper_index(self.n)]
 
-    def is_vacuous(self, tol: float = 0.0) -> bool:
-        return all(abs(x) <= tol for x in self.t)
-
     def is_normalizable(self) -> bool:
         """True when omega is positive definite (and there is a variable)."""
         if self.n > 3:
@@ -410,26 +407,22 @@ def ig_expected_deviation(belief: InverseGammaFactor) -> float:
     return belief.scale / belief.shape
 
 
-@dataclass(frozen=True)
-class UTParams:
-    """Scaled sigma-point parameters (spread alpha, prior-knowledge beta, kappa)."""
-
-    spread: float = 1e-3
-    prior_knowledge: float = 2.0
-    secondary: float = 0.0
+# Scaled sigma-point parameters: spread alpha and prior-knowledge beta (2 is
+# optimal for a Gaussian); the secondary kappa is 0.
+_UT_SPREAD = 1e-3
+_UT_PRIOR_KNOWLEDGE = 2.0
 
 
 def unscented_transform(
     g: GaussianMoment,
     f: Callable[[np.ndarray], np.ndarray],
-    params: UTParams = UTParams(),
 ) -> GaussianMoment:
     """Propagate a Gaussian through f using the scaled unscented transform.
 
     The output covariance is symmetrized and floored at positive semidefinite.
     """
     n = g.dim
-    lam = params.spread**2 * (n + params.secondary) - n
+    lam = _UT_SPREAD**2 * n - n
     try:
         root = np.linalg.cholesky((n + lam) * g.sigma)
     except np.linalg.LinAlgError as exc:
@@ -442,7 +435,7 @@ def unscented_transform(
     wm = np.full(2 * n + 1, 0.5 / (n + lam))
     wc = wm.copy()
     wm[0] = lam / (n + lam)
-    wc[0] = wm[0] + 1.0 - params.spread**2 + params.prior_knowledge
+    wc[0] = wm[0] + 1.0 - _UT_SPREAD**2 + _UT_PRIOR_KNOWLEDGE
     mean = wm @ ys
     d = ys - mean
     cov = _symmetrize(d.T @ (wc[:, None] * d))

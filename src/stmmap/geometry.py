@@ -257,12 +257,7 @@ class TriGrid:
         v0[:, :2] = self.vertex_coords[[s.vertex_ids[0] for s in surfels]]
         return a, v0
 
-    def element_affine(self, sid: int) -> tuple[np.ndarray, np.ndarray]:
-        """`element_frames` of one element: A (3, 3) and v0 (3,)."""
-        a, v0 = self.element_frames([sid])
-        return a[0], v0[0]
-
     def normalize_to_element(self, sid: int, g: GaussianMoment) -> GaussianMoment:
         """Express a 3-D submap-coordinate Gaussian in unit-element coordinates."""
-        a, v0 = self.element_affine(sid)
+        (a,), (v0,) = self.element_frames([sid])
         return GaussianMoment(a @ (g.mu - v0), a @ g.sigma @ a.T)

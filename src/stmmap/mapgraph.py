@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -149,7 +150,8 @@ class MapQueryResult:
 
 
 class STMMap:
-    """A stochastic triangular mesh submap."""
+    """A stochastic triangular mesh submap; `window` is the number of recent
+    batches whose clusters stay live (see `incremental_update`)."""
 
     def __init__(
         self,
@@ -158,6 +160,8 @@ class STMMap:
         window: int = 1,
         convergence: ConvergenceConfig = ConvergenceConfig(),
     ):
+        if isinstance(window, bool) or not isinstance(window, numbers.Integral) or window < 1:
+            raise ValueError(f"window must be an integer >= 1, not {window!r}")
         self.grid = grid
         self.prior = prior
         self.window = window
@@ -300,7 +304,7 @@ def _stacked(fn, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _associate(stm: STMMap, batch: MeasurementBatch) -> tuple[np.ndarray, list, np.ndarray, int, int]:
     """Locate a batch's points, map them into element coordinates (the products of
-    `TriGrid.element_affine`, stacked) and invert their covariances there in one
+    `TriGrid.normalize_to_element`, stacked) and invert their covariances there in one
     stacked call. Returns the surfel id, `cluster_rows` row and element gamma of
     each point used, and counts those outside and those without an LU inverse."""
     sids = stm.grid.locate_all(batch.means[:, 0], batch.means[:, 1])

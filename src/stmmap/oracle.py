@@ -12,18 +12,21 @@ calls into the surfel update routines.
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import NotADistribution, inv_psd
 from .mapgraph import PriorConfig
-from .surfel import ALPHA_BETA_PRIOR_VAR, Measurement, SurfelState
+from .surfel import ALPHA_BETA_PRIOR_VAR, MeasurementBatch, SurfelState
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+# Starting random-walk proposal stds: the heights, log nu and the latent points.
+# Burn-in adapts them toward a 0.23-0.44 acceptance rate and then freezes them.
+START_STDS = {"h0": 0.1, "ha": 0.1, "hb": 0.1, "lognu": 0.3, "m": 0.05}
 
 
 class AdaptationFailed(Exception):
@@ -32,26 +35,17 @@ class AdaptationFailed(Exception):
 
 @dataclass
 class ChainConfig:
-    """Random-walk chain settings.
-
-    Proposal standard deviations are starting points; they are adapted
-    during burn-in toward a 0.23-0.44 acceptance rate and then frozen.
-    """
+    """Random-walk chain settings; the proposals start at `START_STDS`."""
 
     n_samples: int = 500_000
     burn_in: float = 0.2
     thinning: int = 10
-    prop_std_h: float = 0.1
-    prop_std_lognu: float = 0.3
-    prop_std_m: float = 0.05
     adapt_interval: int = 2_000
     seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.burn_in < 1.0:
             raise ValueError("burn_in fraction must lie in (0, 1)")
-        if min(self.prop_std_h, self.prop_std_lognu, self.prop_std_m) <= 0.0:
-            raise ValueError("proposal stds must be positive")
         counts = (self.n_samples, self.thinning, self.adapt_interval)
         if any(isinstance(c, bool) or not isinstance(c, numbers.Integral) for c in counts):
             raise ValueError("n_samples, thinning and adapt_interval must be integers")
@@ -67,7 +61,6 @@ class ChainResult:
     nu_samples: np.ndarray  # (S,)
     acceptance: dict[str, float]
     proposal_stds: dict[str, float]
-    config: ChainConfig = field(repr=False, default=None)
 
 
 def _log_ig(nu: float, shape: float, scale: float) -> float:
@@ -83,11 +76,12 @@ def exact_log_joint(
     h: np.ndarray,
     nu: float,
     m_points: np.ndarray,
-    measurements: list[Measurement],
+    measurements,
     prior: PriorConfig,
 ) -> float:
     """Unnormalized log posterior of (h, nu, m_1..m_N).
 
+    The measurements are a `MeasurementBatch` or a list of `Measurement`.
     Terms: each measurement z_i given its latent point m_i, each latent
     gamma_i given the mean plane and nu, the correlated Gaussian height
     prior, the inverse-gamma deviation prior, and the broad Gaussian
@@ -95,25 +89,25 @@ def exact_log_joint(
     """
     if nu <= 0.0:
         return -math.inf
+    batch = MeasurementBatch.of(measurements)
     h = np.asarray(h, dtype=float).reshape(3)
-    m = np.asarray(m_points, dtype=float).reshape(len(measurements), 3)
+    m = np.asarray(m_points, dtype=float).reshape(len(batch.ids), 3)
 
     total = 0.0
     # measurement terms z_i ~ N(m_i, Sigma_i)
-    for i, meas in enumerate(measurements):
-        d = meas.mean - m[i]
-        lam = inv_psd(meas.cov)
-        _, logdet = np.linalg.slogdet(meas.cov)
+    for i, (mean, cov) in enumerate(zip(batch.means, batch.covs)):
+        d = mean - m[i]
+        lam = inv_psd(cov)
+        _, logdet = np.linalg.slogdet(cov)
         total += -0.5 * (3.0 * _LOG_2PI + logdet + d @ lam @ d)
 
-    if len(measurements) > 0:
+    if len(batch.ids) > 0:
         a, b, g = m[:, 0], m[:, 1], m[:, 2]
         f = (1.0 - a - b) * h[0] + a * h[1] + b * h[2]
         r = g - f
         total += -0.5 * np.sum(_LOG_2PI + math.log(nu) + r * r / nu)
         # broad latent-position priors centered on the observed coordinates
-        za = np.array([meas.mean[:2] for meas in measurements])
-        dz = np.concatenate(m[:, :2] - za)
+        dz = np.concatenate(m[:, :2] - batch.means[:, :2])
         total += -0.5 * np.sum(
             _LOG_2PI + math.log(ALPHA_BETA_PRIOR_VAR) + dz * dz / ALPHA_BETA_PRIOR_VAR
         )
@@ -126,11 +120,13 @@ def exact_log_joint(
 
 
 def run_mh(
-    measurements: list[Measurement],
+    measurements,
     prior: PriorConfig,
     config: ChainConfig = None,
 ) -> ChainResult:
     """Component-wise Gaussian random-walk Metropolis over (h, log nu, m).
+
+    The measurements are a `MeasurementBatch` or a list of `Measurement`.
 
     nu is sampled on the log scale with the Jacobian correction, which
     keeps proposals unconstrained. The latent points m_i are conditionally
@@ -160,15 +156,12 @@ def run_mh(
     if config is None:
         config = ChainConfig()
     rng = np.random.default_rng(config.seed)
-    n = len(measurements)
+    batch = MeasurementBatch.of(measurements)
+    n = len(batch.ids)
 
     lam = inv_psd(prior.height_covariance()).tolist()
-    if n > 0:
-        z = np.array([meas.mean for meas in measurements])  # (n, 3)
-        lam_z = np.array([inv_psd(meas.cov) for meas in measurements])
-    else:
-        z = np.zeros((0, 3))
-        lam_z = np.zeros((0, 3, 3))
+    z = batch.means  # (n, 3)
+    lam_z = np.array([inv_psd(cov) for cov in batch.covs]).reshape(n, 3, 3)
 
     # state
     h = [0.0, 0.0, 0.0] if n == 0 else [float(np.mean(z[:, 2]))] * 3
@@ -212,13 +205,7 @@ def run_mh(
     ss = refresh(residuals(c0, m))
     half_n_a = 0.5 * n + prior.a_p
 
-    stds = {
-        "h0": config.prop_std_h,
-        "ha": config.prop_std_h,
-        "hb": config.prop_std_h,
-        "lognu": config.prop_std_lognu,
-        "m": config.prop_std_m,
-    }
+    stds = dict(START_STDS)
     acc = {k: 0 for k in stds}
     tries = {k: 0 for k in stds}
 
@@ -304,7 +291,6 @@ def run_mh(
         nu_samples=kept_nu,
         acceptance=rates,
         proposal_stds=dict(stds),
-        config=config,
     )
 
 
@@ -346,13 +332,3 @@ def compare_marginals(result: ChainResult, belief: SurfelState) -> dict:
             "std_ratio": bs / sd if sd > 0 else math.inf,
         }
     return report
-
-
-def samples_to_csv(result: ChainResult, path: str) -> None:
-    """One retained sample per row: h0, h_alpha, h_beta, nu."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["h0", "h_alpha", "h_beta", "nu"])
-        for hrow, nu in zip(result.h_samples, result.nu_samples):
-            w.writerow([f"{hrow[0]:.10g}", f"{hrow[1]:.10g}",
-                        f"{hrow[2]:.10g}", f"{nu:.10g}"])

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .baseline import ElevationMap, elev_likelihood
 from .distributions import NotADistribution, kl_gaussian
-from .geometry import OutsideSubmap
 from .mapgraph import STMMap, incremental_update, mean_plane_heights
 from .surfel import Measurement
 
@@ -31,22 +30,12 @@ class EmptyRegion(Exception):
 # synthetic surfaces
 
 
-@dataclass(frozen=True)
-class SyntheticSurface:
-    """Deterministic heightfield over the submap.
+# A surface maps (alpha, beta) arrays to the heights gamma there.
+Surface = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-    kind: "perlin", "profile", or "flat".
-    """
-
-    kind: str
-    seed: int
-    amplitude: float
-    evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(repr=False)
-
-    def __call__(self, alpha, beta):
-        a = np.asarray(alpha, dtype=float)
-        b = np.asarray(beta, dtype=float)
-        return self.evaluator(a, b)
+_PERLIN_FREQUENCY = 4.0
+_PERLIN_OCTAVES = 4
+_PERLIN_PERSISTENCE = 0.5
 
 
 def _fade(t: np.ndarray) -> np.ndarray:
@@ -54,31 +43,24 @@ def _fade(t: np.ndarray) -> np.ndarray:
     return t * t * t * (t * (t * 6.0 - 15.0) + 10.0)
 
 
-def perlin_surface(
-    seed: int,
-    amplitude: float = 1.0,
-    frequency: float = 4.0,
-    octaves: int = 4,
-    persistence: float = 0.5,
-) -> SyntheticSurface:
+def perlin_surface(seed: int, amplitude: float = 1.0) -> Surface:
     """Gradient-noise heightfield with seeded lattice gradients.
 
-    Octave o contributes at frequency*2^o with weight amplitude*persistence^o,
+    Octave o of `_PERLIN_OCTAVES` contributes at lattice frequency
+    `_PERLIN_FREQUENCY` * 2^o with weight amplitude * `_PERLIN_PERSISTENCE`^o,
     so the output is bounded by amplitude * sum of octave weights.
     """
-    if octaves < 1:
-        raise ValueError("octaves must be >= 1")
     rng = np.random.default_rng(seed)
     grids = []
-    for o in range(octaves):
-        res = max(1, int(round(frequency * 2**o)))
+    for o in range(_PERLIN_OCTAVES):
+        res = max(1, int(round(_PERLIN_FREQUENCY * 2**o)))
         angles = rng.uniform(0.0, 2.0 * np.pi, size=(res + 1, res + 1))
         grads = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
         grids.append((res, grads))
 
-    def evaluator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a = np.clip(a, 0.0, 1.0)
-        b = np.clip(b, 0.0, 1.0)
+    def surface(alpha, beta) -> np.ndarray:
+        a = np.clip(np.asarray(alpha, dtype=float), 0.0, 1.0)
+        b = np.clip(np.asarray(beta, dtype=float), 0.0, 1.0)
         total = np.zeros(np.broadcast(a, b).shape)
         amp = amplitude
         for res, grads in grids:
@@ -99,17 +81,17 @@ def perlin_surface(
             top = n00 + u * (n10 - n00)
             bot = n01 + u * (n11 - n01)
             total = total + amp * (top + v * (bot - top))
-            amp *= persistence
+            amp *= _PERLIN_PERSISTENCE
         return total
 
-    return SyntheticSurface("perlin", seed, amplitude, evaluator)
+    return surface
 
 
-def profile_surface(amplitude: float = 1.0) -> SyntheticSurface:
+def profile_surface(amplitude: float = 1.0) -> Surface:
     """Fixed smooth 1-D profile; gamma depends on alpha only."""
 
-    def evaluator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=float)
+    def surface(alpha, beta) -> np.ndarray:
+        a, b = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
         out = amplitude * (
             0.45 * np.sin(2.0 * np.pi * 1.3 * a)
             + 0.30 * np.sin(2.0 * np.pi * 3.1 * a + 0.8)
@@ -117,14 +99,7 @@ def profile_surface(amplitude: float = 1.0) -> SyntheticSurface:
         )
         return out + np.zeros(np.broadcast(a, b).shape)
 
-    return SyntheticSurface("profile", 0, amplitude, evaluator)
-
-
-def flat_surface(height: float = 0.0) -> SyntheticSurface:
-    def evaluator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.full(np.broadcast(a, b).shape, float(height))
-
-    return SyntheticSurface("flat", 0, 0.0, evaluator)
+    return surface
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +115,6 @@ class NoiseSpec:
 
     sigmas: tuple
     rotate: bool = True
-    profile: str = "custom"
 
     def __post_init__(self):
         if len(self.sigmas) != 3 or any(s < 0 for s in self.sigmas):
@@ -149,11 +123,11 @@ class NoiseSpec:
     @staticmethod
     def stereo_like() -> "NoiseSpec":
         # high uncertainty along the simulated ray, low transverse
-        return NoiseSpec(sigmas=(0.004, 0.004, 0.12), rotate=True, profile="stereo")
+        return NoiseSpec(sigmas=(0.004, 0.004, 0.12), rotate=True)
 
     @staticmethod
     def lidar_like() -> "NoiseSpec":
-        return NoiseSpec(sigmas=(0.005, 0.005, 0.005), rotate=False, profile="lidar")
+        return NoiseSpec(sigmas=(0.005, 0.005, 0.005), rotate=False)
 
     def draw_cov(self, rng: np.random.Generator) -> np.ndarray:
         d = np.diag(np.square(np.asarray(self.sigmas, dtype=float)))
@@ -191,7 +165,7 @@ def _points_in_polygon(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:
 
 
 def sample_measurements(
-    surface: SyntheticSurface,
+    surface: Surface,
     region: np.ndarray,
     density: float,
     noise: NoiseSpec,
@@ -311,7 +285,7 @@ def _run_step(stm: STMMap, batch: list, step: int) -> StepRecord:
 
 def scenario_pushbroom(
     stm: STMMap,
-    surface: SyntheticSurface,
+    surface: Surface,
     steps: int,
     density: float = 10.0,
     noise: Optional[NoiseSpec] = None,
@@ -341,7 +315,7 @@ def scenario_pushbroom(
 
 def scenario_reobserve(
     stm: STMMap,
-    surface: SyntheticSurface,
+    surface: Surface,
     steps: int,
     density: float = 10.0,
     noise: Optional[NoiseSpec] = None,
@@ -376,33 +350,26 @@ def _eval_points(n_eval: int, seed: int) -> np.ndarray:
     return pts[:n_eval]
 
 
-def _eval_set(surface: SyntheticSurface, n_eval: int, seed: int, *models) -> tuple:
+def _eval_set(surface: Surface, n_eval: int, seed: int, *models) -> tuple:
     """The `_eval_points` that every model's grid holds and every model has
     observed, in order: the points (k, 2), their true heights, and each
     model's element ids (one row per model)."""
     pts = _eval_points(n_eval, seed)
-    observed = [
-        [s.n_meas_total > 0 for s in m.surfels] if isinstance(m, STMMap) else [c.observed for c in m.cells]
-        for m in models
-    ]
-    keep, sids = [], []
-    for i, (a, b) in enumerate(pts):
-        try:
-            ids = [m.grid.locate(a, b) for m in models]
-        except OutsideSubmap:
-            continue
-        if all(obs[s] for obs, s in zip(observed, ids)):
-            keep.append(i)
-            sids.append(ids)
-    if not keep:
+    sids = np.array([m.grid.locate_all(pts[:, 0], pts[:, 1]) for m in models])
+    keep = (sids >= 0).all(axis=0)
+    for m, ids in zip(models, sids):
+        observed = np.array([s.n_meas_total > 0 for s in m.surfels] if isinstance(m, STMMap)
+                            else [c.observed for c in m.cells])
+        keep[keep] = observed[ids[keep]]
+    if not keep.any():
         raise ValueError("no evaluable points: models unobserved everywhere")
     pts = pts[keep]
-    return pts, surface(pts[:, 0], pts[:, 1]), np.array(sids).T
+    return pts, surface(pts[:, 0], pts[:, 1]), sids[:, keep]
 
 
 def evaluate_mse(
     model: Union[STMMap, ElevationMap],
-    surface: SyntheticSurface,
+    surface: Surface,
     n_eval: int,
     seed: int = 0,
     companion: Union[STMMap, ElevationMap, None] = None,
@@ -424,7 +391,7 @@ def evaluate_mse(
 def evaluate_loglik_ratio(
     stm: STMMap,
     elev: ElevationMap,
-    surface: SyntheticSurface,
+    surface: Surface,
     n_eval: int,
     seed: int = 0,
 ) -> float:

@@ -83,11 +83,12 @@ class MeasurementBatch(NamedTuple):
 
     @classmethod
     def of(cls, batch) -> "MeasurementBatch":
-        """The batch as float arrays, from a batch or from a list of `Measurement`;
-        TypeError or ValueError for anything else."""
+        """The batch as float arrays, from a batch or from any iterable of
+        `Measurement`; TypeError or ValueError for anything else."""
         if not isinstance(batch, cls):
+            batch = list(batch)  # one pass, so an iterator is read once
             if not all(isinstance(m, Measurement) for m in batch):
-                raise TypeError("a measurement batch is a MeasurementBatch or a list of Measurement")
+                raise TypeError("a measurement batch is a MeasurementBatch or an iterable of Measurement")
             batch = cls(np.array([m.mean for m in batch]).reshape(-1, 3),
                         np.array([m.cov for m in batch]).reshape(-1, 3, 3), [m.id for m in batch])
         means, covs, ids = (np.asarray(x, dtype=t) for x, t in zip(batch, (float, float, None)))
@@ -171,12 +172,6 @@ def _solve(lower: tuple, v) -> tuple:
     x2 = t2 / l22
     x1 = (t1 - l21 * x2) / l11
     return (t0 - l10 * x1 - l20 * x2) / l00, x1, x2
-
-
-def mean_plane_eval(alpha: float, beta: float, h) -> float:
-    """Barycentric interpolation of the vertex heights."""
-    h = np.asarray(h, dtype=float)
-    return float((1.0 - alpha - beta) * h[0] + alpha * h[1] + beta * h[2])
 
 
 def height_message(cluster: LikelihoodClusterState, w: float | None) -> tuple:

@@ -104,7 +104,7 @@ def wls_posterior(grid, measurements, prior, nu):
     for m in measurements:
         sid = grid.locate(m.mean[0], m.mean[1])
         s = grid.surfels[sid]
-        aff, v0 = grid.element_affine(sid)
+        (aff,), (v0,) = grid.element_frames([sid])
         la, lb, _ = aff @ (m.mean - v0)
         f = np.zeros(nv)
         f[s.vertex_ids[0]] = 1 - la - lb

@@ -16,7 +16,8 @@ from stmmap.baseline import (
     elev_update,
 )
 from stmmap.geometry import TriGrid
-from stmmap.surfel import Measurement
+from stmmap.cli import make_emulation_case
+from stmmap.surfel import Measurement, MeasurementBatch
 
 
 class TestElevUpdate:
@@ -128,6 +129,13 @@ class TestElevationMap:
             with pytest.raises(InvalidVariance):
                 emap.update(batch)
             assert emap.cells == before
+
+    def test_batch_and_list_give_equal_cells(self):
+        meas = make_emulation_case("stereo")
+        maps = [ElevationMap(TriGrid.triangle(2)) for _ in range(3)]
+        skipped = [m.update(b) for m, b in zip(maps, (meas, MeasurementBatch.of(meas), iter(meas)))]
+        assert skipped[0] > 0 and skipped[1] == skipped[0] and skipped[2] == skipped[0]
+        assert maps[1].cells == maps[0].cells and maps[2].cells == maps[0].cells
 
     def test_unobserved_cell_raises(self):
         grid = TriGrid.triangle(1)

@@ -1,10 +1,12 @@
 """Tests for configuration, parsing, export, and the command-line interface."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+import stmmap.cli as cli
 from stmmap.cli import (
     ConfigError,
     RunConfig,
@@ -17,6 +19,7 @@ from stmmap.cli import (
     write_manifest,
 )
 from stmmap.geometry import MAX_DEPTH
+from stmmap.oracle import ChainConfig
 
 
 class TestLoadConfig:
@@ -459,6 +462,42 @@ class TestSimulateCommand:
         assert code == 0
         doc = json.loads((tmp_path / "p.map.json").read_text())
         assert doc["metrics"]["message_count"] > 0
+
+    @pytest.mark.parametrize("scenario, divisions", [("accuracy2d", 6), ("accuracy3d", 4)])
+    def test_accuracy_outputs_and_determinism(self, tmp_path, scenario, divisions):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[scenario]\ndensity = 3\nn_eval = 200\n")
+        for name in ("a", "b"):
+            assert main(["simulate", "--scenario", scenario, "--config", str(cfg),
+                         "--out", str(tmp_path / name)]) == 0
+        for ext in (".csv", ".json", ".manifest.json"):
+            assert (tmp_path / ("a" + ext)).read_bytes() == (tmp_path / ("b" + ext)).read_bytes()
+        rows = json.loads((tmp_path / "a.json").read_text())["rows"]
+        assert [r["division"] for r in rows] == list(range(1, divisions + 1))
+        assert len((tmp_path / "a.csv").read_text().splitlines()) == 1 + divisions
+        for r in rows:
+            assert math.isfinite(r["mse_stm"]) and math.isfinite(r["mse_elevation"])
+            assert math.isnan(r["loglik_ratio"]) == (scenario == "accuracy3d")
+
+
+class TestOracleCommand:
+    def test_writes_the_four_variable_comparison(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "ChainConfig",
+                            lambda seed: ChainConfig(n_samples=5_000, adapt_interval=500, seed=seed))
+        assert main(["oracle", "--case", "lidar", "--out", str(tmp_path / "o")]) == 0
+        doc = json.loads((tmp_path / "o.json").read_text())
+        assert doc["case"] == "lidar"
+        assert sorted(doc["variables"]) == ["h0", "h_alpha", "h_beta", "nu"]
+        assert all(math.isfinite(v["mh_mean"]) for v in doc["variables"].values())
+        assert len(capsys.readouterr().out.splitlines()) == 4
+
+    def test_adaptation_failure_exit_5(self, tmp_path, monkeypatch, capsys):
+        # the lidar chain of 4,000 iterations leaves the latent points at 0.02 acceptance
+        monkeypatch.setattr(cli, "ChainConfig",
+                            lambda seed: ChainConfig(n_samples=4_000, adapt_interval=500, seed=3))
+        assert main(["oracle", "--case", "lidar", "--out", str(tmp_path / "o")]) == 5
+        assert "post-adaptation acceptance" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
 
 
 class TestEmulationCases:

@@ -14,7 +14,6 @@ from stmmap.distributions import (
     InverseGammaFactor,
     NotADistribution,
     SingularMarginalization,
-    UTParams,
     _RANK_RTOL,
     _same_size,
     cholesky_flat,
@@ -42,7 +41,7 @@ def random_gaussian(rng, n):
 class TestGaussianCanonical:
     def test_vacuous_is_zero(self):
         g = GaussianCanonical.vacuous(2)
-        assert g.is_vacuous()
+        assert not any(g.t)
         assert not g.is_normalizable()
         assert not GaussianCanonical.vacuous(0).is_normalizable()
 
@@ -177,7 +176,7 @@ class TestGaussDivide:
     def test_self_division_vacuous(self):
         rng = np.random.default_rng(3)
         g = random_gaussian(rng, 2)
-        assert gauss_divide(g, g).is_vacuous()
+        assert not any(gauss_divide(g, g).t)
 
     def test_group_inverse(self):
         rng = np.random.default_rng(4)
@@ -245,7 +244,7 @@ class TestGaussMarginalize:
     def test_vacuous_discard_block_is_vacuous(self):
         # discarding variables with no information yields a vacuous marginal
         g = GaussianCanonical(np.zeros(2), np.zeros((2, 2)))
-        assert gauss_marginalize(g, (0,)).is_vacuous()
+        assert not any(gauss_marginalize(g, (0,)).t)
 
 
 def reference_kl_gaussian(q: GaussianCanonical, p: GaussianCanonical) -> float:
@@ -528,9 +527,7 @@ class TestUnscentedTransform:
     def test_square_of_standard_normal(self):
         # x^2 under N(0,1) has mean 1, variance 2; UT approximates
         g = GaussianMoment([0.0], [[1.0]])
-        out = unscented_transform(
-            g, lambda x: x * x, UTParams(spread=1.0, prior_knowledge=2.0)
-        )
+        out = unscented_transform(g, lambda x: x * x)
         assert out.mu[0] == pytest.approx(1.0, rel=0.1)
         assert out.sigma[0, 0] == pytest.approx(2.0, rel=0.1)
 

@@ -26,7 +26,7 @@ def corners(grid: TriGrid, sid: int) -> np.ndarray:
 
 def denormalize_from_element(grid: TriGrid, sid: int, g: GaussianMoment) -> GaussianMoment:
     """The inverse of `TriGrid.normalize_to_element`."""
-    a, v0 = grid.element_affine(sid)
+    (a,), (v0,) = grid.element_frames([sid])
     ainv = np.diag(1.0 / np.diag(a))
     return GaussianMoment(ainv @ g.mu + v0, ainv @ g.sigma @ ainv.T)
 

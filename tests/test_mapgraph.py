@@ -48,7 +48,6 @@ from stmmap.surfel import (
     Measurement,
     MeasurementBatch,
     init_likelihood_cluster,
-    mean_plane_eval,
     update_mean_plane_factor,
     update_planar_deviation_factor,
 )
@@ -371,10 +370,10 @@ def reference_query_map(stm: STMMap) -> MapQueryResult:
 def reference_map_height(stm: STMMap, alpha: float, beta: float) -> float:
     """Mean-mesh height at a submap coordinate."""
     sid = stm.grid.locate(alpha, beta)
-    a, v0 = stm.grid.element_affine(sid)
-    local = a[:2, :2] @ (np.array([alpha, beta]) - v0[:2])
-    mom = stm.surfels[sid].belief_h.to_moments()
-    return mean_plane_eval(float(local[0]), float(local[1]), mom.mu)
+    (a,), (v0,) = stm.grid.element_frames([sid])
+    la, lb = a[:2, :2] @ (np.array([alpha, beta]) - v0[:2])
+    h = stm.surfels[sid].belief_h.to_moments().mu
+    return float((1.0 - la - lb) * h[0] + la * h[1] + lb * h[2])
 
 
 def drawn_factor(rng, n, scale, log_ratios, xi_scale=1.0):
@@ -1073,6 +1072,14 @@ class TestIncrementalUpdate:
             assert s.belief_nu.exponent == pytest.approx(bn.exponent)
             assert s.belief_nu.scale == pytest.approx(bn.scale, rel=1e-9)
 
+    @pytest.mark.parametrize("window", [0, -3, 1.5, 2.0, True, "2", None])
+    def test_window_is_validated(self, window):
+        with pytest.raises(ValueError, match="window"):
+            STMMap(TriGrid.triangle(1), PriorConfig(), window=window)
+
+    def test_window_takes_any_integer_type(self):
+        assert STMMap(TriGrid.triangle(0), PriorConfig(), window=np.int64(3)).window == 3
+
     def test_reobservation_sweeps_decrease(self):
         grid = TriGrid.triangle(1)
         stm = STMMap(grid, PriorConfig(),
@@ -1265,6 +1272,18 @@ class TestBatchedAssociation:
         report = incremental_update(stm, MeasurementBatch.of(batch))
         assert (report.n_measurements, report.n_skipped_outside, report.sweeps) == (0, len(points), 0)
         assert stm.batch == 1 and not any(s.clusters for s in stm.surfels)
+
+    def test_any_iterable_gives_the_list_result(self):
+        # a generator is read once, so its points all reach the map
+        grid = TriGrid.triangle(2)
+        meas = make_measurements(grid, 3, seed=17) + [Measurement([0.9, 0.9, 0.0], 1e-4 * np.eye(3), 99)]
+        results = []
+        for form in (list, tuple, lambda ms: (m for m in ms)):
+            stm = STMMap(grid, PriorConfig())
+            rep = incremental_update(stm, form(meas))
+            results.append((rep, [(s.belief_h.t, s.belief_nu, s.n_meas_total) for s in stm.surfels]))
+        assert (results[0][0].n_measurements, results[0][0].n_skipped_outside) == (len(meas) - 1, 1)
+        assert results[1] == results[0] and results[2] == results[0]
 
     @staticmethod
     def _state(stm):

@@ -11,6 +11,7 @@ from stmmap.distributions import GaussianMoment, inv_psd
 from stmmap.mapgraph import PriorConfig
 from stmmap.oracle import (
     _LOG_2PI,
+    START_STDS,
     AdaptationFailed,
     ChainConfig,
     ChainResult,
@@ -18,9 +19,8 @@ from stmmap.oracle import (
     compare_marginals,
     exact_log_joint,
     run_mh,
-    samples_to_csv,
 )
-from stmmap.surfel import ALPHA_BETA_PRIOR_VAR, Measurement, SurfelState
+from stmmap.surfel import ALPHA_BETA_PRIOR_VAR, Measurement, MeasurementBatch, SurfelState
 from stmmap.distributions import GaussianCanonical, InverseGammaFactor
 
 
@@ -123,13 +123,7 @@ def reference_run_mh(
             - 0.5 * np.sum(ab * ab, axis=1) / ALPHA_BETA_PRIOR_VAR
         )
 
-    stds = {
-        "h0": config.prop_std_h,
-        "ha": config.prop_std_h,
-        "hb": config.prop_std_h,
-        "lognu": config.prop_std_lognu,
-        "m": config.prop_std_m,
-    }
+    stds = dict(START_STDS)
     acc = {k: 0 for k in stds}
     tries = {k: 0 for k in stds}
 
@@ -197,7 +191,6 @@ def reference_run_mh(
         nu_samples=np.array(kept_nu),
         acceptance=rates,
         proposal_stds=dict(stds),
-        config=config,
     )
 
 
@@ -254,8 +247,6 @@ class TestChainConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             ChainConfig(burn_in=0.0)
-        with pytest.raises(ValueError):
-            ChainConfig(prop_std_h=0.0)
         with pytest.raises(ValueError):
             ChainConfig(thinning=0)
         for bad in ({"n_samples": 1e4}, {"thinning": 2.5}, {"adapt_interval": 500.0},
@@ -340,6 +331,17 @@ class TestRunMH:
         assert ours.acceptance == ref.acceptance
         assert ours.proposal_stds == ref.proposal_stds
 
+    def test_batch_and_list_give_equal_chains(self):
+        meas, prior = make_emulation_case("lidar"), PriorConfig()
+        cfg = ChainConfig(n_samples=5_000, adapt_interval=500, seed=12)
+        ours, ref = run_mh(MeasurementBatch.of(meas), prior, cfg), run_mh(meas, prior, cfg)
+        np.testing.assert_array_equal(ours.h_samples, ref.h_samples)
+        np.testing.assert_array_equal(ours.nu_samples, ref.nu_samples)
+        assert (ours.acceptance, ours.proposal_stds) == (ref.acceptance, ref.proposal_stds)
+        m = np.array([mm.mean for mm in meas]) + 1e-3
+        assert exact_log_joint(np.ones(3), 0.1, m, MeasurementBatch.of(meas), prior) == \
+            exact_log_joint(np.ones(3), 0.1, m, meas, prior)
+
     def test_memory_does_not_grow_with_chain_length(self):
         # two chains keeping 1,600 samples each, one twice as long as the
         # other: even one float64 per iteration would add 80 KB to the peak,
@@ -369,14 +371,13 @@ class TestRunMH:
             assert 0.05 <= rate <= 0.9
 
     def test_adaptation_failure_detected(self):
-        # a frozen, absurd proposal scale cannot adapt within one interval
-        prior = PriorConfig()
-        meas = random_measurements(3, 62)
-        cfg = ChainConfig(
-            n_samples=3_000, prop_std_m=1e6, adapt_interval=10_000, seed=9
-        )
-        with pytest.raises(AdaptationFailed):
-            run_mh(meas, prior, cfg)
+        # a burn-in of one or two adaptation intervals cannot bring the latent
+        # points' proposal down to scale: their acceptance ends near 0.02
+        meas = make_emulation_case("lidar")
+        for seed in (3, 5, 7):
+            cfg = ChainConfig(n_samples=4_000, adapt_interval=500, seed=seed)
+            with pytest.raises(AdaptationFailed, match="for m is 0.02"):
+                run_mh(meas, PriorConfig(), cfg)
 
 
 class TestCompareMarginals:
@@ -427,17 +428,3 @@ class TestCompareMarginals:
         with pytest.raises(ValueError):
             compare_marginals(res, belief)
 
-
-class TestCSVExport:
-    def test_round_trip(self, tmp_path):
-        res = ChainResult(
-            h_samples=np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
-            nu_samples=np.array([0.1, 0.2]),
-            acceptance={},
-            proposal_stds={},
-        )
-        path = tmp_path / "samples.csv"
-        samples_to_csv(res, str(path))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "h0,h_alpha,h_beta,nu"
-        assert len(lines) == 3

@@ -16,18 +16,21 @@ from stmmap.simulate import (
     SUBMAP_TRIANGLE,
     EmptyRegion,
     NoiseSpec,
-    SyntheticSurface,
+    Surface,
     _eval_points,
     evaluate_loglik_ratio,
     evaluate_mse,
-    flat_surface,
     perlin_surface,
     profile_surface,
     sample_measurements,
     scenario_pushbroom,
     scenario_reobserve,
 )
-from stmmap.surfel import Measurement, mean_plane_eval
+from stmmap.surfel import Measurement
+
+
+def flat_surface(height: float = 0.0) -> Surface:
+    return lambda a, b: np.full(np.broadcast(a, b).shape, float(height))
 
 
 # The belief-change KLs of every surfel, and the accuracy metrics with a
@@ -48,10 +51,10 @@ def reference_belief_change_kls(stm: STMMap, before: list) -> np.ndarray:
 def reference_map_height(stm: STMMap, alpha: float, beta: float) -> float:
     """Mean-mesh height at a submap coordinate."""
     sid = stm.grid.locate(alpha, beta)
-    a, v0 = stm.grid.element_affine(sid)
-    local = a[:2, :2] @ (np.array([alpha, beta]) - v0[:2])
-    mom = stm.surfels[sid].belief_h.to_moments()
-    return mean_plane_eval(float(local[0]), float(local[1]), mom.mu)
+    (a,), (v0,) = stm.grid.element_frames([sid])
+    la, lb = a[:2, :2] @ (np.array([alpha, beta]) - v0[:2])
+    h = stm.surfels[sid].belief_h.to_moments().mu
+    return float((1.0 - la - lb) * h[0] + la * h[1] + lb * h[2])
 
 
 def reference_model_mean(model: Union[STMMap, ElevationMap], alpha: float, beta: float) -> float:
@@ -68,7 +71,7 @@ def reference_observed_at(model: Union[STMMap, ElevationMap], sid: int) -> bool:
 
 def reference_evaluate_mse(
     model: Union[STMMap, ElevationMap],
-    surface: SyntheticSurface,
+    surface: Surface,
     n_eval: int,
     seed: int = 0,
     companion: Union[STMMap, ElevationMap, None] = None,
@@ -101,7 +104,7 @@ def reference_evaluate_mse(
 def reference_evaluate_loglik_ratio(
     stm: STMMap,
     elev: ElevationMap,
-    surface: SyntheticSurface,
+    surface: Surface,
     n_eval: int,
     seed: int = 0,
 ) -> float:
@@ -153,18 +156,13 @@ class TestSurfaces:
         np.testing.assert_array_equal(s(pts[:, 0], pts[:, 1]), 0.0)
 
     def test_perlin_bounded(self):
-        amp, octaves, persistence = 0.7, 4, 0.5
-        bound = amp * sum(persistence**o for o in range(octaves))
-        s = perlin_surface(seed=5, amplitude=amp, octaves=octaves,
-                           persistence=persistence)
+        amp = 0.7
+        bound = amp * sum(simulate._PERLIN_PERSISTENCE**o for o in range(simulate._PERLIN_OCTAVES))
+        s = perlin_surface(seed=5, amplitude=amp)
         rng = np.random.default_rng(42)
         pts = rng.uniform(0, 1, size=(10_000, 2))
         vals = s(pts[:, 0], pts[:, 1])
         assert np.max(np.abs(vals)) <= bound
-
-    def test_octaves_validated(self):
-        with pytest.raises(ValueError):
-            perlin_surface(seed=0, octaves=0)
 
     def test_profile_depends_on_alpha_only(self):
         s = profile_surface()
@@ -200,7 +198,7 @@ class TestNoiseSpec:
 class TestSampleMeasurements:
     def test_zero_noise_on_surface(self):
         s = profile_surface()
-        spec = NoiseSpec(sigmas=(0.0, 0.0, 0.0), rotate=False, profile="exact")
+        spec = NoiseSpec(sigmas=(0.0, 0.0, 0.0), rotate=False)
         meas = sample_measurements(s, SUBMAP_TRIANGLE, 10.0, spec, seed=1,
                                    n_elements_per_unit_area=2.0)
         for m in meas:
@@ -338,7 +336,7 @@ class TestEvaluation:
     def test_mse_consistency_dense_data(self):
         grid = TriGrid.triangle(1)
         stm = STMMap(grid, PriorConfig())
-        spec = NoiseSpec(sigmas=(1e-4, 1e-4, 1e-4), rotate=False, profile="tiny")
+        spec = NoiseSpec(sigmas=(1e-4, 1e-4, 1e-4), rotate=False)
         meas = sample_measurements(flat_surface(1.0), SUBMAP_TRIANGLE, 200.0,
                                    spec, seed=4, n_elements_per_unit_area=8.0)
         incremental_update(stm, meas)
@@ -350,7 +348,7 @@ class TestEvaluation:
         grid = TriGrid.triangle(1)
         stm = STMMap(grid, PriorConfig())
         elev = ElevationMap(grid)
-        spec = NoiseSpec(sigmas=(1e-3, 1e-3, 0.05), rotate=False, profile="v")
+        spec = NoiseSpec(sigmas=(1e-3, 1e-3, 0.05), rotate=False)
         meas = sample_measurements(flat_surface(0.5), SUBMAP_TRIANGLE, 60.0,
                                    spec, seed=5, n_elements_per_unit_area=8.0)
         incremental_update(stm, meas)

@@ -40,7 +40,6 @@ from stmmap.surfel import (
     SurfelState,
     apportion_nu_scales,
     height_message,
-    mean_plane_eval,
     update_mean_plane_factor,
     update_planar_deviation_factor,
 )
@@ -48,6 +47,11 @@ from batchref import one_cluster
 from floatref import cholesky_small, same_bits
 
 LABELS = ("h0", "ha", "hb")
+
+
+def mean_plane_eval(alpha, beta, h) -> float:
+    """Barycentric interpolation of the vertex heights."""
+    return float((1.0 - alpha - beta) * h[0] + alpha * h[1] + beta * h[2])
 
 
 # Reference: the factor form of a cluster's incoming messages and the
