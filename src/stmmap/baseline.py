@@ -23,7 +23,7 @@ class Unobserved(Exception):
     """Raised when querying a cell that has never been updated."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ElevationCell:
     """Scalar height fused in precision form."""
 
@@ -56,11 +56,12 @@ def elev_likelihood(cell: ElevationCell, gamma_true: float) -> float:
 
 
 class ElevationMap:
-    """Elevation map over the triangular grid elements."""
+    """Elevation map over the triangular grid elements; cells are immutable,
+    so every unobserved element holds one shared empty cell."""
 
     def __init__(self, grid: TriGrid):
         self.grid = grid
-        self.cells = [ElevationCell() for _ in grid.surfels]
+        self.cells = [ElevationCell()] * grid.n_surfels
 
     def update(self, batch) -> int:
         """Fuse a batch of submap-coordinate measurements (a `MeasurementBatch` or a

@@ -201,9 +201,8 @@ def export_ply(stm: STMMap, path: str) -> None:
     ]
     for v, (x, y) in enumerate(grid.vertex_coords):
         lines.append(f"{x:.8g} {y:.8g} {q.vertex_mean[v]:.8g} {q.vertex_std[v]:.8g}")
-    for s in grid.surfels:
-        ids = " ".join(str(v) for v in s.vertex_ids)
-        lines.append(f"3 {ids} {q.expected_deviation[s.sid]:.8g} {q.n_meas[s.sid]}")
+    for sid, (v0, v1, v2) in enumerate(grid.vertex_table().tolist()):
+        lines.append(f"3 {v0} {v1} {v2} {q.expected_deviation[sid]:.8g} {q.n_meas[sid]}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -211,11 +210,13 @@ def export_ply(stm: STMMap, path: str) -> None:
 def export_map_json(stm: STMMap, path: str) -> None:
     """Full belief dump: per-surfel natural parameters, priors, metrics."""
     surfels = []
-    for state in stm.surfels:
+    get, untouched = stm.states.get, stm.untouched
+    for sid, vertex_ids in enumerate(stm.grid.vertex_table().tolist()):
+        state = get(sid, untouched)
         surfels.append(
             {
-                "sid": state.sid,
-                "vertex_ids": list(state.labels),
+                "sid": sid,
+                "vertex_ids": vertex_ids,
                 "height_xi": state.belief_h.t[:3],
                 "height_omega": state.belief_h.rows(),
                 "deviation_exponent": state.belief_nu.exponent,

@@ -10,19 +10,26 @@ row-major lattice. At width n, lattice vertex (r, c) sits at
 (alpha, beta) = (c/n, r/n); row r holds 2*(n - r) - 1 triangles alternating
 up/down, so a full subdivision of depth d (n = 2**d) has 4**d surfels and
 (n + 1)(n + 2) / 2 shared vertices. A strip grid keeps only row 0, which
-yields an acyclic chain of surfels.
+yields an acyclic chain of surfels. A grid stores only its width and rows:
+element vertices, neighbours and frames are computed from element ids, so
+building one costs the same at every depth.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .distributions import GaussianMoment, unscented_transform
 
-# The deepest grid that builds in 8 GiB: depth 10 takes 1.7 GiB (README.md).
+# The deepest grid allowed. An empty map costs the same at any depth, but a
+# read of the whole map grows with the surfels: `query_map` of an empty
+# depth-10 map takes about 2 s and 210 MiB (README.md), depth 11 4x that.
 MAX_DEPTH = 10
 
 
@@ -141,8 +148,29 @@ class Surfel:
     vertex_ids: tuple[int, int, int]
 
 
+class View(Sequence):
+    """A read-only sequence of n items, item i computed by item(i) on each access."""
+
+    def __init__(self, n: int, item: Callable):
+        self._n, self._item = n, item
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        return self._item(range(self._n)[i])
+
+
 class TriGrid:
-    """Recursive triangular grid over the unit (alpha, beta) triangle."""
+    """Recursive triangular grid over the unit (alpha, beta) triangle.
+
+    Nothing per element is stored: row r starts at surfel id r (2n - r),
+    lattice vertex (r, c) has id r (n + 1) - r (r - 1) / 2 + c, and an
+    element's vertices, neighbours and frame follow from its (row, t) cell.
+    Row r's down element j, at t = 2j + 1, meets up element j on its diagonal
+    edge, up element j + 1 on its vertical edge and row r + 1's up element j
+    on its horizontal edge.
+    """
 
     def __init__(self, n: int, rows: int, depth: int | None = None):
         if n < 1 or not 1 <= rows <= n:
@@ -150,55 +178,83 @@ class TriGrid:
         self.n = n
         self.rows = rows
         self.depth = depth
+        self.n_surfels = rows * (2 * n - rows)
+        self.n_vertices = (rows + 1) * (n + 1) - rows * (rows + 1) // 2
 
-        self._vertex_id: dict[tuple[int, int], int] = {}
-        coords = []
-        for r in range(rows + 1):
-            for c in range(n - r + 1):
-                self._vertex_id[(r, c)] = len(coords)
-                coords.append((c / n, r / n))
-        self.vertex_coords = np.array(coords)
+    @property
+    def surfels(self) -> View:
+        """Every element as a `Surfel`, in id order (made on each access, so
+        the grid holds no reference cycle and is freed as soon as it is dropped)."""
+        return View(self.n_surfels, self._surfel)
 
-        self._row_offset = []
-        off = 0
-        for r in range(rows):
-            self._row_offset.append(off)
-            off += 2 * (n - r) - 1
-        self.n_surfels = off
+    def cell(self, sid: int) -> tuple[int, int, bool]:
+        """(row, col, up) of a surfel id."""
+        r = self.n - 1 - math.isqrt(self.n * self.n - sid - 1)
+        j, down = divmod(sid - r * (2 * self.n - r), 2)
+        return r, j, not down
 
-        self.surfels: list[Surfel] = []
-        for r in range(rows):
-            for t in range(2 * (n - r) - 1):
-                j, up = divmod(t, 2)
-                up = up == 0
-                if up:
-                    trip = ((r, j), (r, j + 1), (r + 1, j))
-                else:
-                    # v0 at the right-angle corner opposite the diagonal edge;
-                    # the local frame is a point reflection of the up element.
-                    trip = ((r + 1, j + 1), (r + 1, j), (r, j + 1))
-                vids = tuple(self._vertex_id[v] for v in trip)
-                self.surfels.append(Surfel(self._row_offset[r] + t, up, r, j, vids))
+    def _vertex(self, r: int, c: int) -> int:
+        return r * (self.n + 1) - r * (r - 1) // 2 + c
 
-        self.adjacency: list[tuple[int, int, tuple[int, int]]] = []
-        for s in self.surfels:
-            if s.up:
-                continue
-            down_id = s.sid
-            r, j = s.row, s.col
-            self._add_edge(down_id, self._row_offset[r] + 2 * j)  # diagonal
-            if 2 * j + 2 <= 2 * (n - r) - 2:
-                self._add_edge(down_id, self._row_offset[r] + 2 * j + 2)  # vertical
-            if r + 1 < rows:
-                self._add_edge(down_id, self._row_offset[r + 1] + 2 * j)  # horizontal
+    def vertex_ids(self, sid: int) -> tuple[int, int, int]:
+        """(v0, v_alpha, v_beta) of an element; a down element's v0 is the
+        right-angle corner opposite its diagonal edge, a point reflection of up."""
+        r, j, up = self.cell(sid)
+        low, high = self._vertex(r, j), self._vertex(r + 1, j)
+        return (low, low + 1, high) if up else (high + 1, high, low + 1)
 
-    def _add_edge(self, s1: int, s2: int):
-        a, b = sorted((s1, s2))
-        shared = tuple(
-            sorted(set(self.surfels[a].vertex_ids) & set(self.surfels[b].vertex_ids))
-        )
-        assert len(shared) == 2
-        self.adjacency.append((a, b, shared))
+    def _surfel(self, sid: int) -> Surfel:
+        r, j, up = self.cell(sid)
+        return Surfel(sid, up, r, j, self.vertex_ids(sid))
+
+    def edges(self, sid: int) -> list[tuple]:
+        """(low sid, high sid, shared vertex ids, their positions in the low and
+        in the high element's vertex_ids) of each edge a surfel shares, in
+        `adjacency` order. A down element has a diagonal, a vertical and (above
+        the last row) a horizontal edge; an up element meets the down elements
+        above it, to its left and to its right."""
+        r, j, up = self.cell(sid)
+        low, high, width = self._vertex(r, j), self._vertex(r + 1, j), 2 * (self.n - r)
+        if not up:
+            edges = [(sid - 1, sid, (low + 1, high), (1, 2), (2, 1)),
+                     (sid, sid + 1, (low + 1, high + 1), (2, 0), (0, 2))]
+            if r + 1 < self.rows:
+                edges.append((sid, sid + width - 2, (high, high + 1), (1, 0), (0, 1)))
+            return edges
+        edges = [(sid - width, sid, (low, low + 1), (1, 0), (0, 1))] if r > 0 else []
+        if j > 0:
+            edges.append((sid - 1, sid, (low, high), (2, 0), (0, 2)))
+        if j < self.n - r - 1:
+            edges.append((sid, sid + 1, (low + 1, high), (1, 2), (2, 1)))
+        return edges
+
+    @cached_property
+    def adjacency(self) -> list[tuple[int, int, tuple[int, int]]]:
+        """(low sid, high sid, shared vertex ids) of every edge between two
+        elements, by down element; made on first use (the map reads `edges`)."""
+        return [e[:3] for sid in range(self.n_surfels) if not self.cell(sid)[2] for e in self.edges(sid)]
+
+    @cached_property
+    def vertex_coords(self) -> np.ndarray:
+        """(alpha, beta) = (c/n, r/n) of every lattice vertex, in id order."""
+        r = np.repeat(np.arange(self.rows + 1), self.n + 1 - np.arange(self.rows + 1))
+        c = np.arange(self.n_vertices) - self._vertex(r, 0)
+        return np.column_stack([c / self.n, r / self.n])
+
+    def _cells(self, sids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`cell` of an array of surfel ids."""
+        sids = np.asarray(sids, dtype=int)
+        r = np.arange(self.rows + 1)
+        r = np.searchsorted(r * (2 * self.n - r), sids, side="right") - 1
+        j, down = np.divmod(sids - r * (2 * self.n - r), 2)
+        return r, j, down == 0
+
+    def vertex_table(self) -> np.ndarray:
+        """`vertex_ids` of every surfel, (n_surfels, 3), in id order."""
+        r, j, up = self._cells(np.arange(self.n_surfels))
+        low, high = self._vertex(r, j), self._vertex(r + 1, j)
+        return np.where(up[:, None], np.column_stack([low, low + 1, high]),
+                        np.column_stack([high + 1, high, low + 1]))
 
     @classmethod
     def triangle(cls, depth: int) -> "TriGrid":
@@ -217,10 +273,6 @@ class TriGrid:
             raise DepthTooLarge(f"width {n} exceeds cap {2**MAX_DEPTH}")
         return cls(n, 1)
 
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertex_coords)
-
     def locate(self, alpha: float, beta: float) -> int:
         """Surfel id containing (alpha, beta); edge ties go to the up element, as
         do points of a row's last cell that rounding puts past the hypotenuse."""
@@ -234,7 +286,7 @@ class TriGrid:
         j = min(int(x), n - r - 1)
         fx, fy = x - j, y - r
         t = 2 * j if fx + fy <= 1.0 or j == n - r - 1 else 2 * j + 1
-        return self._row_offset[r] + t
+        return r * (2 * n - r) + t
 
     def locate_all(self, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
         """`locate` of every point, in its arithmetic and with its edge ties; -1 outside the grid."""
@@ -244,17 +296,17 @@ class TriGrid:
         r = np.minimum(y.astype(int), self.rows - 1)
         j = np.minimum(x.astype(int), n - r - 1)
         t = 2 * j + ((x - j + (y - r) > 1.0) & (j < n - r - 1))
-        return np.where(inside & (y - r <= 1.0), np.array(self._row_offset)[r] + t, -1)
+        return np.where(inside & (y - r <= 1.0), r * (2 * n - r) + t, -1)
 
     def element_frames(self, sids) -> tuple[np.ndarray, np.ndarray]:
         """(A, v0) of the map local = A @ (p - v0) on (alpha, beta, gamma) of each
         element, stacked: A (k, 3, 3), v0 (k, 3). A sends the element's vertex triple to
         the unit corners, leaving gamma; down elements use a point reflection."""
-        surfels = [self.surfels[s] for s in sids]
-        a, v0 = np.zeros((len(surfels), 3, 3)), np.zeros((len(surfels), 3))
-        a[:, 0, 0] = a[:, 1, 1] = [self.n if s.up else -self.n for s in surfels]
+        r, j, up = self._cells(sids)
+        a, v0 = np.zeros((len(r), 3, 3)), np.zeros((len(r), 3))
+        a[:, 0, 0] = a[:, 1, 1] = np.where(up, self.n, -self.n)
         a[:, 2, 2] = 1.0
-        v0[:, :2] = self.vertex_coords[[s.vertex_ids[0] for s in surfels]]
+        v0[:, 0], v0[:, 1] = (j + ~up) / self.n, (r + ~up) / self.n
         return a, v0
 
     def normalize_to_element(self, sid: int, g: GaussianMoment) -> GaussianMoment:

@@ -1,9 +1,15 @@
 """Full-map inference: cluster graph, Gaussian LBP between surfels.
 
-The map holds one surfel cluster per grid element and one sepset per
+The map has one surfel cluster per grid element and one sepset per
 interior edge. Sepset scopes start as the two shared vertex heights and are
 reduced so the running intersection property holds: for every vertex, the
 sepsets containing it form a spanning tree over the surfels incident to it.
+That reduction is a rule on an edge's lattice position (`enforce_rip`).
+A surfel's state and its sepsets are made when an update first touches
+them; until then it holds the shared prior, vacuous messages and initial
+belief, which the read side reads without making anything, so an empty
+map costs the same at every depth and an update only what it touches.
+If an update raises, what it changed is put back (`_atomic`).
 
 Each sweep pops the active surfels from a worklist heap in ascending id
 order. A visit recomputes the incoming neighbor message, ratio-updates the
@@ -27,8 +33,9 @@ import math
 import numbers
 from collections import Counter
 from collections.abc import Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from operator import sub
+from operator import attrgetter, sub
 from types import MappingProxyType
 
 import numpy as np
@@ -46,7 +53,7 @@ from .distributions import (
     scatter_index,
     upper_index,
 )
-from .geometry import TriGrid
+from .geometry import TriGrid, View
 from .surfel import (
     FALLBACKS,
     MeasurementBatch,
@@ -93,10 +100,11 @@ class ConvergenceConfig:
             raise ValueError("max_sweeps must be >= 1")
 
 
-@dataclass
+@dataclass(slots=True)
 class Sepset:
     """Interior-edge interface between two surfel clusters. Messages are over
-    `variables` (sorted vertex ids), found at pos_s and pos_c in the surfels."""
+    `variables` (sorted vertex ids), found at pos_s and pos_c in the surfels;
+    scatter_s and scatter_c place a message's t in its receiver's (`scatter_index`)."""
 
     s: int
     c: int
@@ -105,9 +113,11 @@ class Sepset:
     pos_c: tuple
     msg_to_s: GaussianCanonical
     msg_to_c: GaussianCanonical
+    scatter_s: tuple = field(init=False)
+    scatter_c: tuple = field(init=False)
 
-    def positions(self, sid: int) -> tuple:
-        return self.pos_s if sid == self.s else self.pos_c
+    def __post_init__(self):
+        self.scatter_s, self.scatter_c = scatter_index(self.pos_s, 3), scatter_index(self.pos_c, 3)
 
     def msg_to(self, sid: int) -> GaussianCanonical:
         return self.msg_to_s if sid == self.s else self.msg_to_c
@@ -117,9 +127,6 @@ class Sepset:
             self.msg_to_s = msg
         else:
             self.msg_to_c = msg
-
-    def other(self, sid: int) -> int:
-        return self.c if sid == self.s else self.s
 
 
 # The fallbacks of every report that took none: callers may keep many reports.
@@ -151,7 +158,16 @@ class MapQueryResult:
 
 class STMMap:
     """A stochastic triangular mesh submap; `window` is the number of recent
-    batches whose clusters stay live (see `incremental_update`)."""
+    batches whose clusters stay live (see `incremental_update`).
+
+    Only touched surfels hold state. `states` maps the id of each surfel an
+    update has visited, or a caller has fetched through `surfels`, to its
+    `SurfelState`; every other surfel holds `untouched`'s shared prior,
+    vacuous message and belief, and every sepset not in `_sepsets` holds
+    vacuous messages. `surfels[sid]` and `incident[sid]` make a surfel's
+    state and its sepsets on first use; the read side reads `states` and
+    `untouched` and makes nothing.
+    """
 
     def __init__(
         self,
@@ -173,53 +189,81 @@ class STMMap:
         # prior, empty messages and initial belief until it is updated.
         prior_h = GaussianCanonical(np.zeros(3), np.linalg.inv(prior.height_covariance()))
         prior_nu = InverseGammaFactor.normalized(prior.a_p, prior.b_p)
-        vacuous = [GaussianCanonical.vacuous(n) for n in range(4)]
-        belief_h = gauss_product(prior_h, vacuous[3])
-        self.surfels: list[SurfelState] = [
-            SurfelState(sid=s.sid, labels=s.vertex_ids, prior_h=prior_h, prior_nu=prior_nu,
-                        neighbor_in_msg=vacuous[3], belief_h=belief_h, belief_nu=prior_nu)
-            for s in grid.surfels
-        ]
-
-        var_lists = enforce_rip(grid)
-        self.sepsets: list[Sepset] = []
-        # the sepsets with a variable at each surfel, in sepset order
-        self.incident: list[list[Sepset]] = [[] for _ in grid.surfels]
-        for (a, b, _), variables in zip(grid.adjacency, var_lists):
-            ids_a, ids_b = grid.surfels[a].vertex_ids, grid.surfels[b].vertex_ids
-            empty = vacuous[len(variables)]
-            sep = Sepset(a, b, variables, tuple(ids_a.index(v) for v in variables),
-                         tuple(ids_b.index(v) for v in variables), empty, empty)
-            self.sepsets.append(sep)
-            if variables:
-                self.incident[a].append(sep)
-                self.incident[b].append(sep)
+        self._vacuous = [GaussianCanonical.vacuous(n) for n in range(4)]
+        self.untouched = SurfelState(-1, (), prior_h, prior_nu, self._vacuous[3],
+                                     gauss_product(prior_h, self._vacuous[3]), prior_nu)
+        self.states: dict[int, SurfelState] = {}
+        self._sepsets: dict[tuple[int, int], Sepset] = {}
+        self._incident: dict[int, list[Sepset]] = {}  # the sepsets with a variable at each surfel, in sepset order
 
         # Surfels are activated by measurements or by changed neighbor
         # messages; an untouched map is at its (empty) fixed point.
         self._active: set[int] = set()
         # surfels holding likelihood clusters, the only ones a fold changes
         self._with_clusters: set[int] = set()
+        self._undo: _Undo | None = None  # the open update's log, see `_atomic`
+
+    # Views made on each access: a stored view would hold a bound method of the
+    # map, a reference cycle that keeps every dropped map until a full collection.
+    @property
+    def surfels(self) -> View:
+        return View(self.grid.n_surfels, self._state)
+
+    @property
+    def incident(self) -> View:
+        return View(self.grid.n_surfels, self._incident_of)
+
+    @property
+    def sepsets(self) -> list[Sepset]:
+        """Every sepset, in `grid.adjacency` order: makes them all."""
+        for sid in range(self.grid.n_surfels):
+            self._incident_of(sid)
+        return [self._sepsets[a, b] for a, b, _ in self.grid.adjacency]
+
+    def _state(self, sid: int) -> SurfelState:
+        state = self.states.get(sid)
+        if state is None:
+            u = self.untouched
+            state = self.states[sid] = SurfelState(sid, self.grid.vertex_ids(sid), u.prior_h, u.prior_nu,
+                                                   u.neighbor_in_msg, u.belief_h, u.belief_nu)
+            if self._undo is not None:
+                self._undo.states[sid] = None  # made by the open update: undone by dropping it
+        return state
+
+    def _sepset(self, a: int, b: int, shared: tuple, pos_a: tuple, pos_b: tuple) -> Sepset:
+        """The sepset on a `TriGrid.edges` entry."""
+        sep = self._sepsets.get((a, b))
+        if sep is None:
+            variables, pos_a, pos_b = enforce_rip(self.grid, a, b, shared, pos_a, pos_b)
+            empty = self._vacuous[len(variables)]
+            sep = self._sepsets[a, b] = Sepset(a, b, variables, pos_a, pos_b, empty, empty)
+        return sep
+
+    def _incident_of(self, sid: int) -> list[Sepset]:
+        seps = self._incident.get(sid)
+        if seps is None:
+            get = self._sepsets.get
+            seps = self._incident[sid] = [sep for e in self.grid.edges(sid)
+                                          if (sep := get(e[:2]) or self._sepset(*e)).variables]
+        return seps
 
 
-def enforce_rip(grid: TriGrid) -> list[tuple]:
-    """Reduce sepset scopes so each vertex's sepsets form a spanning tree.
+def enforce_rip(grid: TriGrid, a: int, b: int, shared: tuple, pos_a: tuple, pos_b: tuple) -> tuple:
+    """The scope of the sepset on a `TriGrid.edges` entry and its positions in
+    surfels a and b, reduced so that each vertex's sepsets form a spanning
+    tree over its surfels.
 
     The surfels around a vertex form a path (boundary vertex) or one cycle
-    (interior vertex, as many edges as surfels). A cycle drops the vertex
-    from its last edge in (low surfel id, high surfel id) order, the one
-    edge Kruskal's algorithm would reject in that order.
+    of six (interior vertex). A cycle drops the vertex from its last edge in
+    (low surfel id, high surfel id) order, the one edge Kruskal's algorithm
+    would reject in that order. Around interior vertex (r, c) that is the
+    vertical edge of row r's down element c - 1, and every vertical edge of
+    a row r >= 1 is such an edge: it drops its lower vertex, the first.
     """
-    n_incident = Counter(v for s in grid.surfels for v in s.vertex_ids)
-    by_vertex: dict[int, list[int]] = {}
-    for idx, (_, _, shared) in enumerate(grid.adjacency):
-        for v in shared:
-            by_vertex.setdefault(v, []).append(idx)
-    keep = [list(shared) for (_, _, shared) in grid.adjacency]
-    for v, edge_ids in by_vertex.items():
-        if len(edge_ids) == n_incident[v]:
-            keep[max(edge_ids, key=lambda i: grid.adjacency[i][:2])].remove(v)
-    return [tuple(k) for k in keep]
+    r, _, up = grid.cell(a)
+    if r > 0 and not up and b == a + 1:
+        return shared[1:], pos_a[1:], pos_b[1:]
+    return shared, pos_a, pos_b
 
 
 def _relative_change(new, old) -> float:
@@ -253,6 +297,9 @@ def _ig_divergence(new: InverseGammaFactor, old: InverseGammaFactor) -> float:
     return max(abs(new.exponent - old.exponent), _scale_change(new.scale, old.scale))
 
 
+_UPPER3 = upper_index(3)
+
+
 def neighbor_out_message(stm: STMMap, sep: Sepset, sid: int) -> GaussianCanonical:
     """Outgoing LBP message from surfel sid over the given sepset.
 
@@ -264,9 +311,9 @@ def neighbor_out_message(stm: STMMap, sep: Sepset, sid: int) -> GaussianCanonica
     retry and `SingularMarginalization`.
     """
     stm.message_count += 1
-    pos = sep.positions(sid)
-    belief, reverse = stm.surfels[sid].belief_h, sep.msg_to(sid)
-    x, r, u = belief.t, reverse.t, upper_index(3)
+    pos, reverse = (sep.pos_s, sep.msg_to_s) if sid == sep.s else (sep.pos_c, sep.msg_to_c)
+    belief = stm.states.get(sid, stm.untouched).belief_h
+    x, r, u = belief.t, reverse.t, _UPPER3
     if len(pos) == 2:
         (a, b), d = pos, 3 - sum(pos)
         if x[u[d][d]] > 0.0:
@@ -319,6 +366,75 @@ def _associate(stm: STMMap, batch: MeasurementBatch) -> tuple[np.ndarray, list, 
             len(sids) - len(covs), len(covs) - len(means))
 
 
+# What an update may change on a surfel state besides its clusters; read with
+# attrgetter, since `vars()` would turn the state's attribute values into a dict.
+_STATE_FIELDS = ("prior_h", "prior_nu", "neighbor_in_msg", "n_meas_total", "ref_belief_h", "ref_belief_nu",
+                 "belief_h", "belief_nu")
+_state_values = attrgetter(*_STATE_FIELDS)
+
+
+class _Undo:
+    """What an open update changed, to put back if it raises: the map's
+    counters and sets, each surfel's values before its first change (None
+    for a state the update made), the messages of the sepsets a surfel
+    sends on before its first send, and how many states, sepsets and
+    incident lists there were (dicts keep insertion order, so what the
+    update made comes last). Only the first old value of each is kept, so
+    a factor the update replaces again is freed at once."""
+
+    def __init__(self, stm: STMMap):
+        self.counters = (stm.batch, stm.message_count, stm.sweep_count)
+        self.sets = (set(stm._active), set(stm._with_clusters))
+        self.sizes = (len(stm.states), len(stm._sepsets), len(stm._incident))
+        self.states: dict[int, tuple | None] = {}
+        self.senders: set[int] = set()
+        self.messages: list[tuple] = []  # (sepset, msg_to_s, msg_to_c), oldest first
+
+    def save(self, state: SurfelState):
+        """Keep a state's values, unless kept already."""
+        if state.sid not in self.states:
+            clusters = state.clusters
+            self.states[state.sid] = (state, _state_values(state),
+                                      [(c, c.w, c.nu_scale, c.converged) for c in clusters] if clusters else ())
+
+    def send(self, state: SurfelState, seps: list):
+        """Keep a visited state's values and the messages on its sepsets."""
+        self.save(state)
+        self.senders.add(state.sid)
+        self.messages += [(sep, sep.msg_to_s, sep.msg_to_c) for sep in seps]
+
+    def restore(self, stm: STMMap):
+        stm.batch, stm.message_count, stm.sweep_count = self.counters
+        stm._active, stm._with_clusters = self.sets
+        for state, values, clusters in filter(None, self.states.values()):
+            for name, value in zip(_STATE_FIELDS, values):
+                setattr(state, name, value)
+            state.clusters = [c for c, *_ in clusters]
+            for c, w, nu_scale, converged in clusters:
+                c.w, c.nu_scale, c.converged = w, nu_scale, converged
+        for sep, to_s, to_c in reversed(self.messages):  # so the oldest is put back last
+            sep.msg_to_s, sep.msg_to_c = to_s, to_c
+        for table, n in zip((stm.states, stm._sepsets, stm._incident), self.sizes):
+            for key in list(table)[n:]:
+                del table[key]
+
+
+@contextmanager
+def _atomic(stm: STMMap):
+    """Put the map back as it was if the block raises; a nested block joins the open log."""
+    if stm._undo is not None:
+        yield stm._undo
+        return
+    stm._undo = _Undo(stm)
+    try:
+        yield stm._undo
+    except BaseException:
+        stm._undo.restore(stm)
+        raise
+    finally:
+        stm._undo = None
+
+
 def run_inference(stm: STMMap, batch) -> ConvergenceReport:
     """Incorporate one measurement batch and iterate to convergence.
 
@@ -326,7 +442,8 @@ def run_inference(stm: STMMap, batch) -> ConvergenceReport:
     submap (alpha, beta, gamma) coordinates. Points outside the submap are
     counted and skipped; measurements `validate_batch` rejects, and those
     whose covariance in element coordinates is singular ("cov_singular"),
-    are skipped before the map changes and counted on the report.
+    are skipped before the map changes and counted on the report. If
+    inference raises, the map is left as it was.
     """
     batch, rejected = validate_batch(MeasurementBatch.of(batch))
     sids, rows, gammas, skipped, singular = _associate(stm, batch)
@@ -338,95 +455,101 @@ def run_inference(stm: STMMap, batch) -> ConvergenceReport:
     gamma_all = gammas[[i for rs in per_surfel.values() for i in rs]]
     fallback_var = float(np.var(gamma_all)) if gamma_all.size >= 2 else 1e-2
 
-    for sid, rs in per_surfel.items():
-        state = stm.surfels[sid]
-        target = state.expected_deviation() if state.n_meas_total > 0 else None
-        nu_scale = apportion_nu_scales(gammas[rs], state.belief_nu.exponent, state.belief_nu.scale,
-                                       fallback_var, target_var=target)
-        state.clusters += [init_likelihood_cluster(rows[i], nu_scale, stm.batch) for i in rs]
-        state.n_meas_total += len(rs)
-        state.recompute_beliefs()
-        stm._active.add(sid)
-        stm._with_clusters.add(sid)
-
-    tol = stm.convergence.kl_threshold
-    messages_before = stm.message_count
-    active_per_sweep = []
-    fallbacks_before = FALLBACKS.copy()
-    while stm._active and len(active_per_sweep) < stm.convergence.max_sweeps:
-        stm.sweep_count += 1
-        heap = sorted(stm._active)
-        queued = set(heap)
-        stm._active = set()  # the next sweep's
-        active_per_sweep.append(len(heap))
-        while heap:
-            sid = heapq.heappop(heap)
+    with _atomic(stm) as undo:
+        for sid, rs in per_surfel.items():
             state = stm.surfels[sid]
-            belief_h_start = state.belief_h
-            belief_nu_start = state.belief_nu
+            undo.save(state)
+            target = state.expected_deviation() if state.n_meas_total > 0 else None
+            nu_scale = apportion_nu_scales(gammas[rs], state.belief_nu.exponent, state.belief_nu.scale,
+                                           fallback_var, target_var=target)
+            state.clusters += [init_likelihood_cluster(rows[i], nu_scale, stm.batch) for i in rs]
+            state.n_meas_total += len(rs)
+            state.recompute_beliefs()
+            stm._active.add(sid)
+            stm._with_clusters.add(sid)
 
-            # LBP: refresh the incoming neighbor message and ratio-update.
-            # Summing in sepset order gives the bits of a factor product.
-            t = [0.0] * 9
-            for sep in stm.incident[sid]:
-                for k, x in zip(scatter_index(sep.positions(sid), 3), sep.msg_to(sid).t):
-                    t[k] += x
-            new_in = GaussianCanonical.of(tuple(t), 3)
-            ratio = gauss_divide(new_in, state.neighbor_in_msg)
-            state.belief_h = gauss_product(state.belief_h, ratio)
-            state.neighbor_in_msg = new_in
+        tol = stm.convergence.kl_threshold
+        messages_before = stm.message_count
+        active_per_sweep = []
+        fallbacks_before = FALLBACKS.copy()
+        states, incidents = stm.states, stm._incident  # the views' caches, read first on this hot path
+        while stm._active and len(active_per_sweep) < stm.convergence.max_sweeps:
+            stm.sweep_count += 1
+            heap = sorted(stm._active)
+            queued = set(heap)
+            stm._active = set()  # the next sweep's
+            active_per_sweep.append(len(heap))
+            while heap:
+                sid = heapq.heappop(heap)
+                state = states.get(sid) or stm.surfels[sid]
+                incident = incidents.get(sid) or stm.incident[sid]
+                if sid not in undo.senders:
+                    undo.send(state, incident)
+                belief_h_start = state.belief_h
+                belief_nu_start = state.belief_nu
 
-            # VMP: refit likelihood clusters. A cluster whose messages are
-            # at their fixed point only needs refitting once the surfel
-            # belief has moved since its last update (unread without clusters).
-            # Every check is `not d < tol`: a NaN divergence counts as a change.
-            belief_moved = state.clusters and (
-                state.ref_belief_h is None
-                or not _gauss_divergence(state.belief_h, state.ref_belief_h) < tol
-                or not _ig_divergence(state.belief_nu, state.ref_belief_nu) < tol
-            )
-            any_refit = False
-            for cluster in state.clusters:
-                if cluster.converged and not belief_moved:
-                    continue
-                old_h, old_scale = height_message(cluster, cluster.w), cluster.nu_scale
-                incoming = update_mean_plane_factor(state, cluster)
-                update_planar_deviation_factor(state, cluster, incoming)
-                stm.message_count += 1
-                any_refit = True
-                # a height message has rank one: no KL; both nu messages carry NU_MSG_EXPONENT
-                cluster.converged = (_natural_divergence(height_message(cluster, cluster.w), old_h, 3) < tol
-                                     and _scale_change(cluster.nu_scale, old_scale) < tol)
-                if not cluster.converged:
-                    belief_moved = True
-            if any_refit:
-                state.ref_belief_h = state.belief_h
-                state.ref_belief_nu = state.belief_nu
+                # LBP: refresh the incoming neighbor message and ratio-update.
+                # Summing in sepset order gives the bits of a factor product.
+                t = [0.0] * 9
+                for sep in incident:
+                    scatter, msg = (sep.scatter_s, sep.msg_to_s) if sid == sep.s else (sep.scatter_c, sep.msg_to_c)
+                    for k, x in zip(scatter, msg.t):
+                        t[k] += x
+                new_in = GaussianCanonical.of(tuple(t), 3)
+                ratio = gauss_divide(new_in, state.neighbor_in_msg)
+                state.belief_h = gauss_product(state.belief_h, ratio)
+                state.neighbor_in_msg = new_in
 
-            # The surfel settles once its belief stops moving over a sweep;
-            # internal message churn that cancels in the belief is ignored.
-            changed = (
-                not _gauss_divergence(state.belief_h, belief_h_start) < tol
-                or not _ig_divergence(state.belief_nu, belief_nu_start) < tol
-            )
+                # VMP: refit likelihood clusters. A cluster whose messages are
+                # at their fixed point only needs refitting once the surfel
+                # belief has moved since its last update (unread without clusters).
+                # Every check is `not d < tol`: a NaN divergence counts as a change.
+                belief_moved = state.clusters and (
+                    state.ref_belief_h is None
+                    or not _gauss_divergence(state.belief_h, state.ref_belief_h) < tol
+                    or not _ig_divergence(state.belief_nu, state.ref_belief_nu) < tol
+                )
+                any_refit = False
+                for cluster in state.clusters:
+                    if cluster.converged and not belief_moved:
+                        continue
+                    old_h, old_scale = height_message(cluster, cluster.w), cluster.nu_scale
+                    incoming = update_mean_plane_factor(state, cluster)
+                    update_planar_deviation_factor(state, cluster, incoming)
+                    stm.message_count += 1
+                    any_refit = True
+                    # a height message has rank one: no KL; both nu messages carry NU_MSG_EXPONENT
+                    cluster.converged = (_natural_divergence(height_message(cluster, cluster.w), old_h, 3) < tol
+                                         and _scale_change(cluster.nu_scale, old_scale) < tol)
+                    if not cluster.converged:
+                        belief_moved = True
+                if any_refit:
+                    state.ref_belief_h = state.belief_h
+                    state.ref_belief_nu = state.belief_nu
 
-            # LBP: emit messages to each neighbor.
-            for sep in stm.incident[sid]:
-                other = sep.other(sid)
-                old = sep.msg_to(other)
-                msg = neighbor_out_message(stm, sep, sid)
-                sep.set_msg_to(other, msg)
-                if not _gauss_divergence(msg, old) < tol:
-                    changed = True
-                    # a lower id was passed in this sweep: it waits for the next
-                    if other < sid:
-                        stm._active.add(other)
-                    elif other not in queued:
-                        queued.add(other)
-                        heapq.heappush(heap, other)
+                # The surfel settles once its belief stops moving over a sweep;
+                # internal message churn that cancels in the belief is ignored.
+                changed = (
+                    not _gauss_divergence(state.belief_h, belief_h_start) < tol
+                    or not _ig_divergence(state.belief_nu, belief_nu_start) < tol
+                )
 
-            if changed:
-                stm._active.add(sid)
+                # LBP: emit messages to each neighbor.
+                for sep in incident:
+                    other, old = (sep.c, sep.msg_to_c) if sid == sep.s else (sep.s, sep.msg_to_s)
+                    msg = neighbor_out_message(stm, sep, sid)
+                    sep.set_msg_to(other, msg)
+                    if not _gauss_divergence(msg, old) < tol:
+                        changed = True
+                        # a lower id was passed in this sweep: it waits for the next
+                        if other < sid:
+                            stm._active.add(other)
+                        elif other not in queued:
+                            queued.add(other)
+                            heapq.heappush(heap, other)
+
+                if changed:
+                    stm._active.add(sid)
 
     return ConvergenceReport(
         converged=not stm._active,
@@ -462,22 +585,25 @@ def incremental_update(stm: STMMap, batch) -> ConvergenceReport:
     folded into the priors; the default W=1 keeps only the incoming batch
     live. Sepset messages are retained as the warm start for the new batch.
     The batch is a `MeasurementBatch` or a list of `Measurement`; one of any
-    other type or shape raises before the map changes.
+    other type or shape raises before the map changes, and if the fold or
+    inference raises, the map is left as it was.
     """
     batch = MeasurementBatch.of(batch)
-    stm.batch += 1
-    cutoff = stm.batch - stm.window
-    for sid in list(stm._with_clusters):
-        state = stm.surfels[sid]
-        fold = [c for c in state.clusters if c.batch <= cutoff]
-        keep = [c for c in state.clusters if c.batch > cutoff]
-        for cluster in fold:
-            state.prior_h = gauss_product(state.prior_h, cluster.out_msg_h)
-            state.prior_nu = ig_product(state.prior_nu, cluster.out_msg_nu)
-        state.clusters = keep
-        if not keep:
-            stm._with_clusters.discard(sid)
-    return run_inference(stm, batch)
+    with _atomic(stm) as undo:
+        stm.batch += 1
+        cutoff = stm.batch - stm.window
+        for sid in list(stm._with_clusters):
+            state = stm.states[sid]
+            undo.save(state)
+            fold = [c for c in state.clusters if c.batch <= cutoff]
+            keep = [c for c in state.clusters if c.batch > cutoff]
+            for cluster in fold:
+                state.prior_h = gauss_product(state.prior_h, cluster.out_msg_h)
+                state.prior_nu = ig_product(state.prior_nu, cluster.out_msg_nu)
+            state.clusters = keep
+            if not keep:
+                stm._with_clusters.discard(sid)
+        return run_inference(stm, batch)
 
 
 # Surfels per stacked factorisation: bounds the memory a read of a large map takes.
@@ -495,8 +621,9 @@ def belief_moments(stm: STMMap, sids) -> tuple[np.ndarray, np.ndarray]:
     read is positive definite.
     """
     means, variances = np.empty((len(sids), 3)), np.empty((len(sids), 3))
+    get, untouched = stm.states.get, stm.untouched
     for lo in range(0, len(sids), _READ_BLOCK):
-        t = np.array([stm.surfels[s].belief_h.t for s in sids[lo:lo + _READ_BLOCK]])
+        t = np.array([get(s, untouched).belief_h.t for s in sids[lo:lo + _READ_BLOCK]])
         try:
             lower = np.linalg.cholesky(t[:, upper_index(3)])
         except np.linalg.LinAlgError:
@@ -514,16 +641,19 @@ def query_map(stm: STMMap) -> MapQueryResult:
     A vertex fuses the marginals of its surfels with inverse-variance
     weights, summed in surfel order.
     """
-    means, var = belief_moments(stm, range(len(stm.surfels)))
-    labels = np.array([s.labels for s in stm.surfels]).ravel()
+    means, var = belief_moments(stm, range(stm.grid.n_surfels))
+    labels = stm.grid.vertex_table().ravel()
     w = 1.0 / np.maximum(var, 1e-300).ravel()
     n_v = stm.grid.n_vertices
     vertex_w = np.bincount(labels, w, n_v)
-    n_meas = np.array([s.n_meas_total for s in stm.surfels], dtype=int)
+    n_meas = np.zeros(stm.grid.n_surfels, dtype=int)
+    deviation = np.full(stm.grid.n_surfels, stm.untouched.expected_deviation())
+    for sid, state in stm.states.items():
+        n_meas[sid], deviation[sid] = state.n_meas_total, state.expected_deviation()
     return MapQueryResult(
         surfel_mean_heights=means,
         surfel_height_stds=np.sqrt(var),
-        expected_deviation=np.array([s.expected_deviation() for s in stm.surfels]),
+        expected_deviation=deviation,
         n_meas=n_meas,
         observed=n_meas > 0,
         vertex_mean=np.bincount(labels, w * means.ravel(), n_v) / vertex_w,

@@ -255,23 +255,25 @@ class ScenarioReport:
             json.dump(payload, fh, indent=2)
 
 
-def _belief_change_kls(stm: STMMap, before: list) -> np.ndarray:
-    """Per-surfel KL of each belief from its value before a step. Factors are
-    immutable, so an untouched surfel still holds the same belief object."""
-    kls = np.zeros(len(stm.surfels))
-    for i, state in enumerate(stm.surfels):
-        old = before[i]
+def _belief_change_kls(stm: STMMap, before: dict) -> np.ndarray:
+    """Per-surfel KL of each belief from its value before a step, given the
+    beliefs of the states held then. Factors are immutable, so an untouched
+    surfel still holds the same belief object, and one without a state the
+    shared initial belief: only held states are read."""
+    kls = np.zeros(stm.grid.n_surfels)
+    for sid, state in stm.states.items():
+        old = before.get(sid, stm.untouched.belief_h)
         new = state.belief_h
         if new is not old:
             try:
-                kls[i] = kl_gaussian(new, old)
+                kls[sid] = kl_gaussian(new, old)
             except NotADistribution:  # either belief is improper: no KL
                 pass
     return kls
 
 
 def _run_step(stm: STMMap, batch: list, step: int) -> StepRecord:
-    before = [s.belief_h for s in stm.surfels]
+    before = {sid: s.belief_h for sid, s in stm.states.items()}
     messages = incremental_update(stm, batch).messages
     n_new = len(batch)
     return StepRecord(
@@ -358,8 +360,11 @@ def _eval_set(surface: Surface, n_eval: int, seed: int, *models) -> tuple:
     sids = np.array([m.grid.locate_all(pts[:, 0], pts[:, 1]) for m in models])
     keep = (sids >= 0).all(axis=0)
     for m, ids in zip(models, sids):
-        observed = np.array([s.n_meas_total > 0 for s in m.surfels] if isinstance(m, STMMap)
-                            else [c.observed for c in m.cells])
+        if isinstance(m, STMMap):
+            observed = np.zeros(m.grid.n_surfels, dtype=bool)
+            observed[[sid for sid, s in m.states.items() if s.n_meas_total > 0]] = True
+        else:
+            observed = np.array([c.observed for c in m.cells])
         keep[keep] = observed[ids[keep]]
     if not keep.any():
         raise ValueError("no evaluable points: models unobserved everywhere")

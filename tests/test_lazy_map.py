@@ -1,0 +1,203 @@
+"""The lazy map: grid topology and sepset scopes computed from lattice
+positions, surfel states and sepsets made on first touch, updates that
+raise leaving the map as it was, and the output digest that checks it all."""
+
+import gc
+import math
+import os
+import subprocess
+import sys
+import tracemalloc
+import weakref
+
+import numpy as np
+import pytest
+
+import digest
+import stmmap.mapgraph as mapgraph
+from stmmap.cli import export_map_json, export_ply, make_emulation_case
+from stmmap.distributions import GaussianCanonical, NotADistribution
+from stmmap.geometry import TriGrid
+from stmmap.mapgraph import STMMap, enforce_rip, incremental_update, query_map
+from stmmap.surfel import Measurement
+
+from gridref import reference_element_frames, reference_grid, reference_incident, reference_rip_scopes
+
+# (n, rows): full subdivisions of depth 0-8, strips 1-64 and a few partial triangles
+GRIDS = [(2**d, 2**d) for d in range(9)] + [(n, 1) for n in range(1, 65)] + [(5, 3), (6, 5), (7, 2)]
+
+
+@pytest.mark.parametrize("n,rows", GRIDS)
+def test_topology_matches_the_lists(n, rows):
+    grid = TriGrid(n, rows)
+    surfels, adjacency, coords = reference_grid(n, rows)
+    assert (grid.n_surfels, grid.n_vertices) == (len(surfels), len(coords))
+    assert list(grid.surfels) == surfels
+    assert list(grid.adjacency) == adjacency
+    assert grid.vertex_table().tolist() == [list(s.vertex_ids) for s in surfels]
+    assert grid.vertex_coords.tobytes() == coords.tobytes()
+    edges = {s.sid: [] for s in surfels}
+    for edge in adjacency:
+        edges[edge[0]].append(edge)
+        edges[edge[1]].append(edge)
+    full = [grid.edges(s.sid) for s in surfels]
+    assert [[e[:3] for e in es] for es in full] == list(edges.values())
+    assert all(tuple(surfels[e[i]].vertex_ids.index(v) for v in e[2]) == e[3 + i]
+               for es in full for e in es for i in (0, 1))
+    for got, want in zip(grid.element_frames(range(len(surfels))), reference_element_frames(n, surfels, coords)):
+        assert got.tobytes() == want.tobytes()
+
+    scopes = reference_rip_scopes(surfels, adjacency)
+    downs = [e for s, es in zip(surfels, full) if not s.up for e in es]  # adjacency order
+    reduced = [enforce_rip(grid, *e) for e in downs]
+    assert [variables for variables, _, _ in reduced] == scopes
+    assert all(pos == tuple(p[e[2].index(v)] for v in variables)
+               for e, (variables, *kept) in zip(downs, reduced) for p, pos in zip(e[3:], kept))
+    assert all(scopes)  # no sepset loses both variables
+    stm = STMMap(grid)
+    incident = [[(sep.s, sep.c, sep.variables, sep.pos_s, sep.pos_c) for sep in stm.incident[s.sid]]
+                for s in surfels]
+    assert incident == reference_incident(surfels, adjacency, scopes)
+    assert [sep.s for sep in stm.sepsets] == [a for a, _, _ in adjacency]
+
+
+def test_an_empty_deep_map_allocates_almost_nothing():
+    tracemalloc.start()
+    try:
+        STMMap(TriGrid.triangle(10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_a_dropped_map_is_freed_at_once():
+    # no reference cycle: a map and its grid go when the last reference does,
+    # not at the next full collection (which kept dropped maps in memory)
+    stm = STMMap(TriGrid.triangle(3), convergence=mapgraph.ConvergenceConfig(kl_threshold=0.1))
+    incremental_update(stm, make_emulation_case("stereo"))
+    stm.surfels[3], stm.incident[5], stm.grid.surfels[2], stm.sepsets
+    refs = weakref.ref(stm), weakref.ref(stm.grid)
+    gc.disable()
+    try:
+        del stm
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_reads_create_no_state(tmp_path):
+    stm = STMMap(TriGrid.triangle(7), convergence=mapgraph.ConvergenceConfig(kl_threshold=0.1))
+    rng = np.random.default_rng(3)
+    ab = 0.3 + 0.02 * rng.uniform(size=(16, 2))
+    incremental_update(stm, [Measurement([a, b, 0.1 * a], 1e-4 * np.eye(3), i) for i, (a, b) in enumerate(ab)])
+    touched = [sid for sid, s in stm.states.items() if s.belief_h is not stm.untouched.belief_h]
+    assert 16 <= len(stm.states) == len(touched) < stm.grid.n_surfels // 100
+    query_map(stm)
+    export_ply(stm, str(tmp_path / "m.ply"))
+    export_map_json(stm, str(tmp_path / "m.map.json"))
+    assert len(stm.states) == len(touched)
+
+
+def _outputs(stm: STMMap, path: str) -> tuple:
+    q = query_map(stm)
+    export_map_json(stm, path)
+    with open(path, "rb") as fh:
+        return tuple(getattr(q, f).tobytes() for f in q.__dataclass_fields__), fh.read()
+
+
+@pytest.mark.parametrize("window", [1, 2])
+def test_an_update_that_raises_leaves_the_map_as_it_was(tmp_path, window):
+    # An infinite xi[0] in a surfel's prior turns its first refit NaN, and
+    # `update_mean_plane_factor` raises at a later cluster: after the fold,
+    # the new clusters, the refits (with window 2, also of the older batch's
+    # live clusters) and the first messages have all changed the map. With
+    # window 1 an empty batch first folds the older clusters away.
+    meas = make_emulation_case("lidar")
+    stm = STMMap(TriGrid.triangle(0), window=window)
+    incremental_update(stm, meas[:5])
+    if window == 1:
+        incremental_update(stm, [])
+    state = stm.surfels[0]
+    state.prior_h = GaussianCanonical.of((math.inf,) + state.prior_h.t[1:], 3)
+    state.recompute_beliefs()
+    before = _outputs(stm, str(tmp_path / "before.map.json"))
+    counts = (stm.batch, len(state.clusters), [(c.w, c.nu_scale, c.converged) for c in state.clusters])
+    with pytest.raises(NotADistribution):
+        incremental_update(stm, meas[5:])
+    assert _outputs(stm, str(tmp_path / "after.map.json")) == before
+    assert (stm.batch, len(state.clusters), [(c.w, c.nu_scale, c.converged) for c in state.clusters]) == counts
+
+
+def test_a_raising_update_drops_what_it_created(monkeypatch):
+    stm = STMMap(TriGrid.triangle(3), window=2, convergence=mapgraph.ConvergenceConfig(kl_threshold=0.1))
+    first = [Measurement([0.1, 0.1, 0.5], 1e-4 * np.eye(3), 0)]
+    incremental_update(stm, first)
+    held = (dict(stm.states), dict(stm._sepsets), {s: list(v) for s, v in stm._incident.items()})
+    messages = {key: (sep.msg_to_s, sep.msg_to_c) for key, sep in stm._sepsets.items()}
+    beliefs = {sid: (s.belief_h, s.neighbor_in_msg) for sid, s in stm.states.items()}
+    sends = [0]
+    real = mapgraph.neighbor_out_message
+
+    def failing(stm, sep, sid):  # raises deep into the second update's spread
+        sends[0] += 1
+        if sends[0] == 40:
+            raise RuntimeError("forced")
+        return real(stm, sep, sid)
+
+    monkeypatch.setattr(mapgraph, "neighbor_out_message", failing)
+    with pytest.raises(RuntimeError):
+        incremental_update(stm, [Measurement([0.6, 0.3, 2.0], 1e-4 * np.eye(3), 1),
+                                 Measurement([0.12, 0.1, 0.4], 1e-4 * np.eye(3), 2)])
+    assert sends[0] == 40
+    assert (dict(stm.states), dict(stm._sepsets), stm._incident) == held
+    assert {key: (sep.msg_to_s, sep.msg_to_c) for key, sep in stm._sepsets.items()} == messages
+    assert {sid: (s.belief_h, s.neighbor_in_msg) for sid, s in stm.states.items()} == beliefs
+    assert stm._undo is None
+
+
+def _mutated_digests(monkeypatch, mutate) -> dict:
+    calls = [0]
+    real = mapgraph.incremental_update
+
+    def update(stm, batch):
+        calls[0] += 1
+        return mutate(stm, batch, real) if calls[0] == 5 else real(stm, batch)
+
+    with monkeypatch.context() as m:
+        m.setattr(mapgraph, "incremental_update", update)
+        return digest.digests(["stream"], quick=True)
+
+
+def _scale_one_message(stm, batch, real):
+    """Scale by 1 + 1e-12 one informative message into the lowest surfel the
+    batch observes: the first sweep visits that surfel first, so its new
+    clusters are refit on the changed belief before any message replaces it."""
+    sids = stm.grid.locate_all(batch.means[:, 0], batch.means[:, 1])
+    sid = int(sids[sids >= 0].min())
+    sep = next(sep for sep in stm.incident[sid] if any(sep.msg_to(sid).t))
+    msg = sep.msg_to(sid)
+    sep.set_msg_to(sid, GaussianCanonical.of(tuple(x * (1.0 + 1e-12) for x in msg.t), msg.n))
+    return real(stm, batch)
+
+
+def _count_one_more_message(stm, batch, real):
+    report = real(stm, batch)
+    report.messages += 1
+    return report
+
+
+def test_digest_flags_a_changed_message_and_a_changed_count(monkeypatch):
+    clean = digest.digests(["stream"], quick=True)
+    assert clean == digest.digests(["stream"], quick=True)
+    for mutate, flagged in ((_scale_one_message, "query@10"), (_count_one_more_message, "reports")):
+        got = _mutated_digests(monkeypatch, mutate)
+        assert got.keys() == clean.keys()
+        assert got[f"stream/seed1/{flagged}"] != clean[f"stream/seed1/{flagged}"]
+
+
+def test_digest_against_its_own_tree_prints_nothing():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    run = subprocess.run([sys.executable, os.path.join(root, "tests", "digest.py"), "--quick",
+                          "--only", "emulation", "--against", root], capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (0, "")

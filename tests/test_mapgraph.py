@@ -105,7 +105,8 @@ def reference_run_inference(stm, batch, converged):
             # LBP: refresh the incoming neighbor message and ratio-update.
             new_in = GaussianCanonical.vacuous(3)
             for sep in stm.incident[sid]:
-                new_in = gauss_product(new_in, sep.msg_to(sid).embed(sep.positions(sid), 3))
+                pos = sep.pos_s if sid == sep.s else sep.pos_c
+                new_in = gauss_product(new_in, sep.msg_to(sid).embed(pos, 3))
             ratio = gauss_divide(new_in, state.neighbor_in_msg)
             state.belief_h = gauss_product(state.belief_h, ratio)
             state.neighbor_in_msg = new_in
@@ -151,7 +152,7 @@ def reference_run_inference(stm, batch, converged):
 
             # LBP: emit messages to each neighbor.
             for sep in stm.incident[sid]:
-                other = sep.other(sid)
+                other = sep.c if sid == sep.s else sep.s
                 old = sep.msg_to(other)
                 msg = neighbor_out_message(stm, sep, sid)
                 sep.set_msg_to(other, msg)
@@ -484,14 +485,20 @@ class TestBuildMap:
         )
 
 
+def rip_scopes(grid: TriGrid) -> list[tuple]:
+    """The scope `enforce_rip` leaves on every edge, in adjacency order."""
+    return [enforce_rip(grid, *edge)[0] for sid in range(grid.n_surfels) if not grid.cell(sid)[2]
+            for edge in grid.edges(sid)]
+
+
 class TestEnforceRIP:
     def test_depth0_no_sepsets(self):
-        assert enforce_rip(TriGrid.triangle(0)) == []
+        assert rip_scopes(TriGrid.triangle(0)) == []
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     def test_per_variable_tree(self, depth):
         grid = TriGrid.triangle(depth)
-        var_lists = enforce_rip(grid)
+        var_lists = rip_scopes(grid)
         # collect, per vertex, the sepset edges that carry it
         vertices = {}
         for (a, b, _), variables in zip(grid.adjacency, var_lists):
@@ -524,7 +531,7 @@ class TestEnforceRIP:
                              + [("strip", n) for n in range(1, 13)])
     def test_matches_union_find(self, shape, size):
         grid = getattr(TriGrid, shape)(size)
-        assert enforce_rip(grid) == reference_enforce_rip(grid)
+        assert rip_scopes(grid) == reference_enforce_rip(grid)
 
 
 class TestNeighborMessage:

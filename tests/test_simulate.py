@@ -293,9 +293,11 @@ class TestScenarios:
             calls[0] += 1
             return factor(o, *rtol)
 
-        def kls(stm, before):
-            want.append(float(reference_belief_change_kls(stm, before).sum()))
-            changed = sum(s.belief_h is not b for s, b in zip(stm.surfels, before))
+        def kls(stm, before):  # before: the beliefs of the states held before the step
+            initial = stm.untouched.belief_h
+            changed = sum(s.belief_h is not before.get(sid, initial) for sid, s in stm.states.items())
+            every = [before.get(sid, initial) for sid in range(len(stm.surfels))]
+            want.append(float(reference_belief_change_kls(stm, every).sum()))
             calls[0] = 0
             with monkeypatch.context() as m:
                 m.setattr(distributions, "cholesky_flat", counted)
