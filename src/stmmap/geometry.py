@@ -29,7 +29,7 @@ from .distributions import GaussianMoment, unscented_transform
 
 # The deepest grid allowed. An empty map costs the same at any depth, but a
 # read of the whole map grows with the surfels: `query_map` of an empty
-# depth-10 map takes about 2 s and 210 MiB (README.md), depth 11 4x that.
+# depth-10 map takes about 0.3 s and 210 MiB (README.md), depth 11 4x that.
 MAX_DEPTH = 10
 
 
@@ -132,22 +132,6 @@ def _stack_moments(a: GaussianMoment, b: GaussianMoment) -> GaussianMoment:
     return GaussianMoment(mu, sigma + eps * np.eye(len(mu)))
 
 
-@dataclass(frozen=True)
-class Surfel:
-    """One grid element: orientation, lattice cell, and its vertex triple.
-
-    vertex_ids are ordered (v0, v_alpha, v_beta): the lattice vertices mapped
-    to (0,0), (1,0) and (0,1) by the element normalization. Their (alpha,
-    beta) are the grid's `vertex_coords` rows.
-    """
-
-    sid: int
-    up: bool
-    row: int
-    col: int
-    vertex_ids: tuple[int, int, int]
-
-
 class View(Sequence):
     """A read-only sequence of n items, item i computed by item(i) on each access."""
 
@@ -181,12 +165,6 @@ class TriGrid:
         self.n_surfels = rows * (2 * n - rows)
         self.n_vertices = (rows + 1) * (n + 1) - rows * (rows + 1) // 2
 
-    @property
-    def surfels(self) -> View:
-        """Every element as a `Surfel`, in id order (made on each access, so
-        the grid holds no reference cycle and is freed as soon as it is dropped)."""
-        return View(self.n_surfels, self._surfel)
-
     def cell(self, sid: int) -> tuple[int, int, bool]:
         """(row, col, up) of a surfel id."""
         r = self.n - 1 - math.isqrt(self.n * self.n - sid - 1)
@@ -202,10 +180,6 @@ class TriGrid:
         r, j, up = self.cell(sid)
         low, high = self._vertex(r, j), self._vertex(r + 1, j)
         return (low, low + 1, high) if up else (high + 1, high, low + 1)
-
-    def _surfel(self, sid: int) -> Surfel:
-        r, j, up = self.cell(sid)
-        return Surfel(sid, up, r, j, self.vertex_ids(sid))
 
     def edges(self, sid: int) -> list[tuple]:
         """(low sid, high sid, shared vertex ids, their positions in the low and

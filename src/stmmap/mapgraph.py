@@ -1,15 +1,18 @@
 """Full-map inference: cluster graph, Gaussian LBP between surfels.
 
 The map has one surfel cluster per grid element and one sepset per
-interior edge. Sepset scopes start as the two shared vertex heights and are
-reduced so the running intersection property holds: for every vertex, the
-sepsets containing it form a spanning tree over the surfels incident to it.
+interior edge. A sepset's scope starts as the two shared vertex heights and
+is reduced so the running intersection property holds: for every vertex,
+the sepsets containing it form a spanning tree over the surfels incident
+to it.
 That reduction is a rule on an edge's lattice position (`enforce_rip`).
-A surfel's state and its sepsets are made when an update first touches
-them; until then it holds the shared prior, vacuous messages and initial
-belief, which the read side reads without making anything, so an empty
-map costs the same at every depth and an update only what it touches.
-If an update raises, what it changed is put back (`_atomic`).
+The LBP messages live in one table, `STMMap.messages`, keyed by (sender,
+receiver); a missing key is a vacuous message. A surfel's state is made
+when an update first touches it; until then it holds the shared prior,
+vacuous messages and initial belief, which the read side reads without
+making anything, so an empty map costs the same at every depth and an
+update only what it touches. If an update raises, what it changed is put
+back (`_atomic`).
 
 Each sweep pops the active surfels from a worklist heap in ascending id
 order. A visit recomputes the incoming neighbor message, ratio-updates the
@@ -100,35 +103,6 @@ class ConvergenceConfig:
             raise ValueError("max_sweeps must be >= 1")
 
 
-@dataclass(slots=True)
-class Sepset:
-    """Interior-edge interface between two surfel clusters. Messages are over
-    `variables` (sorted vertex ids), found at pos_s and pos_c in the surfels;
-    scatter_s and scatter_c place a message's t in its receiver's (`scatter_index`)."""
-
-    s: int
-    c: int
-    variables: tuple
-    pos_s: tuple
-    pos_c: tuple
-    msg_to_s: GaussianCanonical
-    msg_to_c: GaussianCanonical
-    scatter_s: tuple = field(init=False)
-    scatter_c: tuple = field(init=False)
-
-    def __post_init__(self):
-        self.scatter_s, self.scatter_c = scatter_index(self.pos_s, 3), scatter_index(self.pos_c, 3)
-
-    def msg_to(self, sid: int) -> GaussianCanonical:
-        return self.msg_to_s if sid == self.s else self.msg_to_c
-
-    def set_msg_to(self, sid: int, msg: GaussianCanonical):
-        if sid == self.s:
-            self.msg_to_s = msg
-        else:
-            self.msg_to_c = msg
-
-
 # The fallbacks of every report that took none: callers may keep many reports.
 _NO_FALLBACKS = MappingProxyType({})
 
@@ -163,10 +137,10 @@ class STMMap:
     Only touched surfels hold state. `states` maps the id of each surfel an
     update has visited, or a caller has fetched through `surfels`, to its
     `SurfelState`; every other surfel holds `untouched`'s shared prior,
-    vacuous message and belief, and every sepset not in `_sepsets` holds
-    vacuous messages. `surfels[sid]` and `incident[sid]` make a surfel's
-    state and its sepsets on first use; the read side reads `states` and
-    `untouched` and makes nothing.
+    vacuous message and belief. `messages` maps (sender, receiver) to the
+    LBP message a surfel last sent a neighbour; a missing key is a vacuous
+    message. `surfels[sid]` makes a surfel's state on first use; the read
+    side reads `states` and `untouched` and makes nothing.
     """
 
     def __init__(
@@ -190,11 +164,11 @@ class STMMap:
         prior_h = GaussianCanonical(np.zeros(3), np.linalg.inv(prior.height_covariance()))
         prior_nu = InverseGammaFactor.normalized(prior.a_p, prior.b_p)
         self._vacuous = [GaussianCanonical.vacuous(n) for n in range(4)]
-        self.untouched = SurfelState(-1, (), prior_h, prior_nu, self._vacuous[3],
+        self.untouched = SurfelState(-1, prior_h, prior_nu, self._vacuous[3],
                                      gauss_product(prior_h, self._vacuous[3]), prior_nu)
         self.states: dict[int, SurfelState] = {}
-        self._sepsets: dict[tuple[int, int], Sepset] = {}
-        self._incident: dict[int, list[Sepset]] = {}  # the sepsets with a variable at each surfel, in sepset order
+        self.messages: dict[tuple[int, int], GaussianCanonical] = {}
+        self._links: dict[int, tuple] = {}
 
         # Surfels are activated by measurements or by changed neighbor
         # messages; an untouched map is at its (empty) fixed point.
@@ -203,49 +177,36 @@ class STMMap:
         self._with_clusters: set[int] = set()
         self._undo: _Undo | None = None  # the open update's log, see `_atomic`
 
-    # Views made on each access: a stored view would hold a bound method of the
-    # map, a reference cycle that keeps every dropped map until a full collection.
+    # Made on each access: a stored view would hold a bound method of the map,
+    # a reference cycle that keeps every dropped map until a full collection.
     @property
     def surfels(self) -> View:
         return View(self.grid.n_surfels, self._state)
-
-    @property
-    def incident(self) -> View:
-        return View(self.grid.n_surfels, self._incident_of)
-
-    @property
-    def sepsets(self) -> list[Sepset]:
-        """Every sepset, in `grid.adjacency` order: makes them all."""
-        for sid in range(self.grid.n_surfels):
-            self._incident_of(sid)
-        return [self._sepsets[a, b] for a, b, _ in self.grid.adjacency]
 
     def _state(self, sid: int) -> SurfelState:
         state = self.states.get(sid)
         if state is None:
             u = self.untouched
-            state = self.states[sid] = SurfelState(sid, self.grid.vertex_ids(sid), u.prior_h, u.prior_nu,
-                                                   u.neighbor_in_msg, u.belief_h, u.belief_nu)
+            state = self.states[sid] = SurfelState(sid, u.prior_h, u.prior_nu, u.neighbor_in_msg,
+                                                   u.belief_h, u.belief_nu)
             if self._undo is not None:
                 self._undo.states[sid] = None  # made by the open update: undone by dropping it
         return state
 
-    def _sepset(self, a: int, b: int, shared: tuple, pos_a: tuple, pos_b: tuple) -> Sepset:
-        """The sepset on a `TriGrid.edges` entry."""
-        sep = self._sepsets.get((a, b))
-        if sep is None:
-            variables, pos_a, pos_b = enforce_rip(self.grid, a, b, shared, pos_a, pos_b)
-            empty = self._vacuous[len(variables)]
-            sep = self._sepsets[a, b] = Sepset(a, b, variables, pos_a, pos_b, empty, empty)
-        return sep
-
-    def _incident_of(self, sid: int) -> list[Sepset]:
-        seps = self._incident.get(sid)
-        if seps is None:
-            get = self._sepsets.get
-            seps = self._incident[sid] = [sep for e in self.grid.edges(sid)
-                                          if (sep := get(e[:2]) or self._sepset(*e)).variables]
-        return seps
+    def links(self, sid: int) -> tuple:
+        """(neighbour, positions of the shared heights in sid, their `scatter_index`,
+        key of the message in, key of the message out) of each sepset with a
+        variable at surfel sid, in `TriGrid.edges` order; made on first use."""
+        links = self._links.get(sid)
+        if links is None:
+            links = []
+            for e in self.grid.edges(sid):
+                _, pos_a, pos_b = enforce_rip(self.grid, *e)
+                other, pos = (e[1], pos_a) if e[0] == sid else (e[0], pos_b)
+                if pos:
+                    links.append((other, pos, scatter_index(pos, 3), (other, sid), (sid, other)))
+            links = self._links[sid] = tuple(links)
+        return links
 
 
 def enforce_rip(grid: TriGrid, a: int, b: int, shared: tuple, pos_a: tuple, pos_b: tuple) -> tuple:
@@ -300,8 +261,8 @@ def _ig_divergence(new: InverseGammaFactor, old: InverseGammaFactor) -> float:
 _UPPER3 = upper_index(3)
 
 
-def neighbor_out_message(stm: STMMap, sep: Sepset, sid: int) -> GaussianCanonical:
-    """Outgoing LBP message from surfel sid over the given sepset.
+def neighbor_out_message(stm: STMMap, sid: int, link: tuple) -> GaussianCanonical:
+    """Outgoing LBP message from surfel sid over one of its `STMMap.links`.
 
     Marginal of the surfel height belief divided by the reverse message.
     The dropped block is the belief's own, so the message is its Schur
@@ -311,7 +272,8 @@ def neighbor_out_message(stm: STMMap, sep: Sepset, sid: int) -> GaussianCanonica
     retry and `SingularMarginalization`.
     """
     stm.message_count += 1
-    pos, reverse = (sep.pos_s, sep.msg_to_s) if sid == sep.s else (sep.pos_c, sep.msg_to_c)
+    _, pos, _, key_in, _ = link
+    reverse = stm.messages.get(key_in) or stm._vacuous[len(pos)]
     belief = stm.states.get(sid, stm.untouched).belief_h
     x, r, u = belief.t, reverse.t, _UPPER3
     if len(pos) == 2:
@@ -376,19 +338,16 @@ _state_values = attrgetter(*_STATE_FIELDS)
 class _Undo:
     """What an open update changed, to put back if it raises: the map's
     counters and sets, each surfel's values before its first change (None
-    for a state the update made), the messages of the sepsets a surfel
-    sends on before its first send, and how many states, sepsets and
-    incident lists there were (dicts keep insertion order, so what the
-    update made comes last). Only the first old value of each is kept, so
-    a factor the update replaces again is freed at once."""
+    for a state the update made), and each message before the update first
+    wrote it (None for a missing key). Only the first old value of each is
+    kept, so a factor the update replaces again is freed at once."""
 
     def __init__(self, stm: STMMap):
         self.counters = (stm.batch, stm.message_count, stm.sweep_count)
         self.sets = (set(stm._active), set(stm._with_clusters))
-        self.sizes = (len(stm.states), len(stm._sepsets), len(stm._incident))
         self.states: dict[int, tuple | None] = {}
         self.senders: set[int] = set()
-        self.messages: list[tuple] = []  # (sepset, msg_to_s, msg_to_c), oldest first
+        self.messages: dict[tuple[int, int], GaussianCanonical | None] = {}
 
     def save(self, state: SurfelState):
         """Keep a state's values, unless kept already."""
@@ -397,26 +356,31 @@ class _Undo:
             self.states[state.sid] = (state, _state_values(state),
                                       [(c, c.w, c.nu_scale, c.converged) for c in clusters] if clusters else ())
 
-    def send(self, state: SurfelState, seps: list):
-        """Keep a visited state's values and the messages on its sepsets."""
+    def send(self, state: SurfelState, links: tuple, messages: dict):
+        """Keep a visited state's values and the messages it sends."""
         self.save(state)
         self.senders.add(state.sid)
-        self.messages += [(sep, sep.msg_to_s, sep.msg_to_c) for sep in seps]
+        for *_, key in links:
+            self.messages[key] = messages.get(key)
 
     def restore(self, stm: STMMap):
         stm.batch, stm.message_count, stm.sweep_count = self.counters
         stm._active, stm._with_clusters = self.sets
-        for state, values, clusters in filter(None, self.states.values()):
+        for sid, saved in self.states.items():
+            if saved is None:
+                del stm.states[sid]
+                continue
+            state, values, clusters = saved
             for name, value in zip(_STATE_FIELDS, values):
                 setattr(state, name, value)
             state.clusters = [c for c, *_ in clusters]
             for c, w, nu_scale, converged in clusters:
                 c.w, c.nu_scale, c.converged = w, nu_scale, converged
-        for sep, to_s, to_c in reversed(self.messages):  # so the oldest is put back last
-            sep.msg_to_s, sep.msg_to_c = to_s, to_c
-        for table, n in zip((stm.states, stm._sepsets, stm._incident), self.sizes):
-            for key in list(table)[n:]:
-                del table[key]
+        for key, msg in self.messages.items():
+            if msg is None:
+                del stm.messages[key]
+            else:
+                stm.messages[key] = msg
 
 
 @contextmanager
@@ -472,7 +436,7 @@ def run_inference(stm: STMMap, batch) -> ConvergenceReport:
         messages_before = stm.message_count
         active_per_sweep = []
         fallbacks_before = FALLBACKS.copy()
-        states, incidents = stm.states, stm._incident  # the views' caches, read first on this hot path
+        states, messages, vacuous = stm.states, stm.messages, stm._vacuous
         while stm._active and len(active_per_sweep) < stm.convergence.max_sweeps:
             stm.sweep_count += 1
             heap = sorted(stm._active)
@@ -482,19 +446,21 @@ def run_inference(stm: STMMap, batch) -> ConvergenceReport:
             while heap:
                 sid = heapq.heappop(heap)
                 state = states.get(sid) or stm.surfels[sid]
-                incident = incidents.get(sid) or stm.incident[sid]
+                links = stm.links(sid)
                 if sid not in undo.senders:
-                    undo.send(state, incident)
+                    undo.send(state, links, messages)
                 belief_h_start = state.belief_h
                 belief_nu_start = state.belief_nu
 
                 # LBP: refresh the incoming neighbor message and ratio-update.
-                # Summing in sepset order gives the bits of a factor product.
+                # Summing in sepset order gives the bits of a factor product;
+                # a vacuous message adds zeros, which change no sum.
                 t = [0.0] * 9
-                for sep in incident:
-                    scatter, msg = (sep.scatter_s, sep.msg_to_s) if sid == sep.s else (sep.scatter_c, sep.msg_to_c)
-                    for k, x in zip(scatter, msg.t):
-                        t[k] += x
+                for _, _, scatter, key_in, _ in links:
+                    msg = messages.get(key_in)
+                    if msg is not None:
+                        for k, x in zip(scatter, msg.t):
+                            t[k] += x
                 new_in = GaussianCanonical.of(tuple(t), 3)
                 ratio = gauss_divide(new_in, state.neighbor_in_msg)
                 state.belief_h = gauss_product(state.belief_h, ratio)
@@ -535,10 +501,10 @@ def run_inference(stm: STMMap, batch) -> ConvergenceReport:
                 )
 
                 # LBP: emit messages to each neighbor.
-                for sep in incident:
-                    other, old = (sep.c, sep.msg_to_c) if sid == sep.s else (sep.s, sep.msg_to_s)
-                    msg = neighbor_out_message(stm, sep, sid)
-                    sep.set_msg_to(other, msg)
+                for link in links:
+                    other, pos, _, _, key_out = link
+                    old = messages.get(key_out) or vacuous[len(pos)]
+                    msg = messages[key_out] = neighbor_out_message(stm, sid, link)
                     if not _gauss_divergence(msg, old) < tol:
                         changed = True
                         # a lower id was passed in this sweep: it waits for the next
@@ -583,7 +549,7 @@ def incremental_update(stm: STMMap, batch) -> ConvergenceReport:
 
     With window W, clusters from batches older than the W most recent are
     folded into the priors; the default W=1 keeps only the incoming batch
-    live. Sepset messages are retained as the warm start for the new batch.
+    live. LBP messages are retained as the warm start for the new batch.
     The batch is a `MeasurementBatch` or a list of `Measurement`; one of any
     other type or shape raises before the map changes, and if the fold or
     inference raises, the map is left as it was.
@@ -614,24 +580,31 @@ def belief_moments(stm: STMMap, sids) -> tuple[np.ndarray, np.ndarray]:
     """Means (k, 3) and marginal variances (k, 3) of the given surfels' height
     beliefs; the map's read side leaves information form only here.
 
-    Each block of surfels takes one stacked Cholesky factor L of its
-    information matrices. The covariance is L^-T L^-1, so the mean is
-    L^-T L^-1 xi and the variances are the column sums of squares of L^-1;
-    no covariance is formed. Raises NotADistribution unless every belief
-    read is positive definite.
+    The shared `untouched` belief and each held one take one row of a stacked
+    Cholesky factor L of their information matrices, in blocks; a surfel
+    without state reads the shared row. The covariance is L^-T L^-1, so the
+    mean is L^-T L^-1 xi and the variances are the column sums of squares of
+    L^-1; no covariance is formed. Raises NotADistribution unless every
+    belief read is positive definite.
     """
-    means, variances = np.empty((len(sids), 3)), np.empty((len(sids), 3))
-    get, untouched = stm.states.get, stm.untouched
-    for lo in range(0, len(sids), _READ_BLOCK):
-        t = np.array([get(s, untouched).belief_h.t for s in sids[lo:lo + _READ_BLOCK]])
+    sids = np.asarray(sids, dtype=int)
+    held = np.zeros(stm.grid.n_surfels, dtype=bool)
+    held[list(stm.states)] = True
+    rows = np.flatnonzero(held[sids])  # the positions in sids of held surfels
+    beliefs = [stm.untouched.belief_h.t] + [stm.states[s].belief_h.t for s in sids[rows].tolist()]
+    m, v = np.empty((len(beliefs), 3)), np.empty((len(beliefs), 3))
+    for lo in range(0, len(beliefs), _READ_BLOCK):
+        t = np.array(beliefs[lo:lo + _READ_BLOCK])
         try:
             lower = np.linalg.cholesky(t[:, upper_index(3)])
         except np.linalg.LinAlgError:
             raise NotADistribution("information matrix is not positive definite") from None
         inv_lower = np.linalg.inv(lower)
         y = np.einsum("sji,si->sj", inv_lower, np.ascontiguousarray(t[:, :3]))
-        means[lo:lo + len(t)] = np.einsum("sji,sj->si", inv_lower, y)
-        variances[lo:lo + len(t)] = np.einsum("sji,sji->si", inv_lower, inv_lower)
+        m[lo:lo + len(t)] = np.einsum("sji,sj->si", inv_lower, y)
+        v[lo:lo + len(t)] = np.einsum("sji,sji->si", inv_lower, inv_lower)
+    means, variances = np.repeat(m[:1], len(sids), axis=0), np.repeat(v[:1], len(sids), axis=0)
+    means[rows], variances[rows] = m[1:], v[1:]
     return means, variances
 
 
@@ -641,7 +614,7 @@ def query_map(stm: STMMap) -> MapQueryResult:
     A vertex fuses the marginals of its surfels with inverse-variance
     weights, summed in surfel order.
     """
-    means, var = belief_moments(stm, range(stm.grid.n_surfels))
+    means, var = belief_moments(stm, np.arange(stm.grid.n_surfels))
     labels = stm.grid.vertex_table().ravel()
     w = 1.0 / np.maximum(var, 1e-300).ravel()
     n_v = stm.grid.n_vertices

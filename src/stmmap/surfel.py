@@ -126,11 +126,10 @@ class LikelihoodClusterState:
 class SurfelState:
     """Belief state of one surfel; updates replace its factors, never write them."""
 
-    def __init__(self, sid: int, labels: tuple, prior_h: GaussianCanonical,
-                 prior_nu: InverseGammaFactor, neighbor_in_msg: GaussianCanonical = None,
-                 belief_h: GaussianCanonical = None, belief_nu: InverseGammaFactor = None):
+    def __init__(self, sid: int, prior_h: GaussianCanonical, prior_nu: InverseGammaFactor,
+                 neighbor_in_msg: GaussianCanonical = None, belief_h: GaussianCanonical = None,
+                 belief_nu: InverseGammaFactor = None):
         self.sid = sid
-        self.labels = labels  # vertex ids, in the position order of the height factors
         self.prior_h, self.prior_nu = prior_h, prior_nu
         self.clusters: list[LikelihoodClusterState] = []
         self.neighbor_in_msg = neighbor_in_msg or GaussianCanonical.vacuous(3)

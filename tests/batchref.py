@@ -17,9 +17,8 @@ def one_cluster(m: Measurement, nu_scale: float, batch: int = 0):
 
 def reference_element_affine(grid, sid: int):
     """(A, v0) of an element, built as a diagonal matrix and a vertex."""
-    s = grid.surfels[sid]
-    scale = float(grid.n) if s.up else -float(grid.n)
-    return np.diag([scale, scale, 1.0]), np.array([*grid.vertex_coords[s.vertex_ids[0]], 0.0])
+    scale = float(grid.n) if grid.cell(sid)[2] else -float(grid.n)
+    return np.diag([scale, scale, 1.0]), np.array([*grid.vertex_coords[grid.vertex_ids(sid)[0]], 0.0])
 
 
 def reference_associate(grid, batch: list[Measurement]) -> tuple[dict, int, int]:

@@ -1,12 +1,13 @@
 """The grid and sepset topology built as lists, as the map once stored it:
-references for `TriGrid`, `enforce_rip` and `STMMap.incident`, which compute
+references for `TriGrid`, `enforce_rip` and `STMMap.links`, which compute
 the same from lattice positions."""
 
-from collections import Counter
+from collections import Counter, namedtuple
 
 import numpy as np
 
-from stmmap.geometry import Surfel
+# One grid element as a (sid, up, row, col, vertex_ids) tuple.
+RefSurfel = namedtuple("RefSurfel", "sid up row col vertex_ids")
 
 
 def reference_grid(n: int, rows: int) -> tuple[list, list, np.ndarray]:
@@ -33,7 +34,7 @@ def reference_grid(n: int, rows: int) -> tuple[list, list, np.ndarray]:
                 trip = ((r, j), (r, j + 1), (r + 1, j))
             else:
                 trip = ((r + 1, j + 1), (r + 1, j), (r, j + 1))
-            surfels.append(Surfel(row_offset[r] + t, up, r, j, tuple(vertex_id[v] for v in trip)))
+            surfels.append(RefSurfel(row_offset[r] + t, up, r, j, tuple(vertex_id[v] for v in trip)))
 
     adjacency = []
 
@@ -70,18 +71,15 @@ def reference_rip_scopes(surfels: list, adjacency: list) -> list[tuple]:
     return [tuple(k) for k in keep]
 
 
-def reference_incident(surfels: list, adjacency: list, scopes: list) -> list[list[tuple]]:
-    """(s, c, variables, pos_s, pos_c) of the sepsets with a variable at each
-    surfel, in adjacency order."""
-    incident = [[] for _ in surfels]
+def reference_links(surfels: list, adjacency: list, scopes: list) -> list[list[tuple]]:
+    """(neighbour, variables, their positions in the surfel) of the sepsets
+    with a variable at each surfel, in adjacency order."""
+    links = [[] for _ in surfels]
     for (a, b, _), variables in zip(adjacency, scopes):
-        ids_a, ids_b = surfels[a].vertex_ids, surfels[b].vertex_ids
-        sep = (a, b, variables, tuple(ids_a.index(v) for v in variables),
-               tuple(ids_b.index(v) for v in variables))
         if variables:
-            incident[a].append(sep)
-            incident[b].append(sep)
-    return incident
+            for s, other in ((a, b), (b, a)):
+                links[s].append((other, variables, tuple(surfels[s].vertex_ids.index(v) for v in variables)))
+    return links
 
 
 def reference_element_frames(n: int, surfels: list, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -98,18 +98,15 @@ def wls_posterior(grid, measurements, prior, nu):
     omega = np.zeros((nv, nv))
     xi = np.zeros(nv)
     pc = prior.height_covariance()
-    for s in grid.surfels:
-        ids = np.array(s.vertex_ids)
+    for sid in range(grid.n_surfels):
+        ids = np.array(grid.vertex_ids(sid))
         omega[np.ix_(ids, ids)] += np.linalg.inv(pc)
     for m in measurements:
         sid = grid.locate(m.mean[0], m.mean[1])
-        s = grid.surfels[sid]
         (aff,), (v0,) = grid.element_frames([sid])
         la, lb, _ = aff @ (m.mean - v0)
         f = np.zeros(nv)
-        f[s.vertex_ids[0]] = 1 - la - lb
-        f[s.vertex_ids[1]] = la
-        f[s.vertex_ids[2]] = lb
+        f[list(grid.vertex_ids(sid))] = 1 - la - lb, la, lb
         var = m.cov[2, 2] + nu
         omega += np.outer(f, f) / var
         xi += f * m.mean[2] / var
@@ -193,14 +190,13 @@ def test_criterion_4_sepset_consistency(capsys):
         kl_threshold=1e-7, max_sweeps=500))
     rep = run_inference(stm, meas)
     worst = 0.0
-    for sep in stm.sepsets:
-        if not sep.variables:
-            continue
-        m1 = gauss_marginalize(stm.surfels[sep.s].belief_h, sep.pos_s)
-        m2 = gauss_marginalize(stm.surfels[sep.c].belief_h, sep.pos_c)
+    pos = {key: p for sid in range(grid.n_surfels) for _, p, _, _, key in stm.links(sid)}
+    for (a, b), pos_a in pos.items():
+        m1 = gauss_marginalize(stm.surfels[a].belief_h, pos_a)
+        m2 = gauss_marginalize(stm.surfels[b].belief_h, pos[b, a])
         worst = max(worst, kl_gaussian(m1, m2), kl_gaussian(m2, m1))
     report(capsys, 4, rep.converged and worst < 1e-4,
-           f"{len(stm.sepsets)} sepsets, worst two-sided KL = {worst:.2e} "
+           f"{len(grid.adjacency)} sepsets, worst two-sided KL = {worst:.2e} "
            f"(tol 1e-4)")
 
 
@@ -364,14 +360,14 @@ def test_criterion_9_consistency_suite(capsys, tmp_path):
         grid_ok = grid_ok and g.n_vertices == (n + 1) * (n + 2) // 2
         # tiling: total area of all faces equals the submap triangle
         tot = 0.0
-        for s in g.surfels:
-            p = g.vertex_coords[list(s.vertex_ids)]
+        for sid in range(g.n_surfels):
+            p = g.vertex_coords[list(g.vertex_ids(sid))]
             e1, e2 = p[1] - p[0], p[2] - p[0]
             tot += 0.5 * abs(e1[0] * e2[1] - e1[1] * e2[0])
         grid_ok = grid_ok and abs(tot - 0.5) < 1e-12
         # shared vertices: adjacent faces agree on exactly 2 vertex ids
         for s1, s2, shared in g.adjacency:
-            common = set(g.surfels[s1].vertex_ids) & set(g.surfels[s2].vertex_ids)
+            common = set(g.vertex_ids(s1)) & set(g.vertex_ids(s2))
             grid_ok = grid_ok and len(common) == 2 and set(shared) == common
 
     # (c) unscented transform exact on random affine maps

@@ -21,7 +21,7 @@ from stmmap.geometry import (
 
 def corners(grid: TriGrid, sid: int) -> np.ndarray:
     """(alpha, beta) of an element's (v0, v_alpha, v_beta), 3x2."""
-    return grid.vertex_coords[list(grid.surfels[sid].vertex_ids)]
+    return grid.vertex_coords[list(grid.vertex_ids(sid))]
 
 
 def denormalize_from_element(grid: TriGrid, sid: int, g: GaussianMoment) -> GaussianMoment:
@@ -139,8 +139,8 @@ class TestTriGrid:
         assert g.n_vertices == (n + 1) * (n + 2) // 2
         # tiling: areas sum to 1/2 with no overlap by construction
         total = 0.0
-        for s in g.surfels:
-            c = corners(g, s.sid)
+        for sid in range(g.n_surfels):
+            c = corners(g, sid)
             total += 0.5 * abs(
                 (c[1, 0] - c[0, 0]) * (c[2, 1] - c[0, 1])
                 - (c[2, 0] - c[0, 0]) * (c[1, 1] - c[0, 1])
@@ -150,8 +150,8 @@ class TestTriGrid:
         seen = set()
         for a, b, shared in g.adjacency:
             assert len(shared) == 2
-            assert set(shared) <= set(g.surfels[a].vertex_ids)
-            assert set(shared) <= set(g.surfels[b].vertex_ids)
+            assert set(shared) <= set(g.vertex_ids(a))
+            assert set(shared) <= set(g.vertex_ids(b))
             assert (a, b) not in seen
             seen.add((a, b))
 
@@ -170,8 +170,8 @@ class TestTriGrid:
         g = TriGrid.triangle(3)
         for a, b, shared in g.adjacency:
             for v in shared:
-                ca = corners(g, a)[g.surfels[a].vertex_ids.index(v)]
-                cb = corners(g, b)[g.surfels[b].vertex_ids.index(v)]
+                ca = corners(g, a)[g.vertex_ids(a).index(v)]
+                cb = corners(g, b)[g.vertex_ids(b).index(v)]
                 np.testing.assert_array_equal(ca, cb)
 
 

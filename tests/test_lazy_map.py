@@ -1,6 +1,6 @@
 """The lazy map: grid topology and sepset scopes computed from lattice
-positions, surfel states and sepsets made on first touch, updates that
-raise leaving the map as it was, and the output digest that checks it all."""
+positions, surfel states made on first touch, one message table, updates
+that raise leaving the map as it was, and the output digest that checks it all."""
 
 import gc
 import math
@@ -16,12 +16,12 @@ import pytest
 import digest
 import stmmap.mapgraph as mapgraph
 from stmmap.cli import export_map_json, export_ply, make_emulation_case
-from stmmap.distributions import GaussianCanonical, NotADistribution
+from stmmap.distributions import GaussianCanonical, NotADistribution, scatter_index
 from stmmap.geometry import TriGrid
 from stmmap.mapgraph import STMMap, enforce_rip, incremental_update, query_map
 from stmmap.surfel import Measurement
 
-from gridref import reference_element_frames, reference_grid, reference_incident, reference_rip_scopes
+from gridref import reference_element_frames, reference_grid, reference_links, reference_rip_scopes
 
 # (n, rows): full subdivisions of depth 0-8, strips 1-64 and a few partial triangles
 GRIDS = [(2**d, 2**d) for d in range(9)] + [(n, 1) for n in range(1, 65)] + [(5, 3), (6, 5), (7, 2)]
@@ -32,7 +32,8 @@ def test_topology_matches_the_lists(n, rows):
     grid = TriGrid(n, rows)
     surfels, adjacency, coords = reference_grid(n, rows)
     assert (grid.n_surfels, grid.n_vertices) == (len(surfels), len(coords))
-    assert list(grid.surfels) == surfels
+    assert [(sid, up, r, j, grid.vertex_ids(sid)) for sid in range(grid.n_surfels)
+            for r, j, up in [grid.cell(sid)]] == surfels
     assert list(grid.adjacency) == adjacency
     assert grid.vertex_table().tolist() == [list(s.vertex_ids) for s in surfels]
     assert grid.vertex_coords.tobytes() == coords.tobytes()
@@ -55,10 +56,11 @@ def test_topology_matches_the_lists(n, rows):
                for e, (variables, *kept) in zip(downs, reduced) for p, pos in zip(e[3:], kept))
     assert all(scopes)  # no sepset loses both variables
     stm = STMMap(grid)
-    incident = [[(sep.s, sep.c, sep.variables, sep.pos_s, sep.pos_c) for sep in stm.incident[s.sid]]
-                for s in surfels]
-    assert incident == reference_incident(surfels, adjacency, scopes)
-    assert [sep.s for sep in stm.sepsets] == [a for a, _, _ in adjacency]
+    links = [stm.links(s.sid) for s in surfels]
+    assert [[(other, tuple(s.vertex_ids[p] for p in pos), pos) for other, pos, *_ in ls]
+            for s, ls in zip(surfels, links)] == reference_links(surfels, adjacency, scopes)
+    assert all((scatter, key_in, key_out) == (scatter_index(pos, 3), (other, s.sid), (s.sid, other))
+               for s, ls in zip(surfels, links) for other, pos, scatter, key_in, key_out in ls)
 
 
 def test_an_empty_deep_map_allocates_almost_nothing():
@@ -76,7 +78,7 @@ def test_a_dropped_map_is_freed_at_once():
     # not at the next full collection (which kept dropped maps in memory)
     stm = STMMap(TriGrid.triangle(3), convergence=mapgraph.ConvergenceConfig(kl_threshold=0.1))
     incremental_update(stm, make_emulation_case("stereo"))
-    stm.surfels[3], stm.incident[5], stm.grid.surfels[2], stm.sepsets
+    stm.surfels[3], stm.links(5)
     refs = weakref.ref(stm), weakref.ref(stm.grid)
     gc.disable()
     try:
@@ -97,6 +99,28 @@ def test_reads_create_no_state(tmp_path):
     export_ply(stm, str(tmp_path / "m.ply"))
     export_map_json(stm, str(tmp_path / "m.map.json"))
     assert len(stm.states) == len(touched)
+
+
+def test_every_message_is_sent_over_a_link_of_a_held_state():
+    stm = STMMap(TriGrid.triangle(4), window=2, convergence=mapgraph.ConvergenceConfig(kl_threshold=1e-3))
+    rng = np.random.default_rng(5)
+    for k in range(3):
+        ab = 0.1 + 0.2 * k + 0.05 * rng.uniform(size=(8, 2))
+        incremental_update(stm, [Measurement([a, b, a - b], 1e-4 * np.eye(3), i) for i, (a, b) in enumerate(ab)])
+    sizes = {key: len(pos) for sid in stm.states for _, pos, _, _, key in stm.links(sid)}
+    assert 0 < len(stm.messages) <= len(sizes)
+    for key, msg in stm.messages.items():
+        assert msg.n == sizes[key] and len(msg.t) == msg.n * (msg.n + 3) // 2
+
+
+def test_a_read_factors_the_shared_belief_once(monkeypatch):
+    stm = STMMap(TriGrid.triangle(5), convergence=mapgraph.ConvergenceConfig(kl_threshold=0.1))
+    incremental_update(stm, [Measurement([0.3, 0.3, 0.1], 1e-4 * np.eye(3), 0),
+                             Measurement([0.6, 0.1, 0.1], 1e-4 * np.eye(3), 1)])
+    rows, real = [], np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: rows.append(len(a)) or real(a))
+    query_map(stm)
+    assert sum(rows) == len(stm.states) + 1 == 8
 
 
 def _outputs(stm: STMMap, path: str) -> tuple:
@@ -133,25 +157,24 @@ def test_a_raising_update_drops_what_it_created(monkeypatch):
     stm = STMMap(TriGrid.triangle(3), window=2, convergence=mapgraph.ConvergenceConfig(kl_threshold=0.1))
     first = [Measurement([0.1, 0.1, 0.5], 1e-4 * np.eye(3), 0)]
     incremental_update(stm, first)
-    held = (dict(stm.states), dict(stm._sepsets), {s: list(v) for s, v in stm._incident.items()})
-    messages = {key: (sep.msg_to_s, sep.msg_to_c) for key, sep in stm._sepsets.items()}
+    states, messages = list(stm.states.items()), list(stm.messages.items())
     beliefs = {sid: (s.belief_h, s.neighbor_in_msg) for sid, s in stm.states.items()}
     sends = [0]
     real = mapgraph.neighbor_out_message
 
-    def failing(stm, sep, sid):  # raises deep into the second update's spread
+    def failing(stm, sid, link):  # raises deep into the second update's spread
         sends[0] += 1
         if sends[0] == 40:
             raise RuntimeError("forced")
-        return real(stm, sep, sid)
+        return real(stm, sid, link)
 
     monkeypatch.setattr(mapgraph, "neighbor_out_message", failing)
     with pytest.raises(RuntimeError):
         incremental_update(stm, [Measurement([0.6, 0.3, 2.0], 1e-4 * np.eye(3), 1),
                                  Measurement([0.12, 0.1, 0.4], 1e-4 * np.eye(3), 2)])
     assert sends[0] == 40
-    assert (dict(stm.states), dict(stm._sepsets), stm._incident) == held
-    assert {key: (sep.msg_to_s, sep.msg_to_c) for key, sep in stm._sepsets.items()} == messages
+    assert list(stm.states.items()) == states
+    assert list(stm.messages.items()) == messages
     assert {sid: (s.belief_h, s.neighbor_in_msg) for sid, s in stm.states.items()} == beliefs
     assert stm._undo is None
 
@@ -175,9 +198,9 @@ def _scale_one_message(stm, batch, real):
     clusters are refit on the changed belief before any message replaces it."""
     sids = stm.grid.locate_all(batch.means[:, 0], batch.means[:, 1])
     sid = int(sids[sids >= 0].min())
-    sep = next(sep for sep in stm.incident[sid] if any(sep.msg_to(sid).t))
-    msg = sep.msg_to(sid)
-    sep.set_msg_to(sid, GaussianCanonical.of(tuple(x * (1.0 + 1e-12) for x in msg.t), msg.n))
+    key = next(key for _, _, _, key, _ in stm.links(sid) if key in stm.messages and any(stm.messages[key].t))
+    msg = stm.messages[key]
+    stm.messages[key] = GaussianCanonical.of(tuple(x * (1.0 + 1e-12) for x in msg.t), msg.n)
     return real(stm, batch)
 
 

@@ -19,6 +19,7 @@ from stmmap.distributions import (
     gauss_product,
     ig_product,
     kl_gaussian,
+    scatter_index,
 )
 import stmmap.mapgraph as mapgraph
 import stmmap.surfel as surfel
@@ -28,7 +29,6 @@ from stmmap.mapgraph import (
     ConvergenceReport,
     PriorConfig,
     MapQueryResult,
-    Sepset,
     STMMap,
     _associate,
     _gauss_divergence,
@@ -104,9 +104,9 @@ def reference_run_inference(stm, batch, converged):
 
             # LBP: refresh the incoming neighbor message and ratio-update.
             new_in = GaussianCanonical.vacuous(3)
-            for sep in stm.incident[sid]:
-                pos = sep.pos_s if sid == sep.s else sep.pos_c
-                new_in = gauss_product(new_in, sep.msg_to(sid).embed(pos, 3))
+            for _, pos, _, key_in, _ in stm.links(sid):
+                msg = stm.messages.get(key_in, GaussianCanonical.vacuous(len(pos)))
+                new_in = gauss_product(new_in, msg.embed(pos, 3))
             ratio = gauss_divide(new_in, state.neighbor_in_msg)
             state.belief_h = gauss_product(state.belief_h, ratio)
             state.neighbor_in_msg = new_in
@@ -151,11 +151,10 @@ def reference_run_inference(stm, batch, converged):
                 changed = True
 
             # LBP: emit messages to each neighbor.
-            for sep in stm.incident[sid]:
-                other = sep.c if sid == sep.s else sep.s
-                old = sep.msg_to(other)
-                msg = neighbor_out_message(stm, sep, sid)
-                sep.set_msg_to(other, msg)
+            for link in stm.links(sid):
+                other, pos, _, _, key_out = link
+                old = stm.messages.get(key_out, GaussianCanonical.vacuous(len(pos)))
+                msg = stm.messages[key_out] = neighbor_out_message(stm, sid, link)
                 if _gauss_divergence(msg, old) >= tol:
                     changed = True
                     converged[other] = False
@@ -347,7 +346,7 @@ def reference_query_map(stm: STMMap) -> MapQueryResult:
         devs[i] = state.expected_deviation()
         n_meas[i] = state.n_meas_total
         observed[i] = state.n_meas_total > 0
-        for k, v in enumerate(state.labels):
+        for k, v in enumerate(stm.grid.vertex_ids(state.sid)):
             w = 1.0 / max(var[k], 1e-300)
             vertex_w[v] += w
             vertex_wm[v] += w * mom.mu[k]
@@ -420,8 +419,8 @@ def wls_posterior(measurements, grid, prior, nu):
     omega_p = np.linalg.inv(sigma_p)
     omega = np.zeros((n_v, n_v))
     xi = np.zeros(n_v)
-    for s in grid.surfels:
-        idx = list(s.vertex_ids)
+    for sid in range(grid.n_surfels):
+        idx = list(grid.vertex_ids(sid))
         omega[np.ix_(idx, idx)] += omega_p
     for m in measurements:
         sid = grid.locate(m.mean[0], m.mean[1])
@@ -431,7 +430,7 @@ def wls_posterior(measurements, grid, prior, nu):
         a, b = local.mu[0], local.mu[1]
         f = np.array([1 - a - b, a, b])
         var = local.sigma[2, 2] + nu
-        idx = list(grid.surfels[sid].vertex_ids)
+        idx = list(grid.vertex_ids(sid))
         omega[np.ix_(idx, idx)] += np.outer(f, f) / var
         xi[idx] += f * local.mu[2] / var
     cov = np.linalg.inv(omega)
@@ -505,7 +504,7 @@ class TestEnforceRIP:
             for v in variables:
                 vertices.setdefault(v, []).append((a, b))
         for v, edges in vertices.items():
-            incident = {s.sid for s in grid.surfels if v in s.vertex_ids}
+            incident = {sid for sid in range(grid.n_surfels) if v in grid.vertex_ids(sid)}
             # acyclic and spanning: a tree over the incident surfels
             nodes = set()
             for a, b in edges:
@@ -537,11 +536,12 @@ class TestEnforceRIP:
 class TestNeighborMessage:
     def test_vacuous_map_messages(self):
         stm = STMMap(TriGrid.triangle(1), PriorConfig())
-        for sep in stm.sepsets:
-            msg = neighbor_out_message(stm, sep, sep.s)
-            # prior-only map: messages carry prior information only, and
-            # must be well-defined
-            assert msg.n == len(sep.variables)
+        for sid in range(stm.grid.n_surfels):
+            for link in stm.links(sid):
+                msg = neighbor_out_message(stm, sid, link)
+                # prior-only map: messages carry prior information only, and
+                # must be well-defined
+                assert msg.n == len(link[1])
 
     def test_observed_surfel_informs_neighbor(self):
         grid = TriGrid.strip(2)
@@ -552,8 +552,8 @@ class TestNeighborMessage:
             Measurement([0.2, 0.2, 1.0], np.diag([1e-8, 1e-8, 1e-4]), 1),
         ]
         run_inference(stm, meas)
-        sep = stm.sepsets[0]
-        msg = neighbor_out_message(stm, sep, grid.locate(0.1, 0.1))
+        sid = grid.locate(0.1, 0.1)
+        msg = neighbor_out_message(stm, sid, stm.links(sid)[0])
         assert np.linalg.eigvalsh(msg.omega).max() > 1.0
 
     def test_message_ratio_identity(self):
@@ -564,14 +564,14 @@ class TestNeighborMessage:
         run_inference(stm, meas)
         from stmmap.distributions import gauss_product
 
-        for sep in stm.sepsets:
-            if not sep.variables:
-                continue
-            out = neighbor_out_message(stm, sep, sep.s)
-            combined = gauss_product(out, sep.msg_to(sep.s))
-            marg = gauss_marginalize(stm.surfels[sep.s].belief_h, sep.pos_s)
-            np.testing.assert_allclose(combined.xi, marg.xi, atol=1e-8)
-            np.testing.assert_allclose(combined.omega, marg.omega, atol=1e-8)
+        for sid in range(grid.n_surfels):
+            for link in stm.links(sid):
+                _, pos, _, key_in, _ = link
+                out = neighbor_out_message(stm, sid, link)
+                combined = gauss_product(out, stm.messages[key_in])
+                marg = gauss_marginalize(stm.surfels[sid].belief_h, pos)
+                np.testing.assert_allclose(combined.xi, marg.xi, atol=1e-8)
+                np.testing.assert_allclose(combined.omega, marg.omega, atol=1e-8)
 
     # every sepset position pattern: one or two kept heights, in any order
     PATTERNS = [p for k in (1, 2) for p in itertools.permutations(range(3), k)]
@@ -580,8 +580,8 @@ class TestNeighborMessage:
     def _out_message(belief, reverse, pos):
         stm = STMMap(TriGrid.triangle(0), PriorConfig())
         stm.surfels[0].belief_h = belief
-        sep = Sepset(0, 1, tuple(range(len(pos))), pos, pos, reverse, reverse)
-        return neighbor_out_message(stm, sep, 0)
+        stm.messages[1, 0] = reverse
+        return neighbor_out_message(stm, 0, (1, pos, scatter_index(pos, 3), (1, 0), (0, 1)))
 
     @given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-4, 8), log_cond=st.floats(0, 4))
     @settings(max_examples=100, deadline=None)
@@ -828,7 +828,7 @@ class TestSharedFactors:
             factors = [f for s in stm.surfels for f in (
                 s.prior_h, s.neighbor_in_msg, s.belief_h,
                 *(c.out_msg_h for c in s.clusters))]
-            factors += [f for sep in stm.sepsets for f in (sep.msg_to_s, sep.msg_to_c)]
+            factors += stm.messages.values()
             for f in factors:
                 assert not f.xi.flags.writeable and not f.omega.flags.writeable
             untouched = [s for s in stm.surfels if s.belief_h is initial]
@@ -865,7 +865,7 @@ class TestRunInference:
         assert report.converged
         mu, cov = wls_posterior(meas, grid, prior, nu)
         mom = stm.surfels[0].belief_h.to_moments()
-        idx = list(grid.surfels[0].vertex_ids)
+        idx = list(grid.vertex_ids(0))
         assert np.max(np.abs(mom.mu - mu[idx])) < 1e-8
         assert np.max(np.abs(mom.sigma - cov[np.ix_(idx, idx)])) < 1e-8
 
@@ -875,11 +875,10 @@ class TestRunInference:
         meas = make_measurements(grid, 10, seed=5, truth=lambda a, b: a + b)
         report = run_inference(stm, meas)
         assert report.converged
-        for sep in stm.sepsets:
-            if not sep.variables:
-                continue
-            m1 = gauss_marginalize(stm.surfels[sep.s].belief_h, sep.pos_s)
-            m2 = gauss_marginalize(stm.surfels[sep.c].belief_h, sep.pos_c)
+        pos = {key: p for sid in range(grid.n_surfels) for _, p, _, _, key in stm.links(sid)}
+        for (a, b), pos_a in pos.items():
+            m1 = gauss_marginalize(stm.surfels[a].belief_h, pos_a)
+            m2 = gauss_marginalize(stm.surfels[b].belief_h, pos[b, a])
             assert kl_gaussian(m1, m2) < 1e-6
             assert kl_gaussian(m2, m1) < 1e-6
 
@@ -895,10 +894,10 @@ class TestRunInference:
         # a sepset message whose xi overflowed gives its receiver a belief
         # whose KL from the last one is NaN: a change, not convergence
         stm = STMMap(TriGrid.strip(2), PriorConfig(), convergence=ConvergenceConfig(1e-3, 5))
-        sep = stm.sepsets[0]
-        n = len(sep.variables)
-        sep.msg_to_s = GaussianCanonical(np.r_[math.inf, np.zeros(n - 1)], np.eye(n))
-        stm._active.add(sep.s)
+        _, pos, _, key_in, _ = stm.links(0)[0]
+        n = len(pos)
+        stm.messages[key_in] = GaussianCanonical(np.r_[math.inf, np.zeros(n - 1)], np.eye(n))
+        stm._active.add(0)
         report = run_inference(stm, [])
         assert not report.converged
         assert report.sweeps == 5
@@ -1037,7 +1036,7 @@ class TestTreeExactness:
         worst = 0.0
         for state in stm.surfels:
             mom = state.belief_h.to_moments()
-            idx = list(grid.surfels[state.sid].vertex_ids)
+            idx = list(grid.vertex_ids(state.sid))
             worst = max(worst, float(np.max(np.abs(mom.mu - mu[idx]))))
         assert worst < 1e-6
 
@@ -1366,7 +1365,7 @@ def grid_points(grid, n, seed):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, 1.0, size=(4 * n, 2)) * [1.0, grid.rows / grid.n]
     pts = pts[pts.sum(axis=1) < 1.0][:n]
-    assert len(pts) == n and len({grid.surfels[grid.locate(a, b)].up for a, b in pts}) == 2
+    assert len(pts) == n and len({grid.cell(grid.locate(a, b))[2] for a, b in pts}) == 2
     return pts
 
 
@@ -1399,7 +1398,7 @@ class TestBatchedRead:
         stm = STMMap(grid, PriorConfig())
         run_inference(stm, make_measurements(grid, 3, seed=23))
         stm.surfels[5].belief_h = indefinite_belief()
-        inside, other = (grid.vertex_coords[list(grid.surfels[s].vertex_ids)].mean(axis=0) for s in (5, 0))
+        inside, other = (grid.vertex_coords[list(grid.vertex_ids(s))].mean(axis=0) for s in (5, 0))
         for read in (query_map, reference_query_map):
             with pytest.raises(NotADistribution):
                 read(stm)

@@ -390,7 +390,6 @@ class TestCompareMarginals:
         mom = GaussianMoment(mu, sigma)
         return SurfelState(
             sid=0,
-            labels=("h0", "ha", "hb"),
             prior_h=mom.to_canonical(),
             prior_nu=InverseGammaFactor.normalized(shape, scale),
         )

@@ -46,8 +46,6 @@ from stmmap.surfel import (
 from batchref import one_cluster
 from floatref import cholesky_small, same_bits
 
-LABELS = ("h0", "ha", "hb")
-
 
 def mean_plane_eval(alpha, beta, h) -> float:
     """Barycentric interpolation of the vertex heights."""
@@ -274,7 +272,6 @@ def fresh_state(prior_var=100.0, a_p=1.0, b_p=1.0):
     omega = np.eye(3) / prior_var
     return SurfelState(
         sid=0,
-        labels=LABELS,
         prior_h=GaussianCanonical(np.zeros(3), omega),
         prior_nu=InverseGammaFactor.normalized(a_p, b_p),
     )
@@ -286,7 +283,6 @@ def fixed_nu_state(nu, prior_var=1e12):
     omega = np.eye(3) / prior_var
     return SurfelState(
         sid=0,
-        labels=LABELS,
         prior_h=GaussianCanonical(np.zeros(3), omega),
         prior_nu=InverseGammaFactor.normalized(a, nu * a),
     )
@@ -654,7 +650,6 @@ def drawn_state(log_prior_var, log_meas_var, log_nu, log_shape, n, sweeps, seed)
     nu, shape = 10.0**log_nu, 10.0**log_shape
     state = SurfelState(
         sid=0,
-        labels=LABELS,
         prior_h=GaussianCanonical(np.zeros(3), np.eye(3) / 10.0**log_prior_var),
         prior_nu=InverseGammaFactor.normalized(shape, nu * shape),
     )
@@ -850,7 +845,7 @@ class TestFloatRefit:
     def test_singular_incoming_takes_the_jitter_retry(self):
         # no prior and one cluster: the incoming height information is zero,
         # and the refitted belief has rank one; both take the retry
-        state = SurfelState(sid=0, labels=LABELS, prior_h=GaussianCanonical.vacuous(3),
+        state = SurfelState(sid=0, prior_h=GaussianCanonical.vacuous(3),
                             prior_nu=InverseGammaFactor.normalized(2.0, 0.1))
         state.clusters.append(one_cluster(Measurement([0.2, 0.3, 1.5], 0.01 * np.eye(3), 0), 0.1))
         state.recompute_beliefs()
