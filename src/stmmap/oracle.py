@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import NotADistribution, inv_psd
-from .mapgraph import PriorConfig
+from .mapgraph import PriorConfig, validate_batch
 from .surfel import ALPHA_BETA_PRIOR_VAR, MeasurementBatch, SurfelState
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -72,6 +72,14 @@ def _log_ig(nu: float, shape: float, scale: float) -> float:
     )
 
 
+def _checked(measurements) -> MeasurementBatch:
+    """The measurements as a batch; ValueError naming why if `validate_batch` rejects any."""
+    batch = MeasurementBatch.of(measurements)
+    if rejected := validate_batch(batch)[1]:
+        raise ValueError("invalid measurements: " + ", ".join(f"{c} {r}" for r, c in sorted(rejected.items())))
+    return batch
+
+
 def exact_log_joint(
     h: np.ndarray,
     nu: float,
@@ -81,15 +89,16 @@ def exact_log_joint(
 ) -> float:
     """Unnormalized log posterior of (h, nu, m_1..m_N).
 
-    The measurements are a `MeasurementBatch` or a list of `Measurement`.
-    Terms: each measurement z_i given its latent point m_i, each latent
-    gamma_i given the mean plane and nu, the correlated Gaussian height
-    prior, the inverse-gamma deviation prior, and the broad Gaussian
-    priors on each latent (alpha_i, beta_i).
+    The measurements are a `MeasurementBatch` or a list of `Measurement`;
+    one that `validate_batch` rejects raises ValueError. Terms: each
+    measurement z_i given its latent point m_i, each latent gamma_i given
+    the mean plane and nu, the correlated Gaussian height prior, the
+    inverse-gamma deviation prior, and the broad Gaussian priors on each
+    latent (alpha_i, beta_i).
     """
+    batch = _checked(measurements)
     if nu <= 0.0:
         return -math.inf
-    batch = MeasurementBatch.of(measurements)
     h = np.asarray(h, dtype=float).reshape(3)
     m = np.asarray(m_points, dtype=float).reshape(len(batch.ids), 3)
 
@@ -126,7 +135,8 @@ def run_mh(
 ) -> ChainResult:
     """Component-wise Gaussian random-walk Metropolis over (h, log nu, m).
 
-    The measurements are a `MeasurementBatch` or a list of `Measurement`.
+    The measurements are a `MeasurementBatch` or a list of `Measurement`;
+    one that `validate_batch` rejects raises ValueError before any draw.
 
     nu is sampled on the log scale with the Jacobian correction, which
     keeps proposals unconstrained. The latent points m_i are conditionally
@@ -139,9 +149,17 @@ def run_mh(
     (1 - alpha_i - beta_i, alpha_i, beta_i) and r = gamma - C h the
     residuals, these are G = C'C, s = C'r, SS = r.r and Lambda h (the
     prior precision times h), so a height or log-nu move costs a few
-    scalar operations. The latent-point move caches each row's m-only
-    terms (measurement quadratic and alpha/beta prior) and replaces them
-    where a row is accepted. Two invariants hold:
+    scalar operations. The latent-point move takes each row's m-only log
+    density (its measurement and the latent alpha/beta prior, both centered
+    on z_i) as one quadratic form in m_i - z_i, whose matrix folds
+    1/ALPHA_BETA_PRIOR_VAR into the first two diagonal entries of the
+    measurement precision, and caches it where a row is accepted. Its
+    residuals are r = m @ (h0 - ha, h0 - hb, 1) - h0, and a row's log ratio
+    subtracts (r_new - r)(r_new + r) / (2 nu). The points are stored by
+    coordinate in the 5 x n rows (1, alpha, beta, gamma, r); one product
+    of these with their transpose gives the sums of products of 1, alpha,
+    beta and r, which the fixed map (1, alpha, beta) -> (1 - alpha - beta,
+    alpha, beta) turns into G, s and SS. Two invariants hold:
 
     - The draw order and the proposals are fixed. Each iteration draws a
       normal and a uniform for each height, then for log nu, then n x 3
@@ -155,59 +173,52 @@ def run_mh(
     """
     if config is None:
         config = ChainConfig()
+    batch = _checked(measurements)
     rng = np.random.default_rng(config.seed)
-    batch = MeasurementBatch.of(measurements)
     n = len(batch.ids)
 
     lam = inv_psd(prior.height_covariance()).tolist()
-    z = batch.means  # (n, 3)
-    lam_z = np.array([inv_psd(cov) for cov in batch.covs]).reshape(n, 3, 3)
+    # -1/2 times each row's precision of m_i, with the latent alpha/beta prior's
+    half_lam_m = -0.5 * (np.array([inv_psd(cov) for cov in batch.covs]).reshape(n, 3, 3)
+                         + np.diag([1.0 / ALPHA_BETA_PRIOR_VAR] * 2 + [0.0]))
 
-    # state
-    h = [0.0, 0.0, 0.0] if n == 0 else [float(np.mean(z[:, 2]))] * 3
+    # state; m holds the latent points by coordinate, as rows 1-3 of the
+    # rows (1, alpha, beta, gamma, r), whose products give G, s and SS
+    rows = np.ones((5, n))
+    m, r = rows[1:4], rows[4]
+    m[:] = z = batch.means.T.copy()
+    h = [0.0, 0.0, 0.0] if n == 0 else [float(np.mean(z[2]))] * 3
     u = math.log(prior.b_p / prior.a_p) if n == 0 else math.log(
-        max(float(np.var(z[:, 2])), 1e-4)
+        max(float(np.var(z[2])), 1e-4)
     )
     nu = math.exp(u)
-    m = z.copy()
-
-    def m_only_terms(m_):
-        # per-measurement log density terms that depend on m_i alone
-        d = m_ - z
-        quad = -0.5 * np.einsum("ij,ijk,ik->i", d, lam_z, d)
-        ab = d[:, :2]  # latent alpha/beta priors are centered on z
-        return quad, 0.5 * (ab * ab).sum(axis=1) / ALPHA_BETA_PRIOR_VAR
-
-    def residuals(c0_, m_):
-        # r = gamma - C h, with c0_ = 1 - alpha - beta given
-        return m_[:, 2] - (c0_ * h[0] + m_[:, 0] * h[1] + m_[:, 1] * h[2])
-
-    cur_quad, cur_ab = m_only_terms(m)
-    # C transposed (rows 1 - alpha - beta, alpha, beta) over r: one product
-    # of this with itself gives G, s and SS
-    design = np.empty((4, n))
-    c0 = design[0]
-    c0[:] = 1.0 - m[:, 0] - m[:, 1]
+    m_prop = np.empty_like(m)
+    cur = np.zeros(n)  # each row's m-only log density term; 0 at m = z
+    w = np.ones(3)  # r = gamma - C h = w @ m - h0, with w = (h0 - ha, h0 - hb, 1)
     gram, s, lam_hh = [[0.0] * 3 for _ in range(3)], [0.0] * 3, [0.0] * 3
 
-    def refresh(r_) -> float:
-        # every statistic again from the state, given r_ = gamma - C h; returns SS
+    def refresh() -> float:
+        # every statistic again from the state and its residuals r; returns SS
         lam_hh[:] = [row[0] * h[0] + row[1] * h[1] + row[2] * h[2] for row in lam]
         if n == 0:
             return 0.0
-        design[1:3] = m[:, :2].T
-        design[3] = r_
-        prods = (design @ design.T).tolist()
-        gram[:] = [row[:3] for row in prods[:3]]
-        s[:] = [row[3] for row in prods[:3]]
-        return prods[3][3]
+        (n1, sa, sb, _, sr), (_, saa, sab, _, sar), (_, _, sbb, _, sbr), _, (*_, srr) = (
+            rows @ rows.T).tolist()
+        # (1, alpha, beta) -> (1 - alpha - beta, alpha, beta)
+        g01, g02 = sa - saa - sab, sb - sab - sbb
+        g00 = n1 - sa - sb - g01 - g02
+        gram[:] = [[g00, g01, g02], [g01, saa, sab], [g02, sab, sbb]]
+        s[:] = [sr - sar - sbr, sar, sbr]
+        return srr
 
-    ss = refresh(residuals(c0, m))
+    r[:] = z[2] - h[0]  # the heights start equal
+    ss = refresh()
     half_n_a = 0.5 * n + prior.a_p
 
     stds = dict(START_STDS)
-    acc = {k: 0 for k in stds}
-    tries = {k: 0 for k in stds}
+    acc = dict.fromkeys(stds, 0)
+    # every variable is tried once an iteration, each latent point too
+    per_iteration = {k: n if k == "m" else 1 for k in stds}
 
     n_burn = int(config.burn_in * config.n_samples)
     kept = len(range(n_burn, config.n_samples, config.thinning))
@@ -221,7 +232,6 @@ def run_mh(
             d = hk - h[k]  # the step as stored, not as drawn
             d_ss = d * (d * gram[k][k] - 2.0 * s[k])
             delta = -0.5 * d_ss / nu - 0.5 * d * (2.0 * lam_hh[k] + d * lam[k][k])
-            tries[name] += 1
             if math.log(rng.random()) < delta:
                 h[k] = hk
                 ss += d_ss
@@ -232,7 +242,6 @@ def run_mh(
         # log deviation: IG prior on nu plus the log-scale Jacobian term
         u_prop = u + rng.normal(0.0, stds["lognu"])
         nu_prop = math.exp(u_prop)
-        tries["lognu"] += 1
         delta = -half_n_a * (u_prop - u) - (0.5 * ss + prior.b_p) * (
             1.0 / nu_prop - 1.0 / nu
         )
@@ -241,45 +250,37 @@ def run_mh(
             acc["lognu"] += 1
         # all latent points at once (conditionally independent)
         if n > 0:
-            m_prop = m + rng.normal(0.0, stds["m"], size=(n, 3))
-            new_quad, new_ab = m_only_terms(m_prop)
-            new_c0 = 1.0 - m_prop[:, 0] - m_prop[:, 1]
-            new_r = residuals(new_c0, m_prop)
-            r = residuals(c0, m)
-            new_terms = new_quad - 0.5 * new_r * new_r / nu - new_ab
-            cur_terms = cur_quad - 0.5 * r * r / nu - cur_ab
-            take = np.log(rng.random(n)) < new_terms - cur_terms
-            np.copyto(m, m_prop, where=take[:, None])
-            np.copyto(cur_quad, new_quad, where=take)
-            np.copyto(cur_ab, new_ab, where=take)
-            np.copyto(c0, new_c0, where=take)
-            np.copyto(r, new_r, where=take)
-            tries["m"] += n
+            np.add(m, rng.normal(0.0, stds["m"], size=(n, 3)).T, out=m_prop)
+            dz = m_prop - z
+            new = np.einsum("in,nij,jn->n", dz, half_lam_m, dz)
+            w[:2] = h[0] - h[1], h[0] - h[2]
+            np.subtract(w.dot(m), h[0], out=r)
+            r_new = w.dot(m_prop) - h[0]
+            take = np.log(rng.random(n)) < (new - cur) - (0.5 / nu) * (r_new - r) * (r_new + r)
+            np.copyto(m, m_prop, where=take)
+            np.copyto(cur, new, where=take)
+            np.copyto(r, r_new, where=take)
             acc["m"] += int(np.count_nonzero(take))
-        else:
-            r = None
-        ss = refresh(r)
+        ss = refresh()
 
         if it < n_burn and (it + 1) % config.adapt_interval == 0:
             for k in stds:
-                if tries[k] == 0:
+                if per_iteration[k] == 0:
                     continue
-                rate = acc[k] / tries[k]
+                rate = acc[k] / (config.adapt_interval * per_iteration[k])
                 if not 0.23 <= rate <= 0.44:
                     # smooth multiplicative step toward ~0.33 acceptance
                     stds[k] *= math.exp(2.0 * (rate - 0.335))
                 acc[k] = 0
-                tries[k] = 0
         if it == n_burn - 1:
-            for k in stds:
-                acc[k] = 0
-                tries[k] = 0
+            acc = dict.fromkeys(stds, 0)
         if it >= n_burn and (it - n_burn) % config.thinning == 0:
             j = (it - n_burn) // config.thinning
             kept_h[j] = h
             kept_nu[j] = nu
 
-    rates = {k: acc[k] / tries[k] for k in stds if tries[k] > 0}
+    rates = {k: acc[k] / ((config.n_samples - n_burn) * per_iteration[k])
+             for k in stds if per_iteration[k] > 0}
     for k, rate in rates.items():
         if not 0.05 <= rate <= 0.9:
             raise AdaptationFailed(

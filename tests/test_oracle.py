@@ -314,17 +314,36 @@ class TestRunMH:
         np.testing.assert_array_equal(r1.h_samples, r2.h_samples)
         np.testing.assert_array_equal(r1.nu_samples, r2.nu_samples)
 
-    @pytest.mark.parametrize("case", ["stereo", "lidar", "random", "prior_only"])
-    def test_same_chain_as_reference(self, case):
+    # (case, chain seed, iterations) by test id: every case at seed 12, two
+    # more seeds, the benchmark's lidar chain (adaptation every 500
+    # iterations, thinning 10) and a 100-point batch
+    SAME_CHAIN = {
+        "stereo": ("stereo", 12, 5_000),
+        "lidar": ("lidar", 12, 5_000),
+        "random": ("random", 12, 5_000),
+        "prior_only": ("prior_only", 12, 5_000),
+        "lidar-seed13": ("lidar", 13, 5_000),
+        "lidar-seed14": ("lidar", 14, 5_000),
+        "random-seed13": ("random", 13, 5_000),
+        "random-seed14": ("random", 14, 5_000),
+        "lidar-benchmark": ("lidar", 11, 20_000),
+        "random100": ("random100", 12, 5_000),
+    }
+
+    @pytest.mark.parametrize("key", list(SAME_CHAIN))
+    def test_same_chain_as_reference(self, key):
+        case, seed, n_samples = self.SAME_CHAIN[key]
         prior = PriorConfig()
         if case in ("stereo", "lidar"):
             meas = make_emulation_case(case)
         elif case == "random":
             meas = random_measurements(5, 61)
+        elif case == "random100":
+            meas = random_measurements(100, 62)
         else:
             meas = []
             prior = PriorConfig(rho=0.0, sigma2=1.0, a_p=3.0, b_p=2.0)
-        cfg = ChainConfig(n_samples=5_000, adapt_interval=500, seed=12)
+        cfg = ChainConfig(n_samples=n_samples, adapt_interval=500, thinning=10, seed=seed)
         ours, ref = run_mh(meas, prior, cfg), reference_run_mh(meas, prior, cfg)
         np.testing.assert_array_equal(ours.h_samples, ref.h_samples)
         np.testing.assert_array_equal(ours.nu_samples, ref.nu_samples)
@@ -378,6 +397,45 @@ class TestRunMH:
             cfg = ChainConfig(n_samples=4_000, adapt_interval=500, seed=seed)
             with pytest.raises(AdaptationFailed, match="for m is 0.02"):
                 run_mh(meas, PriorConfig(), cfg)
+
+
+class TestInvalidMeasurements:
+    # a row `validate_batch` rejects, by reason
+    BAD = {
+        "non_finite": ([0.2, 0.1, np.nan], 1e-4 * np.eye(3)),
+        "asymmetric_cov": ([0.2, 0.1, 0.0], np.array([[1e-4, 5e-5, 0], [0, 1e-4, 0], [0, 0, 1e-4]])),
+        "cov_not_positive_definite": ([0.2, 0.1, 0.0], np.diag([1e-4, -1e-4, 1e-4])),
+    }
+
+    def _lidar_with(self, reason):
+        meas = make_emulation_case("lidar")
+        meas[3] = Measurement(*self.BAD[reason], meas[3].id)
+        return meas
+
+    @pytest.mark.parametrize("reason", sorted(BAD))
+    def test_run_mh_raises_before_sampling(self, reason, monkeypatch):
+        # a NaN gamma used to run the whole chain and then raise AdaptationFailed
+        def no_chain(*args, **kwargs):
+            raise AssertionError("the chain started")
+
+        meas = self._lidar_with(reason)
+        monkeypatch.setattr(np.random, "default_rng", no_chain)
+        with pytest.raises(ValueError, match=f"^invalid measurements: 1 {reason}$"):
+            run_mh(meas, PriorConfig(), ChainConfig(n_samples=5_000, adapt_interval=500))
+
+    @pytest.mark.parametrize("reason", sorted(BAD))
+    def test_exact_log_joint_raises(self, reason):
+        meas = self._lidar_with(reason)
+        m = np.array([mm.mean for mm in make_emulation_case("lidar")])
+        with pytest.raises(ValueError, match=f"^invalid measurements: 1 {reason}$"):
+            exact_log_joint(np.zeros(3), 0.1, m, meas, PriorConfig())
+
+    def test_every_reason_is_named(self):
+        meas = self._lidar_with("non_finite")
+        meas[5] = Measurement(*self.BAD["asymmetric_cov"], meas[5].id)
+        meas[6] = Measurement(*self.BAD["asymmetric_cov"], meas[6].id)
+        with pytest.raises(ValueError, match="^invalid measurements: 2 asymmetric_cov, 1 non_finite$"):
+            run_mh(MeasurementBatch.of(meas), PriorConfig(), ChainConfig(n_samples=100))
 
 
 class TestCompareMarginals:
