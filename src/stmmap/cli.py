@@ -43,6 +43,8 @@ from .mapgraph import (
 )
 from .oracle import AdaptationFailed, ChainConfig, compare_marginals, run_mh
 from .simulate import (
+    FORMAT_VERSION,
+    MIN_STEPS,
     SUBMAP_TRIANGLE,
     NoiseSpec,
     evaluate_loglik_ratio,
@@ -55,9 +57,6 @@ from .simulate import (
 )
 from .surfel import Measurement, MeasurementBatch
 
-FORMAT_VERSION = 1
-
-
 class ConfigError(Exception):
     """Invalid, unknown, or out-of-range configuration content."""
 
@@ -68,16 +67,17 @@ class ConfigError(Exception):
 
 @dataclass
 class RunConfig:
-    """Validated run settings loaded from a sectioned key=value file."""
+    """Validated run settings loaded from a sectioned key=value file; the map
+    settings default to the library's, but for `kl_threshold`."""
 
     depth: int = 5
     window: int = 1
-    rho: float = 0.5
-    sigma2: float = 100.0
-    a_p: float = 1.0
-    b_p: float = 1.0
+    rho: float = PriorConfig.rho
+    sigma2: float = PriorConfig.sigma2
+    a_p: float = PriorConfig.a_p
+    b_p: float = PriorConfig.b_p
     kl_threshold: float = 0.1
-    max_sweeps: int = 200
+    max_sweeps: int = ConvergenceConfig.max_sweeps
     seed: int = 0
     sensor: str = "stereo"
     steps: int = 6
@@ -87,11 +87,10 @@ class RunConfig:
     n_eval: int = 2000
     batch_size: int = 0  # build ingestion batch; 0 = single batch
 
-    def prior(self) -> PriorConfig:
-        return PriorConfig(rho=self.rho, sigma2=self.sigma2, a_p=self.a_p, b_p=self.b_p)
-
-    def convergence(self) -> ConvergenceConfig:
-        return ConvergenceConfig(kl_threshold=self.kl_threshold, max_sweeps=self.max_sweeps)
+    def new_map(self, grid: TriGrid) -> STMMap:
+        """An empty map with these settings; ValueError for one the library rejects."""
+        return STMMap(grid, PriorConfig(self.rho, self.sigma2, self.a_p, self.b_p), window=self.window,
+                      convergence=ConvergenceConfig(self.kl_threshold, self.max_sweeps))
 
     def noise(self) -> NoiseSpec:
         return NoiseSpec.stereo_like() if self.sensor == "stereo" else NoiseSpec.lidar_like()
@@ -133,9 +132,8 @@ def load_config(path: str) -> RunConfig:
                 raise ConfigError(f"[{section}] {key}: {exc}") from exc
             setattr(cfg, key, value)
     _validate(cfg)
-    try:  # the prior and convergence settings validate themselves
-        cfg.prior()
-        cfg.convergence()
+    try:  # the map settings validate themselves
+        cfg.new_map(TriGrid.triangle(0))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
@@ -144,9 +142,8 @@ def load_config(path: str) -> RunConfig:
 def _validate(cfg: RunConfig) -> None:
     checks = [
         (0 <= cfg.depth <= MAX_DEPTH, f"depth must be in 0..{MAX_DEPTH}"),
-        (cfg.window >= 1, "window must be >= 1"),
         (cfg.sensor in ("stereo", "lidar"), "sensor must be stereo or lidar"),
-        (cfg.steps >= 2, "steps must be >= 2"),
+        (cfg.steps >= min(MIN_STEPS.values()), f"steps must be >= {min(MIN_STEPS.values())}"),
         (0 < cfg.density < math.inf, "density must be positive and finite"),
         (math.isfinite(cfg.amplitude), "amplitude must be finite"),
         (cfg.n_eval >= 1, "n_eval must be >= 1"),
@@ -160,7 +157,6 @@ def _validate(cfg: RunConfig) -> None:
 def write_manifest(out_prefix: str, command: str, cfg: RunConfig) -> None:
     payload = json.dumps(asdict(cfg), sort_keys=True).encode()
     manifest = {
-        "format_version": FORMAT_VERSION,
         "command": command,
         "config": asdict(cfg),
         "config_hash": hashlib.sha256(payload).hexdigest(),
@@ -171,8 +167,21 @@ def write_manifest(out_prefix: str, command: str, cfg: RunConfig) -> None:
             "python": sys.version.split()[0],
         },
     }
-    with open(out_prefix + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    _write_json(out_prefix + ".manifest.json", manifest, indent=2)
+
+
+def _open(path: str, mode: str = "r", **kwargs):
+    """open(), with a path that cannot be opened reported as a ConfigError."""
+    try:
+        return open(path, mode, **kwargs)
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from exc
+
+
+def _write_json(path: str, doc: dict, indent: int = 1) -> None:
+    """An artifact: doc with the format version, keys sorted, and a final newline."""
+    with _open(path, "w") as fh:
+        json.dump({"format_version": FORMAT_VERSION, **doc}, fh, indent=indent, sort_keys=True)
         fh.write("\n")
 
 
@@ -203,7 +212,7 @@ def export_ply(stm: STMMap, path: str) -> None:
         lines.append(f"{x:.8g} {y:.8g} {q.vertex_mean[v]:.8g} {q.vertex_std[v]:.8g}")
     for sid, (v0, v1, v2) in enumerate(grid.vertex_table().tolist()):
         lines.append(f"3 {v0} {v1} {v2} {q.expected_deviation[sid]:.8g} {q.n_meas[sid]}")
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -225,7 +234,6 @@ def export_map_json(stm: STMMap, path: str) -> None:
             }
         )
     doc = {
-        "format_version": FORMAT_VERSION,
         "grid": {"n": stm.grid.n, "rows": stm.grid.rows, "depth": stm.grid.depth},
         "prior": asdict(stm.prior),
         "window": stm.window,
@@ -235,9 +243,7 @@ def export_map_json(stm: STMMap, path: str) -> None:
         },
         "surfels": surfels,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, doc)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +281,7 @@ def parse_points_csv(path: str) -> ParseResult:
     """
     rows, lines, faults = [], [], {}
     n_rows = 0
-    with open(path, newline="") as fh:
+    with _open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -324,7 +330,7 @@ def parse_landmarks_csv(path: str) -> np.ndarray:
     origin, alpha axis, beta axis. The id is a free label; x, y and z must
     be finite numbers."""
     rows = []
-    with open(path, newline="") as fh:
+    with _open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header] != ["id", "x", "y", "z"]:
@@ -358,13 +364,14 @@ def parse_global_frame(text: str) -> np.ndarray:
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     out = args.out
+    if cfg.steps < MIN_STEPS.get(args.scenario, 0):
+        raise ConfigError(f"steps must be >= {MIN_STEPS[args.scenario]} for scenario {args.scenario}")
     write_manifest(out, f"simulate --scenario {args.scenario}", cfg)
     noise = cfg.noise()
 
-    if args.scenario in ("pushbroom", "reobserve"):
+    if args.scenario in MIN_STEPS:
         surface = perlin_surface(seed=cfg.surface_seed, amplitude=cfg.amplitude)
-        grid = TriGrid.triangle(cfg.depth)
-        stm = STMMap(grid, cfg.prior(), window=cfg.window, convergence=cfg.convergence())
+        stm = cfg.new_map(TriGrid.triangle(cfg.depth))
         runner = scenario_pushbroom if args.scenario == "pushbroom" else scenario_reobserve
         report = runner(stm, surface, cfg.steps, density=cfg.density,
                         noise=noise, seed=cfg.seed)
@@ -390,7 +397,7 @@ def _cmd_simulate(args) -> int:
         for surface, seed in draws:
             meas = sample_measurements(surface, region, cfg.density, noise, seed=seed,
                                        n_elements_per_unit_area=grid.n_surfels / area)
-            stm = STMMap(grid, cfg.prior(), window=cfg.window, convergence=cfg.convergence())
+            stm = cfg.new_map(grid)
             incremental_update(stm, meas)
             elev = ElevationMap(grid)
             elev.update(meas)
@@ -408,14 +415,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _write_accuracy(out: str, rows: list[dict]) -> None:
-    with open(out + ".csv", "w", newline="") as fh:
+    with _open(out + ".csv", "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=list(rows[0]))
         w.writeheader()
         w.writerows(rows)
-    with open(out + ".json", "w") as fh:
-        json.dump({"format_version": FORMAT_VERSION, "rows": rows}, fh,
-                  indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(out + ".json", {"rows": rows})
 
 
 def _cmd_build(args) -> int:
@@ -423,12 +427,8 @@ def _cmd_build(args) -> int:
     if args.depth is not None:
         cfg.depth = args.depth
         _validate(cfg)
-    write_manifest(args.out, "build", cfg)
-
+    # every input is read before the first output is written
     parsed = parse_points_csv(args.points)
-    for w in parsed.warnings:
-        print(w, file=sys.stderr)
-
     if args.landmarks:
         landmarks = parse_landmarks_csv(args.landmarks)
     else:
@@ -437,6 +437,9 @@ def _cmd_build(args) -> int:
         irf = make_relative_irf(*landmarks)
     except DegenerateLandmarks as exc:
         raise ConfigError(f"submap frame: {exc}") from exc
+    write_manifest(args.out, "build", cfg)
+    for w in parsed.warnings:
+        print(w, file=sys.stderr)
     b_inv = np.linalg.inv(irf.basis)
     # the per-point products b_inv @ (m - l0) and b_inv @ C @ b_inv.T, stacked
     means = (b_inv @ (parsed.means - irf.l0)[..., None])[..., 0]
@@ -446,8 +449,7 @@ def _cmd_build(args) -> int:
 
     skipped_frac = len(parsed.warnings) / max(parsed.n_total_rows, 1)
 
-    grid = TriGrid.triangle(cfg.depth)
-    stm = STMMap(grid, cfg.prior(), window=cfg.window, convergence=cfg.convergence())
+    stm = cfg.new_map(TriGrid.triangle(cfg.depth))
     batch_size = cfg.batch_size or n_points or 1
     all_converged = True
     t0 = time.perf_counter()
@@ -505,27 +507,17 @@ def _cmd_oracle(args) -> int:
     cfg = load_config(args.config)
     write_manifest(args.out, f"oracle --case {args.case}", cfg)
     measurements = make_emulation_case(args.case)
-    prior = cfg.prior()
-
-    stm = STMMap(TriGrid.triangle(0), prior, convergence=cfg.convergence())
+    stm = cfg.new_map(TriGrid.triangle(0))
     incremental_update(stm, measurements)
 
     chain_cfg = ChainConfig(seed=cfg.seed + 1)
     try:
-        result = run_mh(measurements, prior, chain_cfg)
+        result = run_mh(measurements, stm.prior, chain_cfg)
     except AdaptationFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
     report = compare_marginals(result, stm.surfels[0])
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "case": args.case,
-        "acceptance": result.acceptance,
-        "variables": report,
-    }
-    with open(args.out + ".json", "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(args.out + ".json", {"case": args.case, "acceptance": result.acceptance, "variables": report})
     for name, row in report.items():
         print(f"{name}: chain {row['mh_mean']:+.5f} +- {row['mh_std']:.5f}, "
               f"belief {row['belief_mean']:+.5f} +- {row['belief_std']:.5f}, "
@@ -538,26 +530,22 @@ def main(argv: list[str] = None) -> int:
         prog="stm", description="Stochastic triangular mesh terrain mapping"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", default="default")
+    common.add_argument("--out", required=True)
 
-    p_sim = sub.add_parser("simulate", help="run a synthetic experiment")
-    p_sim.add_argument("--scenario", required=True,
-                       choices=["pushbroom", "reobserve", "accuracy2d", "accuracy3d"])
-    p_sim.add_argument("--config", default="default")
-    p_sim.add_argument("--out", required=True)
+    p_sim = sub.add_parser("simulate", parents=[common], help="run a synthetic experiment")
+    p_sim.add_argument("--scenario", required=True, choices=[*MIN_STEPS, "accuracy2d", "accuracy3d"])
 
-    p_build = sub.add_parser("build", help="build a map from a points file")
+    p_build = sub.add_parser("build", parents=[common], help="build a map from a points file")
     p_build.add_argument("--points", required=True)
     frame = p_build.add_mutually_exclusive_group(required=True)
     frame.add_argument("--landmarks")
     frame.add_argument("--global-frame", metavar="X0,Y0,X1,Y1")
     p_build.add_argument("--depth", type=int, default=None)
-    p_build.add_argument("--config", default="default")
-    p_build.add_argument("--out", required=True)
 
-    p_oracle = sub.add_parser("oracle", help="validate beliefs against MCMC")
+    p_oracle = sub.add_parser("oracle", parents=[common], help="validate beliefs against MCMC")
     p_oracle.add_argument("--case", required=True, choices=["stereo", "lidar"])
-    p_oracle.add_argument("--config", default="default")
-    p_oracle.add_argument("--out", required=True)
 
     args = parser.parse_args(argv)
     try:

@@ -133,7 +133,8 @@ def _stack_moments(a: GaussianMoment, b: GaussianMoment) -> GaussianMoment:
 
 
 class View(Sequence):
-    """A read-only sequence of n items, item i computed by item(i) on each access."""
+    """A read-only sequence of n items, item i computed by item(i) on each access;
+    a slice is a list of its items."""
 
     def __init__(self, n: int, item: Callable):
         self._n, self._item = n, item
@@ -142,6 +143,8 @@ class View(Sequence):
         return self._n
 
     def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._item(j) for j in range(self._n)[i]]
         return self._item(range(self._n)[i])
 
 

@@ -59,6 +59,7 @@ from .distributions import (
 from .geometry import TriGrid, View
 from .surfel import (
     FALLBACKS,
+    LikelihoodClusterState,
     MeasurementBatch,
     SurfelState,
     apportion_nu_scales,
@@ -99,8 +100,13 @@ class ConvergenceConfig:
     def __post_init__(self):
         if not 0.0 < self.kl_threshold < math.inf:
             raise ValueError("kl_threshold must be positive and finite")
-        if not self.max_sweeps >= 1:
-            raise ValueError("max_sweeps must be >= 1")
+        require_count("max_sweeps", self.max_sweeps)
+
+
+def require_count(name: str, value) -> None:
+    """ValueError unless value is an integer >= 1; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
 
 
 # The fallbacks of every report that took none: callers may keep many reports.
@@ -150,8 +156,7 @@ class STMMap:
         window: int = 1,
         convergence: ConvergenceConfig = ConvergenceConfig(),
     ):
-        if isinstance(window, bool) or not isinstance(window, numbers.Integral) or window < 1:
-            raise ValueError(f"window must be an integer >= 1, not {window!r}")
+        require_count("window", window)
         self.grid = grid
         self.prior = prior
         self.window = window
@@ -328,23 +333,29 @@ def _associate(stm: STMMap, batch: MeasurementBatch) -> tuple[np.ndarray, list, 
             len(sids) - len(covs), len(covs) - len(means))
 
 
-# What an update may change on a surfel state besides its clusters; read with
-# attrgetter, since `vars()` would turn the state's attribute values into a dict.
-_STATE_FIELDS = ("prior_h", "prior_nu", "neighbor_in_msg", "n_meas_total", "ref_belief_h", "ref_belief_nu",
-                 "belief_h", "belief_nu")
-_state_values = attrgetter(*_STATE_FIELDS)
+# Every field of a likelihood cluster, as a tuple: the values a rollback puts back.
+_cluster_values = attrgetter(*LikelihoodClusterState.__slots__)
+
+
+def _attributes(obj) -> dict:
+    """An object's attributes, each set and list copied: the values a rollback puts back."""
+    values = vars(obj).copy()
+    for name, value in values.items():
+        if type(value) in (set, list):
+            values[name] = value.copy()
+    return values
 
 
 class _Undo:
     """What an open update changed, to put back if it raises: the map's
-    counters and sets, each surfel's values before its first change (None
-    for a state the update made), and each message before the update first
-    wrote it (None for a missing key). Only the first old value of each is
-    kept, so a factor the update replaces again is freed at once."""
+    attributes, each surfel's attributes and clusters before its first change
+    (None for a state the update made), and each message before the update
+    first wrote it (None for a missing key). The map's dicts are kept by
+    reference: `states` and `messages` are put back key by key. Only the first
+    old value of each is kept, so a factor the update replaces again is freed at once."""
 
     def __init__(self, stm: STMMap):
-        self.counters = (stm.batch, stm.message_count, stm.sweep_count)
-        self.sets = (set(stm._active), set(stm._with_clusters))
+        self.map = _attributes(stm)
         self.states: dict[int, tuple | None] = {}
         self.senders: set[int] = set()
         self.messages: dict[tuple[int, int], GaussianCanonical | None] = {}
@@ -352,9 +363,7 @@ class _Undo:
     def save(self, state: SurfelState):
         """Keep a state's values, unless kept already."""
         if state.sid not in self.states:
-            clusters = state.clusters
-            self.states[state.sid] = (state, _state_values(state),
-                                      [(c, c.w, c.nu_scale, c.converged) for c in clusters] if clusters else ())
+            self.states[state.sid] = (state, _attributes(state), [(c, _cluster_values(c)) for c in state.clusters])
 
     def send(self, state: SurfelState, links: tuple, messages: dict):
         """Keep a visited state's values and the messages it sends."""
@@ -364,21 +373,19 @@ class _Undo:
             self.messages[key] = messages.get(key)
 
     def restore(self, stm: STMMap):
-        stm.batch, stm.message_count, stm.sweep_count = self.counters
-        stm._active, stm._with_clusters = self.sets
+        vars(stm).update(self.map)
         for sid, saved in self.states.items():
             if saved is None:
                 del stm.states[sid]
                 continue
             state, values, clusters = saved
-            for name, value in zip(_STATE_FIELDS, values):
-                setattr(state, name, value)
-            state.clusters = [c for c, *_ in clusters]
-            for c, w, nu_scale, converged in clusters:
-                c.w, c.nu_scale, c.converged = w, nu_scale, converged
+            vars(state).update(values)
+            for c, fields in clusters:
+                for name, value in zip(LikelihoodClusterState.__slots__, fields):
+                    setattr(c, name, value)
         for key, msg in self.messages.items():
-            if msg is None:
-                del stm.messages[key]
+            if msg is None:  # (the update may have raised before it wrote the key)
+                stm.messages.pop(key, None)
             else:
                 stm.messages[key] = msg
 

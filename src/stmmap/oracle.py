@@ -13,13 +13,12 @@ calls into the surfel update routines.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import NotADistribution, inv_psd
-from .mapgraph import PriorConfig, validate_batch
+from .mapgraph import PriorConfig, require_count, validate_batch
 from .surfel import ALPHA_BETA_PRIOR_VAR, MeasurementBatch, SurfelState
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -46,11 +45,8 @@ class ChainConfig:
     def __post_init__(self):
         if not 0.0 < self.burn_in < 1.0:
             raise ValueError("burn_in fraction must lie in (0, 1)")
-        counts = (self.n_samples, self.thinning, self.adapt_interval)
-        if any(isinstance(c, bool) or not isinstance(c, numbers.Integral) for c in counts):
-            raise ValueError("n_samples, thinning and adapt_interval must be integers")
-        if min(counts) < 1:
-            raise ValueError("counts must be positive")
+        for name in ("n_samples", "thinning", "adapt_interval"):
+            require_count(name, getattr(self, name))
 
 
 @dataclass

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -213,6 +214,10 @@ def sample_measurements(
 # scenario drivers
 
 
+# The version of every artifact's format: the CLI's files and the scenario reports.
+FORMAT_VERSION = 1
+
+
 @dataclass
 class StepRecord:
     step: int
@@ -245,7 +250,7 @@ class ScenarioReport:
 
     def to_json(self, path: str) -> None:
         payload = {
-            "format_version": 1,
+            "format_version": FORMAT_VERSION,
             "scenario": self.scenario,
             "total_measurements": self.total_measurements,
             "total_messages": self.total_messages,
@@ -272,17 +277,30 @@ def _belief_change_kls(stm: STMMap, before: dict) -> np.ndarray:
     return kls
 
 
-def _run_step(stm: STMMap, batch: list, step: int) -> StepRecord:
-    before = {sid: s.belief_h for sid, s in stm.states.items()}
-    messages = incremental_update(stm, batch).messages
-    n_new = len(batch)
-    return StepRecord(
-        step=step,
-        n_new=n_new,
-        messages=messages,
-        normalized=messages / max(1, n_new),
-        total_kl=float(_belief_change_kls(stm, before).sum()),
-    )
+# The fewest steps each scenario runs; `stm simulate` checks a config against it.
+MIN_STEPS = {"pushbroom": 2, "reobserve": 3}
+
+
+def _run_scenario(name: str, stm: STMMap, surface: Surface, steps: int, density: float,
+                  noise: Optional[NoiseSpec], batches: Callable) -> ScenarioReport:
+    """Fold in the batches that batches(sample) yields, one per step, where
+    sample(region, seed) draws a batch with the scenario's noise (lidar-like
+    by default) at the map's element density."""
+    if steps < MIN_STEPS[name]:
+        raise ValueError(f"steps must be >= {MIN_STEPS[name]}")
+    noise = noise or NoiseSpec.lidar_like()
+    per_area = 2.0 * 4.0**stm.grid.depth
+
+    def sample(region, seed):
+        return sample_measurements(surface, region, density, noise, seed, per_area)
+
+    report = ScenarioReport(scenario=name, steps=[])
+    for k, batch in enumerate(batches(sample)):
+        before = {sid: s.belief_h for sid, s in stm.states.items()}
+        messages = incremental_update(stm, batch).messages
+        report.steps.append(StepRecord(k, len(batch), messages, messages / max(1, len(batch)),
+                                       float(_belief_change_kls(stm, before).sum())))
+    return report.finalize()
 
 
 def scenario_pushbroom(
@@ -299,20 +317,12 @@ def scenario_pushbroom(
     submap triangle, so the swath area shrinks linearly as the frontier
     advances toward the apex.
     """
-    if steps < 2:
-        raise ValueError("steps must be >= 2")
-    noise = noise or NoiseSpec.lidar_like()
-    per_area = 2.0 * 4.0**stm.grid.depth
-    report = ScenarioReport(scenario="pushbroom", steps=[])
-    for k in range(steps):
-        b0 = k / steps
-        b1 = (k + 1) / steps
-        band = np.array(
-            [[0.0, b0], [1.0 - b0, b0], [1.0 - b1, b1], [0.0, b1]]
-        )
-        batch = sample_measurements(surface, band, density, noise, seed + k, per_area)
-        report.steps.append(_run_step(stm, batch, k))
-    return report.finalize()
+    def bands(sample):
+        for k in range(steps):
+            b0, b1 = k / steps, (k + 1) / steps
+            yield sample(np.array([[0.0, b0], [1.0 - b0, b0], [1.0 - b1, b1], [0.0, b1]]), seed + k)
+
+    return _run_scenario("pushbroom", stm, surface, steps, density, noise, bands)
 
 
 def scenario_reobserve(
@@ -324,17 +334,8 @@ def scenario_reobserve(
     seed: int = 0,
 ) -> ScenarioReport:
     """Identical full-region batch folded in repeatedly."""
-    if steps < 3:
-        raise ValueError("steps must be >= 3")
-    noise = noise or NoiseSpec.lidar_like()
-    per_area = 2.0 * 4.0**stm.grid.depth
-    batch = sample_measurements(
-        surface, SUBMAP_TRIANGLE, density, noise, seed, per_area
-    )
-    report = ScenarioReport(scenario="reobserve", steps=[])
-    for k in range(steps):
-        report.steps.append(_run_step(stm, batch, k))
-    return report.finalize()
+    return _run_scenario("reobserve", stm, surface, steps, density, noise,
+                         lambda sample: repeat(sample(SUBMAP_TRIANGLE, seed), steps))
 
 
 # ---------------------------------------------------------------------------

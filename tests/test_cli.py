@@ -20,6 +20,7 @@ from stmmap.cli import (
 )
 from stmmap.geometry import MAX_DEPTH
 from stmmap.oracle import ChainConfig
+from stmmap.simulate import MIN_STEPS
 
 
 class TestLoadConfig:
@@ -423,6 +424,22 @@ class TestBuildCommand:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, bad, opened, reason", [
+        ("--points", "missing.csv", "missing.csv", "No such file or directory"),
+        ("--points", "dir", "dir", "Is a directory"),
+        ("--landmarks", "missing.csv", "missing.csv", "No such file or directory"),
+        ("--out", "missing/m", "missing/m.manifest.json", "No such file or directory"),
+        ("--out", "dir/m", "dir/m.manifest.json", "Is a directory"),
+    ])
+    def test_a_path_that_cannot_be_opened_exits_2(self, tmp_path, capsys, flag, bad, opened, reason):
+        write_plane_points(tmp_path / "pts.csv", np.random.default_rng(2), n=10)
+        (tmp_path / "lm.csv").write_text("id,x,y,z\n0,0,0,0\n1,1,0,0\n2,0,1,0\n")
+        (tmp_path / "dir" / "m.manifest.json").mkdir(parents=True)
+        paths = {"--points": "pts.csv", "--landmarks": "lm.csv", "--out": "m", flag: bad}
+        code = main(["build", "--depth", "1", *(x for k, v in paths.items() for x in (k, str(tmp_path / v)))])
+        assert (code, capsys.readouterr().err) == (2, f"config error: {tmp_path / opened}: {reason}\n")
+        assert not [p for p in tmp_path.rglob("m.*") if p.name != "m.manifest.json" or not p.is_dir()]
+
     def test_missing_config_exit_2(self, tmp_path, capsys):
         pts = tmp_path / "pts.csv"
         write_plane_points(pts, np.random.default_rng(2), n=10)
@@ -462,6 +479,18 @@ class TestSimulateCommand:
         assert code == 0
         doc = json.loads((tmp_path / "p.map.json").read_text())
         assert doc["metrics"]["message_count"] > 0
+
+    @pytest.mark.parametrize("scenario", sorted(MIN_STEPS))
+    def test_steps_below_the_scenario_minimum_exit_2(self, tmp_path, capsys, scenario):
+        least = MIN_STEPS[scenario]
+        for steps, code in ((least - 1, 2), (least, 0)):
+            cfg = tmp_path / f"{steps}.ini"
+            cfg.write_text(f"[map]\ndepth = 1\n[scenario]\nsteps = {steps}\ndensity = 2\n")
+            out = tmp_path / f"out{steps}"
+            assert main(["simulate", "--scenario", scenario, "--config", str(cfg), "--out", str(out)]) == code
+            assert bool(list(tmp_path.glob(f"{out.name}.*"))) == (code == 0)
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"config error: steps must be >= {least}")
 
     @pytest.mark.parametrize("scenario, divisions", [("accuracy2d", 6), ("accuracy3d", 4)])
     def test_accuracy_outputs_and_determinism(self, tmp_path, scenario, divisions):

@@ -193,6 +193,28 @@ def test_a_raising_update_drops_what_it_created(monkeypatch):
     assert stm._undo is None
 
 
+def test_a_raise_before_a_surfel_sends_restores_the_map(monkeypatch):
+    # the undo log keeps a visited surfel's keys out before it writes them:
+    # a raise at its first refit leaves keys that were never written
+    def fail(state, cluster):
+        raise RuntimeError("forced")
+
+    stm = STMMap(TriGrid.triangle(1))
+    monkeypatch.setattr(mapgraph, "update_mean_plane_factor", fail)
+    with pytest.raises(RuntimeError, match="forced"):
+        incremental_update(stm, [Measurement([0.1, 0.1, 0.5], 1e-4 * np.eye(3), 0)])
+    assert (stm.states, stm.messages, stm.batch, stm._undo) == ({}, {}, 0, None)
+
+
+def test_a_slice_of_surfels_is_a_list_of_their_states():
+    stm = STMMap(TriGrid.triangle(2))
+    states = stm.surfels[1:3]
+    assert states == [stm.surfels[1], stm.surfels[2]] and [s.sid for s in states] == [1, 2]
+    assert [s.sid for s in stm.surfels[-3::2]] == [13, 15] and stm.surfels[-1] is stm.surfels[15]
+    assert sorted(stm.states) == [1, 2, 13, 15]
+    assert query_map(stm).n_meas.tolist() == [0] * 16
+
+
 def _mutated_digests(monkeypatch, mutate) -> dict:
     calls = [0]
     real = mapgraph.incremental_update

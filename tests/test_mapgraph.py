@@ -470,9 +470,13 @@ class TestBuildMap:
         (ConvergenceConfig, "kl_threshold", math.nan),
         (ConvergenceConfig, "kl_threshold", math.inf),
         (ConvergenceConfig, "max_sweeps", 0),
+        (ConvergenceConfig, "max_sweeps", 1.5),
+        (ConvergenceConfig, "max_sweeps", 2.0),
+        (ConvergenceConfig, "max_sweeps", True),
+        (ConvergenceConfig, "max_sweeps", "2"),
     ])
     def test_config_rejects_out_of_range(self, config, field, value):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=field):
             config(**{field: value})
 
     def test_fresh_map_query_zero_means(self):
