@@ -64,7 +64,6 @@ from .surfel import (
     SurfelState,
     apportion_nu_scales,
     cluster_rows,
-    height_message,
     init_likelihood_cluster,
     update_mean_plane_factor,
     update_planar_deviation_factor,
@@ -255,12 +254,8 @@ def _gauss_divergence(new: GaussianCanonical, old: GaussianCanonical) -> float:
         return _natural_divergence(new.t, old.t, new.n)
 
 
-def _scale_change(new: float, old: float) -> float:
-    return abs(new - old) / (1.0 + abs(old))
-
-
 def _ig_divergence(new: InverseGammaFactor, old: InverseGammaFactor) -> float:
-    return max(abs(new.exponent - old.exponent), _scale_change(new.scale, old.scale))
+    return max(abs(new.exponent - old.exponent), abs(new.scale - old.scale) / (1.0 + abs(old.scale)))
 
 
 _UPPER3 = upper_index(3)
@@ -486,14 +481,23 @@ def run_inference(stm: STMMap, batch) -> ConvergenceReport:
                 for cluster in state.clusters:
                     if cluster.converged and not belief_moved:
                         continue
-                    old_h, old_scale = height_message(cluster, cluster.w), cluster.nu_scale
+                    old_scale = cluster.nu_scale
                     incoming = update_mean_plane_factor(state, cluster)
                     update_planar_deviation_factor(state, cluster, incoming)
                     stm.message_count += 1
                     any_refit = True
-                    # a height message has rank one: no KL; both nu messages carry NU_MSG_EXPONENT
-                    cluster.converged = (_natural_divergence(height_message(cluster, cluster.w), old_h, 3) < tol
-                                         and _scale_change(cluster.nu_scale, old_scale) < tol)
+                    # A height message has rank one: no KL, but `_natural_divergence` written out (of
+                    # finite values no divergence is NaN: max(a, b) < tol is a < tol and b < tol).
+                    o0, o1, o2, o3, o4, o5, o6, o7, o8 = old = incoming[3]
+                    n0, n1, n2, n3, n4, n5, n6, n7, n8 = new = incoming[4]
+                    cluster.converged = (
+                        (math.isfinite(n0 + n1 + n2 + n3 + n4 + n5 + n6 + n7 + n8
+                                       - (o0 + o1 + o2 + o3 + o4 + o5 + o6 + o7 + o8))
+                         or all(map(math.isfinite, (*new, *old))))
+                        and max(abs(n3 - o3), abs(n4 - o4), abs(n5 - o5), abs(n6 - o6), abs(n7 - o7), abs(n8 - o8))
+                        / (1.0 + max(abs(o3), abs(o4), abs(o5), abs(o6), abs(o7), abs(o8))) < tol
+                        and max(abs(n0 - o0), abs(n1 - o1), abs(n2 - o2)) / (1.0 + max(abs(o0), abs(o1), abs(o2))) < tol
+                        and abs(cluster.nu_scale - old_scale) / (1.0 + abs(old_scale)) < tol)
                     if not cluster.converged:
                         belief_moved = True
                 if any_refit:

@@ -10,10 +10,13 @@ likelihood of the measured gamma given h, in closed form. The planar
 deviation message fits an inverse-gamma scale to the expected squared
 residual gamma - f under the cluster's joint over (h0, h_alpha, h_beta,
 alpha, beta, gamma); eliminating (alpha, beta, gamma) from it leaves the
-refitted height belief, so this takes two 3x3 Cholesky factors. The refits
-read the height belief's floats from `GaussianCanonical.t` and store a new
-factor. A batch's clusters are seeded from float rows that `cluster_rows`
-computes for the whole batch at once.
+refitted height belief. Each refit is one straight-line kernel in floats
+read from the belief's `GaussianCanonical.t`: its 3x3 Cholesky factors (one
+for the mean-plane refit, two for the deviation refit) are `_factor`, the
+step of `cholesky_flat` with `cholesky_psd`'s counted jitter retry behind it,
+and their solves, the messages and the factor algebra are written out, in
+the order of the calls they replace. A batch's clusters are seeded from
+float rows that `cluster_rows` computes for the whole batch at once.
 
 Beliefs satisfy the additive bookkeeping invariant at all times:
 belief = prior * neighbor_in_msg * product(cluster out messages)
@@ -22,6 +25,7 @@ in natural parameters, for both the Gaussian and inverse-gamma factors.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from operator import add, sub
@@ -32,13 +36,11 @@ import numpy as np
 from .distributions import (  # gauss_divide, solve_psd: the benchmark's tracer patches them here
     GaussianCanonical,
     InverseGammaFactor,
+    NotADistribution,
     _read_only,
-    cholesky_flat,
     cholesky_psd,
-    forward3,
     gauss_divide,
     gauss_product,
-    ig_divide,
     ig_expected_deviation,
     ig_product,
     solve_psd,
@@ -52,8 +54,8 @@ ALPHA_BETA_PRIOR_VAR = 1e4
 # Exponent carried by every likelihood cluster's deviation message.
 NU_MSG_EXPONENT = 0.5
 
-# Numerical fallbacks the refits took, by kind, over the process: "refit_jitter"
-# counts refit factors that took `cholesky_psd`'s jitter retry.
+# Numerical fallbacks the refits took, by kind, over the process: "refit_jitter" counts refit
+# factors that took `cholesky_psd`'s jitter retry, "deviation_floor" deviation scales raised to 1e-300.
 FALLBACKS: Counter = Counter()
 
 
@@ -154,23 +156,27 @@ class SurfelState:
 
 
 def _factor(o) -> tuple:
-    """`cholesky_flat` of the symmetric 3x3 with upper triangle o; where it finds
-    no factor, `cholesky_psd` with its jitter retry, counted in FALLBACKS."""
-    lower = cholesky_flat(o)
-    if lower is None:
-        FALLBACKS["refit_jitter"] += 1
-        m = [o[:3], (o[1], o[3], o[4]), (o[2], o[4], o[5])]
-        lower = tuple(cholesky_psd(np.array(m))[np.tril_indices(3)].tolist())
-    return lower
+    """Lower Cholesky factor, by rows, of the symmetric 3x3 with upper triangle o:
+    `cholesky_flat` written out; where it finds no factor, `_retry_factor`."""
+    o00, o01, o02, o11, o12, o22 = o
+    if o00 > 0.0:
+        l00 = math.sqrt(o00)
+        l10 = o01 / l00
+        s = o11 - l10 * l10
+        if s > 0.0:
+            l11, l20 = math.sqrt(s), o02 / l00
+            l21 = (o12 - l20 * l10) / l11
+            s = o22 - l20 * l20 - l21 * l21
+            if s > 0.0:
+                return l00, l10, l11, l20, l21, math.sqrt(s)
+    return _retry_factor(o)
 
 
-def _solve(lower: tuple, v) -> tuple:
-    """x with L L^T x = v, for a factor from `_factor`."""
-    l00, l10, l11, l20, l21, l22 = lower
-    t0, t1, t2 = forward3(lower, v)
-    x2 = t2 / l22
-    x1 = (t1 - l21 * x2) / l11
-    return (t0 - l10 * x1 - l20 * x2) / l00, x1, x2
+def _retry_factor(o) -> tuple:
+    """`cholesky_psd` with its jitter retry, counted in FALLBACKS, for `_factor`."""
+    FALLBACKS["refit_jitter"] += 1
+    m = [o[:3], (o[1], o[3], o[4]), (o[2], o[4], o[5])]
+    return tuple(cholesky_psd(np.array(m))[np.tril_indices(3)].tolist())
 
 
 def height_message(cluster: LikelihoodClusterState, w: float | None) -> tuple:
@@ -223,8 +229,8 @@ def apportion_nu_scales(
     gamma components (the fallback variance when fewer than two measurements
     are available). A caller with an informed deviation belief already in
     place passes target_var to keep that expectation unperturbed instead.
-    Clamped to a small positive value when the existing belief already
-    implies a smaller deviation.
+    Without target_var the existing scale usually exceeds that variance times
+    the shape, as a fresh surfel's prior scale does: the scale is then 1e-12.
     """
     n = len(gammas)
     if target_var is not None and target_var > 0.0:
@@ -238,37 +244,52 @@ def apportion_nu_scales(
     return max(total / n, 1e-12)
 
 
-def update_mean_plane_factor(
-    state: SurfelState, cluster: LikelihoodClusterState
-) -> tuple[float, InverseGammaFactor, tuple]:
+def update_mean_plane_factor(state: SurfelState, cluster: LikelihoodClusterState) -> tuple:
     """Refit the cluster's height message weight w and the surfel height belief.
 
-    Returns the expected deviation, the incoming deviation message and the
-    incoming height mean, for `update_planar_deviation_factor`.
+    Returns the expected deviation, the incoming deviation message and height mean, for
+    `update_planar_deviation_factor`, and the height message before and after (see `height_message`).
     """
-    nu_bar = ig_expected_deviation(state.belief_nu)
-    # (*map(..),) sizes the tuple exactly; tuple(map(..)) shrinks a 10-slot one,
-    # which CPython then frees onto its 9-slot free list until that holds 2,000
-    in_h = (*map(sub, state.belief_h.t, height_message(cluster, cluster.w)),)
-    in_nu = ig_divide(state.belief_nu, cluster.out_msg_nu)
-    mu = _solve(_factor(in_h[3:]), in_h[:3])
+    shape, nu_scale = state.belief_nu.exponent - 1.0, state.belief_nu.scale
+    if not (shape > 0.0 and nu_scale > 0.0):
+        raise NotADistribution("expected deviation requires a normalizable belief")
+    nu_bar = nu_scale / shape
+    alpha, beta, gamma = cluster.mean
+    f0, w = 1.0 - alpha - beta, cluster.w
+    if w is None:
+        p = 1.0 / INIT_HEIGHT_VAR
+        old = (gamma * p,) * 3 + (p, 0.0, 0.0, p, 0.0, p)
+    else:
+        wg, wf, wa = w * gamma, w * f0, w * alpha
+        old = (wg * f0, wg * alpha, wg * beta, wf * f0, wf * alpha, wf * beta, wa * alpha, wa * beta, w * beta * beta)
+    x0, x1, x2, o00, o01, o02, o11, o12, o22 = map(sub, state.belief_h.t, old)
+    l00, l10, l11, l20, l21, l22 = _factor((o00, o01, o02, o11, o12, o22))
+    y0 = x0 / l00  # mu, the incoming mean: L L^T mu = x
+    y1 = (x1 - l10 * y0) / l11
+    mu2 = (x2 - l20 * y0 - l21 * y1) / l22 / l22
+    mu1 = (y1 - l21 * mu2) / l11
+    mu0 = (y0 - l10 * mu1 - l20 * mu2) / l00
     # Linearized, gamma - F.h = g.d + deviation + e_gamma, with g the slope at
     # mu, d ~ N(0, P I) the true minus the measured (alpha, beta) and e ~ N(0, R)
     # the noise. The measurement pins d + e_ab = 0, which leaves 1/w = nu_bar +
     # Var(u.e | d + e_ab = 0), u = (-g, 1): a 2x2 Schur complement with terms
     # the size of R. Taken on the full innovation covariance it cancels at P >> R.
-    u0, u1 = mu[0] - mu[1], mu[0] - mu[2]
+    u0, u1 = mu0 - mu1, mu0 - mu2
     r00, r01, r02, r11, r12, r22 = cluster.cov
     c0, c1, c2 = r00 * u0 + r01 * u1 + r02, r01 * u0 + r11 * u1 + r12, r02 * u0 + r12 * u1 + r22
     a00, a11 = r00 + ALPHA_BETA_PRIOR_VAR, r11 + ALPHA_BETA_PRIOR_VAR
     explained = (a11 * c0 * c0 - 2.0 * r01 * c0 * c1 + a00 * c1 * c1) / (a00 * a11 - r01 * r01)
-    cluster.w = 1.0 / (nu_bar + (u0 * c0 + u1 * c1 + c2) - explained)
-    state.belief_h = GaussianCanonical.of((*map(add, in_h, height_message(cluster, cluster.w)),), 3)
-    return nu_bar, in_nu, mu
+    w = cluster.w = 1.0 / (nu_bar + (u0 * c0 + u1 * c1 + c2) - explained)
+    wg, wf, wa = w * gamma, w * f0, w * alpha
+    n0, n1, n2, n3, n4, n5, n6, n7, n8 = new = (
+        wg * f0, wg * alpha, wg * beta, wf * f0, wf * alpha, wf * beta, wa * alpha, wa * beta, w * beta * beta)
+    state.belief_h = GaussianCanonical.of(
+        (x0 + n0, x1 + n1, x2 + n2, o00 + n3, o01 + n4, o02 + n5, o11 + n6, o12 + n7, o22 + n8), 3)
+    in_nu = InverseGammaFactor(state.belief_nu.exponent - NU_MSG_EXPONENT, nu_scale - cluster.nu_scale)
+    return nu_bar, in_nu, (mu0, mu1, mu2), old, new
 
 
-def update_planar_deviation_factor(state: SurfelState, cluster: LikelihoodClusterState,
-                                   incoming: tuple[float, InverseGammaFactor, tuple]) -> None:
+def update_planar_deviation_factor(state: SurfelState, cluster: LikelihoodClusterState, incoming: tuple) -> None:
     """Refit the cluster's deviation message and the surfel deviation belief.
 
     The message scale is half the expected squared residual gamma - f under
@@ -278,25 +299,40 @@ def update_planar_deviation_factor(state: SurfelState, cluster: LikelihoodCluste
     leaves the refitted height belief S; the point block's information is
     B + u u^T / nu_bar. A residual gradient g has variance |r|^2 + |v|^2,
     r = L_B^-1 g_B, rho = (L_B^-1 u).r / nu_bar, v = L_S^-1 (g_h + rho F).
+    A scale below 1e-300 is raised to it, counted in FALLBACKS.
     """
-    nu_bar, in_nu, (h0, ha, hb) = incoming
+    nu_bar, in_nu, (h0, ha, hb), _, _ = incoming
     alpha, beta, _ = cluster.mean
     f0, u0, u1 = 1.0 - alpha - beta, h0 - ha, h0 - hb
     h = state.belief_h.t
-    lower_s = _factor(h[3:])
-    m0, m1, m2 = _solve(lower_s, h[:3])
+    s00, s10, s11, s20, s21, s22 = _factor(h[3:])
+    y0 = h[0] / s00  # m, the refitted belief's mean
+    y1 = (h[1] - s10 * y0) / s11
+    m2 = (h[2] - s20 * y0 - s21 * y1) / s22 / s22
+    m1 = (y1 - s21 * m2) / s11
+    m0 = (y0 - s10 * m1 - s20 * m2) / s00
     b00, b01, b02, b11, b12, b22, p0, p1, p2 = cluster.point_info
-    lower_b = _factor((b00 + u0 * u0 / nu_bar, b01 + u0 * u1 / nu_bar, b02 + u0 / nu_bar,
-                      b11 + u1 * u1 / nu_bar, b12 + u1 / nu_bar, b22 + 1.0 / nu_bar))
+    l00, l10, l11, l20, l21, l22 = _factor((b00 + u0 * u0 / nu_bar, b01 + u0 * u1 / nu_bar, b02 + u0 / nu_bar,
+                                            b11 + u1 * u1 / nu_bar, b12 + u1 / nu_bar, b22 + 1.0 / nu_bar))
     d = (u0 * alpha + u1 * beta + f0 * m0 + alpha * m1 + beta * m2) / nu_bar
-    a2, b2, g2 = _solve(lower_b, (p0 + u0 * d, p1 + u1 * d, p2 + d))
+    y0 = (p0 + u0 * d) / l00  # (a2, b2, g2), the joint's mean of the point
+    y1 = (p1 + u1 * d - l10 * y0) / l11
+    g2 = (p2 + d - l20 * y0 - l21 * y1) / l22 / l22
+    b2 = (y1 - l21 * g2) / l11
+    a2 = (y0 - l10 * b2 - l20 * g2) / l00
     # the residual gradient at the joint's mean: -F2 on h, u2 on (alpha, beta, gamma)
     f2 = 1.0 - a2 - b2
-    r0, r1, r2 = forward3(lower_b, (m0 - m1, m0 - m2, 1.0))
-    q0, q1, q2 = forward3(lower_b, (u0, u1, 1.0))
+    r0, q0 = (m0 - m1) / l00, u0 / l00
+    r1, q1 = (m0 - m2 - l10 * r0) / l11, (u1 - l10 * q0) / l11
+    r2, q2 = (1.0 - l20 * r0 - l21 * r1) / l22, (1.0 - l20 * q0 - l21 * q1) / l22
     rho = (q0 * r0 + q1 * r1 + q2 * r2) / nu_bar
-    v0, v1, v2 = forward3(lower_s, (rho * f0 - f2, rho * alpha - a2, rho * beta - b2))
+    v0 = (rho * f0 - f2) / s00
+    v1 = (rho * alpha - a2 - s10 * v0) / s11
+    v2 = (rho * beta - b2 - s20 * v0 - s21 * v1) / s22
     resid = g2 - (f2 * m0 + a2 * m1 + b2 * m2)
     scale = 0.5 * (r0 * r0 + r1 * r1 + r2 * r2 + v0 * v0 + v1 * v1 + v2 * v2) + 0.5 * resid**2
-    cluster.nu_scale = max(scale, 1e-300)
-    state.belief_nu = ig_product(in_nu, cluster.out_msg_nu)
+    if scale < 1e-300:
+        FALLBACKS["deviation_floor"] += 1
+        scale = 1e-300
+    cluster.nu_scale = scale
+    state.belief_nu = InverseGammaFactor(in_nu.exponent + NU_MSG_EXPONENT, in_nu.scale + scale)

@@ -1,5 +1,7 @@
 """Float references shared by the tests of the unrolled kernels: the loops
-`cholesky_flat`, `forward3`, `kl_gaussian` and the sepset messages unroll.
+`cholesky_flat`, `forward3`, `kl_gaussian` and the sepset messages unroll,
+and the calls that the straight-line cluster refits and the sweep's cluster
+test write out.
 
 Every sum here adds its terms left to right from 0, as `sum()` did before
 Python 3.12. From 3.12 on, `sum()` of floats compensates its rounding, so a
@@ -9,7 +11,21 @@ the kernels it is checked against.
 
 import math
 from functools import reduce
-from operator import add
+from operator import add, sub
+
+import numpy as np
+
+from stmmap.distributions import (
+    GaussianCanonical,
+    cholesky_flat,
+    cholesky_psd,
+    forward3,
+    ig_divide,
+    ig_expected_deviation,
+    ig_product,
+)
+from stmmap.mapgraph import _natural_divergence
+from stmmap.surfel import ALPHA_BETA_PRIOR_VAR, FALLBACKS, height_message
 
 
 def add_up(terms) -> float:
@@ -56,3 +72,100 @@ def same_bits(a, b) -> bool:
     return len(a) == len(b) and all(
         (x != x and y != y) or (x == y and math.copysign(1.0, x) == math.copysign(1.0, y))
         for x, y in zip(a, b))
+
+
+# The cluster refits and the sweep's cluster test as they were before their
+# kernels were written as straight-line floats, kept verbatim: the bit
+# references of `tests/test_refit_bits.py`.
+def _factor(o) -> tuple:
+    """`cholesky_flat` of the symmetric 3x3 with upper triangle o; where it finds
+    no factor, `cholesky_psd` with its jitter retry, counted in FALLBACKS."""
+    lower = cholesky_flat(o)
+    if lower is None:
+        FALLBACKS["refit_jitter"] += 1
+        m = [o[:3], (o[1], o[3], o[4]), (o[2], o[4], o[5])]
+        lower = tuple(cholesky_psd(np.array(m))[np.tril_indices(3)].tolist())
+    return lower
+
+
+def _solve(lower: tuple, v) -> tuple:
+    """x with L L^T x = v, for a factor from `_factor`."""
+    l00, l10, l11, l20, l21, l22 = lower
+    t0, t1, t2 = forward3(lower, v)
+    x2 = t2 / l22
+    x1 = (t1 - l21 * x2) / l11
+    return (t0 - l10 * x1 - l20 * x2) / l00, x1, x2
+
+
+def update_mean_plane_factor(state, cluster) -> tuple:
+    """Refit the cluster's height message weight w and the surfel height belief.
+
+    Returns the expected deviation, the incoming deviation message and the
+    incoming height mean, for `update_planar_deviation_factor`.
+    """
+    nu_bar = ig_expected_deviation(state.belief_nu)
+    # (*map(..),) sizes the tuple exactly; tuple(map(..)) shrinks a 10-slot one,
+    # which CPython then frees onto its 9-slot free list until that holds 2,000
+    in_h = (*map(sub, state.belief_h.t, height_message(cluster, cluster.w)),)
+    in_nu = ig_divide(state.belief_nu, cluster.out_msg_nu)
+    mu = _solve(_factor(in_h[3:]), in_h[:3])
+    # Linearized, gamma - F.h = g.d + deviation + e_gamma, with g the slope at
+    # mu, d ~ N(0, P I) the true minus the measured (alpha, beta) and e ~ N(0, R)
+    # the noise. The measurement pins d + e_ab = 0, which leaves 1/w = nu_bar +
+    # Var(u.e | d + e_ab = 0), u = (-g, 1): a 2x2 Schur complement with terms
+    # the size of R. Taken on the full innovation covariance it cancels at P >> R.
+    u0, u1 = mu[0] - mu[1], mu[0] - mu[2]
+    r00, r01, r02, r11, r12, r22 = cluster.cov
+    c0, c1, c2 = r00 * u0 + r01 * u1 + r02, r01 * u0 + r11 * u1 + r12, r02 * u0 + r12 * u1 + r22
+    a00, a11 = r00 + ALPHA_BETA_PRIOR_VAR, r11 + ALPHA_BETA_PRIOR_VAR
+    explained = (a11 * c0 * c0 - 2.0 * r01 * c0 * c1 + a00 * c1 * c1) / (a00 * a11 - r01 * r01)
+    cluster.w = 1.0 / (nu_bar + (u0 * c0 + u1 * c1 + c2) - explained)
+    state.belief_h = GaussianCanonical.of((*map(add, in_h, height_message(cluster, cluster.w)),), 3)
+    return nu_bar, in_nu, mu
+
+
+def update_planar_deviation_factor(state, cluster, incoming: tuple) -> None:
+    """Refit the cluster's deviation message and the surfel deviation belief.
+
+    The message scale is half the expected squared residual gamma - f under
+    the cluster's joint, linearized at the joint's mean; `incoming` is what
+    `update_mean_plane_factor` returned. With u = (h0 - h_alpha, h0 - h_beta,
+    1) at the incoming mean, eliminating (alpha, beta, gamma) from the joint
+    leaves the refitted height belief S; the point block's information is
+    B + u u^T / nu_bar. A residual gradient g has variance |r|^2 + |v|^2,
+    r = L_B^-1 g_B, rho = (L_B^-1 u).r / nu_bar, v = L_S^-1 (g_h + rho F).
+    """
+    nu_bar, in_nu, (h0, ha, hb) = incoming
+    alpha, beta, _ = cluster.mean
+    f0, u0, u1 = 1.0 - alpha - beta, h0 - ha, h0 - hb
+    h = state.belief_h.t
+    lower_s = _factor(h[3:])
+    m0, m1, m2 = _solve(lower_s, h[:3])
+    b00, b01, b02, b11, b12, b22, p0, p1, p2 = cluster.point_info
+    lower_b = _factor((b00 + u0 * u0 / nu_bar, b01 + u0 * u1 / nu_bar, b02 + u0 / nu_bar,
+                      b11 + u1 * u1 / nu_bar, b12 + u1 / nu_bar, b22 + 1.0 / nu_bar))
+    d = (u0 * alpha + u1 * beta + f0 * m0 + alpha * m1 + beta * m2) / nu_bar
+    a2, b2, g2 = _solve(lower_b, (p0 + u0 * d, p1 + u1 * d, p2 + d))
+    # the residual gradient at the joint's mean: -F2 on h, u2 on (alpha, beta, gamma)
+    f2 = 1.0 - a2 - b2
+    r0, r1, r2 = forward3(lower_b, (m0 - m1, m0 - m2, 1.0))
+    q0, q1, q2 = forward3(lower_b, (u0, u1, 1.0))
+    rho = (q0 * r0 + q1 * r1 + q2 * r2) / nu_bar
+    v0, v1, v2 = forward3(lower_s, (rho * f0 - f2, rho * alpha - a2, rho * beta - b2))
+    resid = g2 - (f2 * m0 + a2 * m1 + b2 * m2)
+    scale = 0.5 * (r0 * r0 + r1 * r1 + r2 * r2 + v0 * v0 + v1 * v1 + v2 * v2) + 0.5 * resid**2
+    cluster.nu_scale = max(scale, 1e-300)
+    state.belief_nu = ig_product(in_nu, cluster.out_msg_nu)
+
+
+def _scale_change(new: float, old: float) -> float:
+    return abs(new - old) / (1.0 + abs(old))
+
+
+def cluster_converged(cluster, old_h: tuple, old_scale: float, tol: float) -> bool:
+    """The sweep's test of one refitted cluster, from its height message and
+    deviation scale before the refit: a height message has rank one, so no KL;
+    both nu messages carry NU_MSG_EXPONENT."""
+    return (_natural_divergence(height_message(cluster, cluster.w), old_h, 3) < tol
+            and _scale_change(cluster.nu_scale, old_scale) < tol)
+

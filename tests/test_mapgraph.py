@@ -945,18 +945,26 @@ class TestFallbackCount:
         meas = make_measurements(grid, 5, seed=6)
         clean = run_inference(STMMap(grid, PriorConfig()), meas)
         assert clean.fallbacks == {}
-        # the second scalar factor of the update fails once
+        # the second 3x3 factor of the update takes the retry
         calls = [0]
-        factor = surfel.cholesky_flat
+        factor, retry = surfel._factor, surfel._retry_factor
 
         def failing(o):
             calls[0] += 1
-            return None if calls[0] == 2 else factor(o)
+            return retry(o) if calls[0] == 2 else factor(o)
 
-        monkeypatch.setattr(surfel, "cholesky_flat", failing)
+        monkeypatch.setattr(surfel, "_factor", failing)
         report = run_inference(STMMap(grid, PriorConfig()), meas)
         assert report.fallbacks == {"refit_jitter": 1}
         assert (report.sweeps, report.messages) == (clean.sweeps, clean.messages)
+
+    def test_report_counts_the_deviation_floor(self):
+        # heights and a point pinned to about 1e-305 leave a deviation scale
+        # of about 1e-305, which the refit raises to 1e-300
+        stm = STMMap(TriGrid.triangle(0), PriorConfig(sigma2=1e-305))
+        report = run_inference(stm, [Measurement([0.3, 0.3, 0.0], 1e-305 * np.eye(3), 0)])
+        assert report.fallbacks == {"deviation_floor": 1}
+        assert stm.surfels[0].clusters[0].nu_scale == 1e-300
 
 
 class TestWorklist:

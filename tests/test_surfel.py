@@ -826,16 +826,16 @@ class TestFloatRefit:
         assert same_bits(got, want)
 
     def test_forced_fallback_is_counted_and_agrees(self, monkeypatch):
-        # the first scalar factor fails; `cholesky_psd` factors that block
+        # the first 3x3 factor takes the retry; `cholesky_psd` factors that block
         stm = STMMap(TriGrid.triangle(0), PriorConfig(),
                      convergence=ConvergenceConfig(kl_threshold=1e-7))
         incremental_update(stm, make_emulation_case("stereo"))
         state, cluster = stm.surfels[0], stm.surfels[0].clusters[3]
         ref_state, ref_cluster = numpy_refit(state, cluster)
         before = FALLBACKS["refit_jitter"]
-        failures = iter([None])
-        factor = surfel.cholesky_flat
-        monkeypatch.setattr(surfel, "cholesky_flat", lambda o: next(failures, factor(o)))
+        failures = iter([surfel._retry_factor])
+        factor = surfel._factor
+        monkeypatch.setattr(surfel, "_factor", lambda o: next(failures, factor)(o))
         update_planar_deviation_factor(state, cluster, update_mean_plane_factor(state, cluster))
         assert FALLBACKS["refit_jitter"] == before + 1
         np.testing.assert_allclose(cluster.out_msg_h.omega, ref_cluster.out_msg_h.omega, rtol=1e-12, atol=0)
