@@ -43,8 +43,8 @@ from .mapgraph import (
 )
 from .oracle import AdaptationFailed, ChainConfig, compare_marginals, run_mh
 from .simulate import (
-    FORMAT_VERSION,
     MIN_STEPS,
+    SENSORS,
     SUBMAP_TRIANGLE,
     NoiseSpec,
     evaluate_loglik_ratio,
@@ -56,6 +56,10 @@ from .simulate import (
     scenario_reobserve,
 )
 from .surfel import Measurement, MeasurementBatch
+
+# The version of every artifact's format.
+FORMAT_VERSION = 1
+
 
 class ConfigError(Exception):
     """Invalid, unknown, or out-of-range configuration content."""
@@ -93,7 +97,7 @@ class RunConfig:
                       convergence=ConvergenceConfig(self.kl_threshold, self.max_sweeps))
 
     def noise(self) -> NoiseSpec:
-        return NoiseSpec.stereo_like() if self.sensor == "stereo" else NoiseSpec.lidar_like()
+        return SENSORS[self.sensor]
 
 
 # The keys of each config section; a value takes the type of its RunConfig default.
@@ -142,7 +146,7 @@ def load_config(path: str) -> RunConfig:
 def _validate(cfg: RunConfig) -> None:
     checks = [
         (0 <= cfg.depth <= MAX_DEPTH, f"depth must be in 0..{MAX_DEPTH}"),
-        (cfg.sensor in ("stereo", "lidar"), "sensor must be stereo or lidar"),
+        (cfg.sensor in SENSORS, f"sensor must be {' or '.join(SENSORS)}"),
         (cfg.steps >= min(MIN_STEPS.values()), f"steps must be >= {min(MIN_STEPS.values())}"),
         (0 < cfg.density < math.inf, "density must be positive and finite"),
         (math.isfinite(cfg.amplitude), "amplitude must be finite"),
@@ -183,6 +187,14 @@ def _write_json(path: str, doc: dict, indent: int = 1) -> None:
     with _open(path, "w") as fh:
         json.dump({"format_version": FORMAT_VERSION, **doc}, fh, indent=indent, sort_keys=True)
         fh.write("\n")
+
+
+def _write_csv(path: str, rows: list[dict]) -> None:
+    """A table: a header of the first row's keys, then a line per row."""
+    with _open(path, "w", newline="") as fh:
+        w = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        w.writeheader()
+        w.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +387,9 @@ def _cmd_simulate(args) -> int:
         runner = scenario_pushbroom if args.scenario == "pushbroom" else scenario_reobserve
         report = runner(stm, surface, cfg.steps, density=cfg.density,
                         noise=noise, seed=cfg.seed)
-        report.to_csv(out + ".csv")
-        report.to_json(out + ".json")
+        _write_csv(out + ".csv", [{**asdict(s), "normalized": f"{s.normalized:.6f}", "total_kl": f"{s.total_kl:.6e}"}
+                                  for s in report.steps])
+        _write_json(out + ".json", asdict(report), indent=2)
         export_ply(stm, out + ".ply")
         export_map_json(stm, out + ".map.json")
         return 0
@@ -386,17 +399,16 @@ def _cmd_simulate(args) -> int:
     rows = []
     for d in range(1, 7) if args.scenario == "accuracy2d" else range(1, 5):
         if args.scenario == "accuracy2d":
-            grid, area = TriGrid.strip(d), 1 / d - 0.5 / d**2
-            region = [[0, 0], [1, 0], [1 - 1 / d, 1 / d], [0, 1 / d]]
+            grid, region = TriGrid.strip(d), [[0, 0], [1, 0], [1 - 1 / d, 1 / d], [0, 1 / d]]
             draws = [(profile_surface(amplitude=cfg.amplitude), cfg.seed)]
         else:
-            grid, area, region = TriGrid.triangle(d), 0.5, SUBMAP_TRIANGLE
+            grid, region = TriGrid.triangle(d), SUBMAP_TRIANGLE
             draws = [(perlin_surface(seed=cfg.surface_seed + 100 + k, amplitude=cfg.amplitude), cfg.seed + k)
                      for k in range(10)]
         mse_s, mse_e = [], []
         for surface, seed in draws:
             meas = sample_measurements(surface, region, cfg.density, noise, seed=seed,
-                                       n_elements_per_unit_area=grid.n_surfels / area)
+                                       n_elements_per_unit_area=grid.element_density)
             stm = cfg.new_map(grid)
             incremental_update(stm, meas)
             elev = ElevationMap(grid)
@@ -410,16 +422,9 @@ def _cmd_simulate(args) -> int:
             "loglik_ratio": (evaluate_loglik_ratio(stm, elev, surface, cfg.n_eval, seed=1)
                              if args.scenario == "accuracy2d" else float("nan")),
         })
-    _write_accuracy(out, rows)
-    return 0
-
-
-def _write_accuracy(out: str, rows: list[dict]) -> None:
-    with _open(out + ".csv", "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        w.writeheader()
-        w.writerows(rows)
+    _write_csv(out + ".csv", rows)
     _write_json(out + ".json", {"rows": rows})
+    return 0
 
 
 def _cmd_build(args) -> int:
@@ -478,17 +483,16 @@ def _cmd_build(args) -> int:
     return 0 if all_converged else 3
 
 
-# pinned emulation cases: planar truth, model-matched deviation scatter
+# pinned emulation cases, one per sensor: planar truth, model-matched deviation scatter
 _ORACLE_CASES = {
-    "stereo": {"n": 100, "nu_true": 0.15, "lidar": False, "seed": 10},
-    "lidar": {"n": 10, "nu_true": 0.02, "lidar": True, "seed": 20},
+    "stereo": {"n": 100, "nu_true": 0.15, "seed": 10},
+    "lidar": {"n": 10, "nu_true": 0.02, "seed": 20},
 }
 
 
 def make_emulation_case(name: str) -> list[Measurement]:
-    """Measurements from a fixed plane with genuine planar-deviation scatter."""
-    spec = _ORACLE_CASES[name]
-    noise = NoiseSpec.lidar_like() if spec["lidar"] else NoiseSpec.stereo_like()
+    """Measurements from a fixed plane with genuine planar-deviation scatter, in the named sensor's noise."""
+    spec, noise = _ORACLE_CASES[name], SENSORS[name]
     rng = np.random.default_rng(spec["seed"])
     out = []
     for i in range(spec["n"]):
@@ -545,7 +549,7 @@ def main(argv: list[str] = None) -> int:
     p_build.add_argument("--depth", type=int, default=None)
 
     p_oracle = sub.add_parser("oracle", parents=[common], help="validate beliefs against MCMC")
-    p_oracle.add_argument("--case", required=True, choices=["stereo", "lidar"])
+    p_oracle.add_argument("--case", required=True, choices=list(_ORACLE_CASES))
 
     args = parser.parse_args(argv)
     try:

@@ -97,9 +97,11 @@ def cholesky_psd(a: np.ndarray) -> np.ndarray:
 
     The retry adds 1e-12 * trace / n to the diagonal, which resolves benign
     rank deficiency from floating-point cancellation without masking
-    genuinely singular blocks.
+    genuinely singular blocks. A matrix holding NaN or +-inf has no factor.
     """
     a = np.atleast_2d(a)
+    if not np.isfinite(a).all():
+        raise SingularMarginalization(f"non-finite {a.shape[0]}x{a.shape[0]} block")
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:

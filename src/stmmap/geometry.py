@@ -168,6 +168,11 @@ class TriGrid:
         self.n_surfels = rows * (2 * n - rows)
         self.n_vertices = (rows + 1) * (n + 1) - rows * (rows + 1) // 2
 
+    @property
+    def element_density(self) -> float:
+        """Elements per unit of (alpha, beta) area: every element has area 1 / (2 n^2)."""
+        return 2.0 * self.n * self.n
+
     def cell(self, sid: int) -> tuple[int, int, bool]:
         """(row, col, up) of a surfel id."""
         r = self.n - 1 - math.isqrt(self.n * self.n - sid - 1)

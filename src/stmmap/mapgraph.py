@@ -488,8 +488,8 @@ def run_inference(stm: STMMap, batch) -> ConvergenceReport:
                     any_refit = True
                     # A height message has rank one: no KL, but `_natural_divergence` written out (of
                     # finite values no divergence is NaN: max(a, b) < tol is a < tol and b < tol).
-                    o0, o1, o2, o3, o4, o5, o6, o7, o8 = old = incoming[3]
-                    n0, n1, n2, n3, n4, n5, n6, n7, n8 = new = incoming[4]
+                    o0, o1, o2, o3, o4, o5, o6, o7, o8 = old = incoming[2]
+                    n0, n1, n2, n3, n4, n5, n6, n7, n8 = new = incoming[3]
                     cluster.converged = (
                         (math.isfinite(n0 + n1 + n2 + n3 + n4 + n5 + n6 + n7 + n8
                                        - (o0 + o1 + o2 + o3 + o4 + o5 + o6 + o7 + o8))

@@ -9,9 +9,7 @@ the incremental-update path of a mesh map and record messaging cost.
 
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Optional, Union
 
@@ -139,6 +137,10 @@ class NoiseSpec:
         return q @ d @ q.T
 
 
+# The sensors a run can simulate, by name.
+SENSORS = {"stereo": NoiseSpec.stereo_like(), "lidar": NoiseSpec.lidar_like()}
+
+
 # ---------------------------------------------------------------------------
 # measurement synthesis
 
@@ -176,8 +178,8 @@ def sample_measurements(
     """Uniform samples of the surface inside an alpha-beta polygon.
 
     The sample count is density (measurements per grid element) times the
-    number of elements covered by the region; pass 2 * 4**depth for the
-    element count per unit of alpha-beta area at that depth.
+    number of elements covered by the region; pass the grid's
+    `element_density` for the element count per unit of alpha-beta area.
     """
     region = np.asarray(region, dtype=float)
     area = _polygon_area(region)
@@ -214,10 +216,6 @@ def sample_measurements(
 # scenario drivers
 
 
-# The version of every artifact's format: the CLI's files and the scenario reports.
-FORMAT_VERSION = 1
-
-
 @dataclass
 class StepRecord:
     step: int
@@ -238,26 +236,6 @@ class ScenarioReport:
         self.total_measurements = sum(s.n_new for s in self.steps)
         self.total_messages = sum(s.messages for s in self.steps)
         return self
-
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["step", "n_new", "messages", "normalized", "total_kl"])
-            for s in self.steps:
-                w.writerow(
-                    [s.step, s.n_new, s.messages, f"{s.normalized:.6f}", f"{s.total_kl:.6e}"]
-                )
-
-    def to_json(self, path: str) -> None:
-        payload = {
-            "format_version": FORMAT_VERSION,
-            "scenario": self.scenario,
-            "total_measurements": self.total_measurements,
-            "total_messages": self.total_messages,
-            "steps": [asdict(s) for s in self.steps],
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
 
 
 def _belief_change_kls(stm: STMMap, before: dict) -> np.ndarray:
@@ -289,10 +267,9 @@ def _run_scenario(name: str, stm: STMMap, surface: Surface, steps: int, density:
     if steps < MIN_STEPS[name]:
         raise ValueError(f"steps must be >= {MIN_STEPS[name]}")
     noise = noise or NoiseSpec.lidar_like()
-    per_area = 2.0 * 4.0**stm.grid.depth
 
     def sample(region, seed):
-        return sample_measurements(surface, region, density, noise, seed, per_area)
+        return sample_measurements(surface, region, density, noise, seed, stm.grid.element_density)
 
     report = ScenarioReport(scenario=name, steps=[])
     for k, batch in enumerate(batches(sample)):

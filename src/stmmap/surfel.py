@@ -14,9 +14,10 @@ refitted height belief. Each refit is one straight-line kernel in floats
 read from the belief's `GaussianCanonical.t`: its 3x3 Cholesky factors (one
 for the mean-plane refit, two for the deviation refit) are `_factor`, the
 step of `cholesky_flat` with `cholesky_psd`'s counted jitter retry behind it,
-and their solves, the messages and the factor algebra are written out, in
-the order of the calls they replace. A batch's clusters are seeded from
-float rows that `cluster_rows` computes for the whole batch at once.
+the height messages are `height_message`'s, and the solves and the factor
+algebra are written out, in the order of the calls they replace. A batch's
+clusters are seeded from float rows that `cluster_rows` computes for the
+whole batch at once.
 
 Beliefs satisfy the additive bookkeeping invariant at all times:
 belief = prior * neighbor_in_msg * product(cluster out messages)
@@ -247,21 +248,14 @@ def apportion_nu_scales(
 def update_mean_plane_factor(state: SurfelState, cluster: LikelihoodClusterState) -> tuple:
     """Refit the cluster's height message weight w and the surfel height belief.
 
-    Returns the expected deviation, the incoming deviation message and height mean, for
+    Returns the expected deviation and the incoming height mean, for
     `update_planar_deviation_factor`, and the height message before and after (see `height_message`).
     """
     shape, nu_scale = state.belief_nu.exponent - 1.0, state.belief_nu.scale
     if not (shape > 0.0 and nu_scale > 0.0):
         raise NotADistribution("expected deviation requires a normalizable belief")
     nu_bar = nu_scale / shape
-    alpha, beta, gamma = cluster.mean
-    f0, w = 1.0 - alpha - beta, cluster.w
-    if w is None:
-        p = 1.0 / INIT_HEIGHT_VAR
-        old = (gamma * p,) * 3 + (p, 0.0, 0.0, p, 0.0, p)
-    else:
-        wg, wf, wa = w * gamma, w * f0, w * alpha
-        old = (wg * f0, wg * alpha, wg * beta, wf * f0, wf * alpha, wf * beta, wa * alpha, wa * beta, w * beta * beta)
+    old = height_message(cluster, cluster.w)
     x0, x1, x2, o00, o01, o02, o11, o12, o22 = map(sub, state.belief_h.t, old)
     l00, l10, l11, l20, l21, l22 = _factor((o00, o01, o02, o11, o12, o22))
     y0 = x0 / l00  # mu, the incoming mean: L L^T mu = x
@@ -279,14 +273,11 @@ def update_mean_plane_factor(state: SurfelState, cluster: LikelihoodClusterState
     c0, c1, c2 = r00 * u0 + r01 * u1 + r02, r01 * u0 + r11 * u1 + r12, r02 * u0 + r12 * u1 + r22
     a00, a11 = r00 + ALPHA_BETA_PRIOR_VAR, r11 + ALPHA_BETA_PRIOR_VAR
     explained = (a11 * c0 * c0 - 2.0 * r01 * c0 * c1 + a00 * c1 * c1) / (a00 * a11 - r01 * r01)
-    w = cluster.w = 1.0 / (nu_bar + (u0 * c0 + u1 * c1 + c2) - explained)
-    wg, wf, wa = w * gamma, w * f0, w * alpha
-    n0, n1, n2, n3, n4, n5, n6, n7, n8 = new = (
-        wg * f0, wg * alpha, wg * beta, wf * f0, wf * alpha, wf * beta, wa * alpha, wa * beta, w * beta * beta)
+    cluster.w = 1.0 / (nu_bar + (u0 * c0 + u1 * c1 + c2) - explained)
+    n0, n1, n2, n3, n4, n5, n6, n7, n8 = new = height_message(cluster, cluster.w)
     state.belief_h = GaussianCanonical.of(
         (x0 + n0, x1 + n1, x2 + n2, o00 + n3, o01 + n4, o02 + n5, o11 + n6, o12 + n7, o22 + n8), 3)
-    in_nu = InverseGammaFactor(state.belief_nu.exponent - NU_MSG_EXPONENT, nu_scale - cluster.nu_scale)
-    return nu_bar, in_nu, (mu0, mu1, mu2), old, new
+    return nu_bar, (mu0, mu1, mu2), old, new
 
 
 def update_planar_deviation_factor(state: SurfelState, cluster: LikelihoodClusterState, incoming: tuple) -> None:
@@ -299,9 +290,10 @@ def update_planar_deviation_factor(state: SurfelState, cluster: LikelihoodCluste
     leaves the refitted height belief S; the point block's information is
     B + u u^T / nu_bar. A residual gradient g has variance |r|^2 + |v|^2,
     r = L_B^-1 g_B, rho = (L_B^-1 u).r / nu_bar, v = L_S^-1 (g_h + rho F).
-    A scale below 1e-300 is raised to it, counted in FALLBACKS.
+    A scale below 1e-300 is raised to it, counted in FALLBACKS. The new belief
+    divides the old message out of the old belief, then multiplies the new in.
     """
-    nu_bar, in_nu, (h0, ha, hb), _, _ = incoming
+    nu_bar, (h0, ha, hb), _, _ = incoming
     alpha, beta, _ = cluster.mean
     f0, u0, u1 = 1.0 - alpha - beta, h0 - ha, h0 - hb
     h = state.belief_h.t
@@ -334,5 +326,6 @@ def update_planar_deviation_factor(state: SurfelState, cluster: LikelihoodCluste
     if scale < 1e-300:
         FALLBACKS["deviation_floor"] += 1
         scale = 1e-300
+    nu, old = state.belief_nu, cluster.nu_scale
     cluster.nu_scale = scale
-    state.belief_nu = InverseGammaFactor(in_nu.exponent + NU_MSG_EXPONENT, in_nu.scale + scale)
+    state.belief_nu = InverseGammaFactor((nu.exponent - NU_MSG_EXPONENT) + NU_MSG_EXPONENT, (nu.scale - old) + scale)

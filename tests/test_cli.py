@@ -481,6 +481,28 @@ class TestSimulateCommand:
         assert doc["metrics"]["message_count"] > 0
 
     @pytest.mark.parametrize("scenario", sorted(MIN_STEPS))
+    def test_scenario_files_round_trip(self, tmp_path, scenario):
+        out = tmp_path / "s"
+        assert main(["simulate", "--scenario", scenario, "--config", self._small_cfg(tmp_path),
+                     "--out", str(out)]) == 0
+        text = (tmp_path / "s.json").read_text()
+        doc = json.loads(text)
+        assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert (doc["format_version"], doc["scenario"], len(doc["steps"])) == (1, scenario, 3)
+        assert doc["total_measurements"] == sum(s["n_new"] for s in doc["steps"]) > 0
+        assert doc["total_messages"] == sum(s["messages"] for s in doc["steps"])
+        lines = (tmp_path / "s.csv").read_text().splitlines()
+        assert lines[0] == "step,n_new,messages,normalized,total_kl"
+        assert lines[1:] == [f"{s['step']},{s['n_new']},{s['messages']},{s['normalized']:.6f},{s['total_kl']:.6e}"
+                             for s in doc["steps"]]
+
+    def test_unopenable_scenario_file_exit_2(self, tmp_path, capsys):
+        (tmp_path / "p.csv").mkdir()
+        assert main(["simulate", "--scenario", "pushbroom", "--config", self._small_cfg(tmp_path),
+                     "--out", str(tmp_path / "p")]) == 2
+        assert capsys.readouterr().err == f"config error: {tmp_path / 'p.csv'}: Is a directory\n"
+
+    @pytest.mark.parametrize("scenario", sorted(MIN_STEPS))
     def test_steps_below_the_scenario_minimum_exit_2(self, tmp_path, capsys, scenario):
         least = MIN_STEPS[scenario]
         for steps, code in ((least - 1, 2), (least, 0)):

@@ -17,6 +17,7 @@ from stmmap.distributions import (
     _RANK_RTOL,
     _same_size,
     cholesky_flat,
+    cholesky_psd,
     forward3,
     gauss_divide,
     gauss_marginalize,
@@ -240,6 +241,15 @@ class TestGaussMarginalize:
         g = GaussianCanonical(np.zeros(2), omega)
         with pytest.raises(SingularMarginalization):
             gauss_marginalize(g, (0,))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 1)])
+    def test_non_finite_matrix_has_no_factor(self, value, where):
+        # np.linalg.cholesky reads the lower triangle and returns NaN for NaN
+        a = np.eye(2)
+        a[where] = value
+        with pytest.raises(SingularMarginalization):
+            cholesky_psd(a)
 
     def test_vacuous_discard_block_is_vacuous(self):
         # discarding variables with no information yields a vacuous marginal

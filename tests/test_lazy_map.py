@@ -16,7 +16,7 @@ import pytest
 import digest
 import stmmap.mapgraph as mapgraph
 from stmmap.cli import export_map_json, export_ply, make_emulation_case
-from stmmap.distributions import GaussianCanonical, NotADistribution, scatter_index
+from stmmap.distributions import GaussianCanonical, SingularMarginalization, scatter_index
 from stmmap.geometry import TriGrid
 from stmmap.mapgraph import STMMap, enforce_rip, incremental_update, query_map
 from stmmap.surfel import Measurement
@@ -146,11 +146,11 @@ def _outputs(stm: STMMap, path: str) -> tuple:
 
 @pytest.mark.parametrize("window", [1, 2])
 def test_an_update_that_raises_leaves_the_map_as_it_was(tmp_path, window):
-    # An infinite xi[0] in a surfel's prior turns its first refit NaN, and
-    # `update_mean_plane_factor` raises at a later cluster: after the fold,
-    # the new clusters, the refits (with window 2, also of the older batch's
-    # live clusters) and the first messages have all changed the map. With
-    # window 1 an empty batch first folds the older clusters away.
+    # An infinite xi[0] in a surfel's prior turns its first mean-plane refit
+    # NaN, and the deviation refit after it raises, as `cholesky_psd` finds no
+    # factor of a NaN block: after the fold, the new clusters and that refit
+    # (with window 2, of the older batch's first live cluster) have changed
+    # the map. With window 1 an empty batch first folds the older clusters away.
     meas = make_emulation_case("lidar")
     stm = STMMap(TriGrid.triangle(0), window=window)
     incremental_update(stm, meas[:5])
@@ -161,7 +161,7 @@ def test_an_update_that_raises_leaves_the_map_as_it_was(tmp_path, window):
     state.recompute_beliefs()
     before = _outputs(stm, str(tmp_path / "before.map.json"))
     counts = (stm.batch, len(state.clusters), [(c.w, c.nu_scale, c.converged) for c in state.clusters])
-    with pytest.raises(NotADistribution):
+    with pytest.raises(SingularMarginalization):
         incremental_update(stm, meas[5:])
     assert _outputs(stm, str(tmp_path / "after.map.json")) == before
     assert (stm.batch, len(state.clusters), [(c.w, c.nu_scale, c.converged) for c in state.clusters]) == counts

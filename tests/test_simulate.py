@@ -310,14 +310,20 @@ class TestScenarios:
         report = scenario_pushbroom(small_map(depth=3, tol=0.1), perlin_surface(seed=2), 6, seed=0)
         assert [s.total_kl for s in report.steps] == want
 
-    def test_report_csv_round_trip(self, tmp_path):
-        stm = small_map()
-        report = scenario_reobserve(stm, perlin_surface(seed=1), 3, seed=0)
-        path = tmp_path / "r.csv"
-        report.to_csv(str(path))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "step,n_new,messages,normalized,total_kl"
-        assert len(lines) == 1 + len(report.steps)
+    def test_scenarios_run_on_a_strip(self):
+        # a width-4 strip has 7 elements of area 1/32: density draws per element,
+        # with (alpha, beta) noise too small to move a point across the strip's edge
+        n, density, noise = 4, 10.0, NoiseSpec((1e-9, 1e-9, 0.005), rotate=False)
+        stm = STMMap(TriGrid.strip(n), convergence=ConvergenceConfig(0.3, 200))
+        report = scenario_pushbroom(stm, perlin_surface(seed=2), n, density=density, noise=noise, seed=0)
+        # the first of n bands is the strip; the others lie past its row
+        assert [s.n_new for s in report.steps] == [density * (2 * k + 1) for k in range(n - 1, -1, -1)]
+        assert sum(s.n_meas_total for s in stm.states.values()) == density * (2 * n - 1)
+        stm = STMMap(TriGrid.strip(n), convergence=ConvergenceConfig(0.3, 200))
+        report = scenario_reobserve(stm, perlin_surface(seed=2), 3, density=density, noise=noise, seed=0)
+        assert [s.n_new for s in report.steps] == [density * n * n] * 3  # over the whole triangle
+        inside, p = sum(s.n_meas_total for s in stm.states.values()) / 3, (2 * n - 1) / n**2
+        assert abs(inside - density * (2 * n - 1)) < 4.0 * math.sqrt(density * n * n * p * (1.0 - p))
 
 
 class TestEvaluation:
