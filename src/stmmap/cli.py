@@ -13,8 +13,8 @@ Every run writes a manifest (config hash, seed, versions) next to its
 outputs; re-running with the same config and seed reproduces the outputs
 byte for byte.
 
-`stm build` carries its points as arrays: parse checks, the map into the
-submap frame and each ingestion batch's `MeasurementBatch` are stacked.
+`stm build` carries its points as arrays: parse checks and the map into the
+submap frame are stacked, and one `MeasurementBatch` holds them all.
 """
 
 from __future__ import annotations
@@ -89,7 +89,6 @@ class RunConfig:
     amplitude: float = 1.0
     surface_seed: int = 1
     n_eval: int = 2000
-    batch_size: int = 0  # build ingestion batch; 0 = single batch
 
     def new_map(self, grid: TriGrid) -> STMMap:
         """An empty map with these settings; ValueError for one the library rejects."""
@@ -105,7 +104,7 @@ _CONFIG_SCHEMA = {
     "map": ("depth", "window"),
     "prior": ("rho", "sigma2", "a_p", "b_p"),
     "convergence": ("kl_threshold", "max_sweeps"),
-    "run": ("seed", "sensor", "batch_size"),
+    "run": ("seed", "sensor"),
     "scenario": ("steps", "density", "amplitude", "surface_seed", "n_eval"),
 }
 
@@ -151,7 +150,7 @@ def _validate(cfg: RunConfig) -> None:
         (0 < cfg.density < math.inf, "density must be positive and finite"),
         (math.isfinite(cfg.amplitude), "amplitude must be finite"),
         (cfg.n_eval >= 1, "n_eval must be >= 1"),
-        (cfg.batch_size >= 0, "batch_size must be >= 0"),
+        (min(cfg.seed, cfg.surface_seed) >= 0, "seed and surface_seed must be >= 0"),
     ]
     for ok, msg in checks:
         if not ok:
@@ -413,14 +412,18 @@ def _cmd_simulate(args) -> int:
             incremental_update(stm, meas)
             elev = ElevationMap(grid)
             elev.update(meas)
-            mse_s.append(evaluate_mse(stm, surface, cfg.n_eval, seed=1, companion=elev))
-            mse_e.append(evaluate_mse(elev, surface, cfg.n_eval, seed=1, companion=stm))
+            try:  # ValueError: no evaluation point lies on an element both maps observed
+                mse_s.append(evaluate_mse(stm, surface, cfg.n_eval, seed=1, companion=elev))
+                mse_e.append(evaluate_mse(elev, surface, cfg.n_eval, seed=1, companion=stm))
+                llr = (evaluate_loglik_ratio(stm, elev, surface, cfg.n_eval, seed=1)
+                       if args.scenario == "accuracy2d" else float("nan"))
+            except ValueError as exc:
+                raise ConfigError(f"n_eval = {cfg.n_eval}: {exc}") from exc
         rows.append({
             "division": d,
             "mse_stm": float(np.mean(mse_s)),
             "mse_elevation": float(np.mean(mse_e)),
-            "loglik_ratio": (evaluate_loglik_ratio(stm, elev, surface, cfg.n_eval, seed=1)
-                             if args.scenario == "accuracy2d" else float("nan")),
+            "loglik_ratio": llr,
         })
     _write_csv(out + ".csv", rows)
     _write_json(out + ".json", {"rows": rows})
@@ -434,10 +437,7 @@ def _cmd_build(args) -> int:
         _validate(cfg)
     # every input is read before the first output is written
     parsed = parse_points_csv(args.points)
-    if args.landmarks:
-        landmarks = parse_landmarks_csv(args.landmarks)
-    else:
-        landmarks = parse_global_frame(args.global_frame)
+    landmarks = parse_landmarks_csv(args.landmarks) if args.landmarks else parse_global_frame(args.global_frame)
     try:
         irf = make_relative_irf(*landmarks)
     except DegenerateLandmarks as exc:
@@ -449,23 +449,13 @@ def _cmd_build(args) -> int:
     # the per-point products b_inv @ (m - l0) and b_inv @ C @ b_inv.T, stacked
     means = (b_inv @ (parsed.means - irf.l0)[..., None])[..., 0]
     covs = b_inv @ parsed.covs @ b_inv.T
-    n_points, ids = len(means), np.arange(len(means))
-    n_outside = n_rejected = 0
-
+    n_points = len(means)
     skipped_frac = len(parsed.warnings) / max(parsed.n_total_rows, 1)
-
     stm = cfg.new_map(TriGrid.triangle(cfg.depth))
-    batch_size = cfg.batch_size or n_points or 1
-    all_converged = True
     t0 = time.perf_counter()
-    for start in range(0, n_points, batch_size):
-        rows = slice(start, start + batch_size)
-        report = incremental_update(stm, MeasurementBatch(means[rows], covs[rows], ids[rows]))
-        all_converged = all_converged and report.converged
-        n_outside += report.n_skipped_outside
-        n_rejected += sum(report.n_rejected.values())
+    report = incremental_update(stm, MeasurementBatch(means, covs, np.arange(n_points)))
     elapsed = time.perf_counter() - t0
-
+    n_outside, n_rejected = report.n_skipped_outside, sum(report.n_rejected.values())
     n_used = n_points - n_outside - n_rejected
     per_meas_ms = 1e3 * elapsed / max(n_used, 1)
     print(f"ingested {n_used} of {n_points} points "
@@ -480,7 +470,7 @@ def _cmd_build(args) -> int:
         print(f"error: {100 * skipped_frac:.1f}% of rows were unparseable",
               file=sys.stderr)
         return 4
-    return 0 if all_converged else 3
+    return 0 if report.converged else 3
 
 
 # pinned emulation cases, one per sensor: planar truth, model-matched deviation scatter
@@ -553,11 +543,7 @@ def main(argv: list[str] = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "build":
-            return _cmd_build(args)
-        return _cmd_oracle(args)
+        return {"simulate": _cmd_simulate, "build": _cmd_build, "oracle": _cmd_oracle}[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,6 @@
 """Tests for configuration, parsing, export, and the command-line interface."""
 
+import dataclasses
 import json
 import math
 
@@ -19,6 +20,7 @@ from stmmap.cli import (
     write_manifest,
 )
 from stmmap.geometry import MAX_DEPTH
+from stmmap.mapgraph import incremental_update
 from stmmap.oracle import ChainConfig
 from stmmap.simulate import MIN_STEPS
 
@@ -63,6 +65,18 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="unknown key"):
             load_config(str(p))
 
+    def test_every_setting_has_one_key(self):
+        keys = [key for section in cli._CONFIG_SCHEMA.values() for key in section]
+        assert sorted(keys) == sorted(f.name for f in dataclasses.fields(RunConfig))
+        assert len(keys) == 15
+
+    def test_retired_batch_size_is_an_unknown_key(self, tmp_path, capsys):
+        p = tmp_path / "cfg.ini"
+        p.write_text("[run]\nbatch_size = 4\n")
+        assert main(["simulate", "--scenario", "pushbroom", "--config", str(p), "--out", str(tmp_path / "s")]) == 2
+        assert capsys.readouterr().err == "config error: unknown key 'batch_size' in section [run]\n"
+        assert not list(tmp_path.glob("s.*"))
+
     def test_bad_type(self, tmp_path):
         p = tmp_path / "cfg.ini"
         p.write_text("[map]\ndepth = five\n")
@@ -90,6 +104,8 @@ class TestLoadConfig:
             ("convergence", "kl_threshold", "inf"),
             ("convergence", "max_sweeps", "0"),
             ("run", "sensor", "sonar"),
+            ("run", "seed", "-1"),
+            ("scenario", "surface_seed", "-1"),
             ("scenario", "steps", "1"),
             ("scenario", "density", "0"),
             ("scenario", "density", "inf"),
@@ -326,6 +342,36 @@ class TestBuildCommand:
             assert abs(z - (0.2 + 0.3 * x - 0.1 * y)) < 0.2
         assert "ms/measurement" in capsys.readouterr().out
 
+    def test_one_update_takes_every_point(self, tmp_path, monkeypatch, capsys):
+        batches = []
+
+        def update(stm, batch):
+            batches.append(batch)
+            return incremental_update(stm, batch)
+
+        monkeypatch.setattr(cli, "incremental_update", update)
+        pts = tmp_path / "pts.csv"
+        write_plane_points(pts, np.random.default_rng(7), n=40)
+        assert main(["build", "--points", str(pts), "--global-frame", "0,0,1,1", "--depth", "2",
+                     "--out", str(tmp_path / "m")]) == 0
+        [batch] = batches
+        assert batch.ids.tolist() == list(range(40))
+        assert capsys.readouterr().out.startswith("ingested 40 of 40 points")
+
+    @pytest.mark.parametrize("text, code", [("", 2), ("x,y,z,sigma\n", 0)], ids=["no-header", "header-only"])
+    def test_empty_points_file(self, tmp_path, capsys, text, code):
+        pts = tmp_path / "pts.csv"
+        pts.write_text(text)
+        assert main(["build", "--points", str(pts), "--global-frame", "0,0,1,1", "--depth", "1",
+                     "--out", str(tmp_path / "m")]) == code
+        out, err = capsys.readouterr()
+        if code == 2:  # no header: nothing is written
+            assert err == f"config error: {pts}: empty points file\n"
+            assert not list(tmp_path.glob("m.*"))
+        else:  # a header alone: an empty map
+            assert out.startswith("ingested 0 of 0 points (0 rows skipped")
+            assert all(s["n_meas"] == 0 for s in json.loads((tmp_path / "m.map.json").read_text())["surfels"])
+
     def test_build_with_landmarks(self, tmp_path):
         pts = tmp_path / "pts.csv"
         write_plane_points(pts, np.random.default_rng(1), n=50)
@@ -513,6 +559,21 @@ class TestSimulateCommand:
             assert bool(list(tmp_path.glob(f"{out.name}.*"))) == (code == 0)
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith(f"config error: steps must be >= {least}")
+
+    @pytest.mark.parametrize("section, key", [("run", "seed"), ("scenario", "surface_seed")])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, section, key):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[map]\ndepth = 1\n[{section}]\n{key} = -1\n")
+        assert main(["simulate", "--scenario", "pushbroom", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
+        assert capsys.readouterr().err == "config error: seed and surface_seed must be >= 0\n"
+        assert not list(tmp_path.glob("s.*"))
+
+    def test_no_evaluable_point_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[scenario]\nn_eval = 1\ndensity = 2\n")
+        assert main(["simulate", "--scenario", "accuracy2d", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: n_eval = 1: no evaluable points")
 
     @pytest.mark.parametrize("scenario, divisions", [("accuracy2d", 6), ("accuracy3d", 4)])
     def test_accuracy_outputs_and_determinism(self, tmp_path, scenario, divisions):

@@ -13,6 +13,7 @@ from stmmap.distributions import (
     GaussianMoment,
     InverseGammaFactor,
     NotADistribution,
+    NotPSD,
     SingularMarginalization,
     _RANK_RTOL,
     _same_size,
@@ -101,6 +102,26 @@ class TestGaussianCanonical:
                                (gauss_divide(g1, g2), g1.xi - g2.xi, g1.omega - g2.omega)):
             assert got.xi.tobytes() == xi.tobytes()
             assert got.omega.tobytes() == omega.tobytes()
+
+    @pytest.mark.parametrize("xi, omega", [(np.zeros(2), np.eye(3)), (np.zeros(3), np.eye(3)[:2]),
+                                           (np.zeros(1), np.ones(2))])
+    def test_shape_mismatch_raises(self, xi, omega):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            GaussianCanonical(xi, omega)
+
+    @pytest.mark.parametrize("mu, sigma, match", [
+        (np.zeros(2), np.eye(3), "shape"),
+        (np.zeros(3), np.eye(2), "shape"),
+        (np.zeros(2), np.diag([1.0, -1e-6]), "positive semidefinite"),
+        (np.zeros(2), [[1.0, 2.0], [2.0, 1.0]], "positive semidefinite"),
+    ])
+    def test_invalid_moment_form_raises(self, mu, sigma, match):
+        with pytest.raises(ValueError, match=match):
+            GaussianMoment(mu, sigma)
+
+    def test_moment_form_accepts_a_semidefinite_covariance(self):
+        # eigenvalues down to -1e-10 of the trace count as zero
+        assert GaussianMoment(np.zeros(2), np.diag([1.0, -1e-11])).sigma[1, 1] == -1e-11
 
     def test_moment_round_trip(self):
         rng = np.random.default_rng(0)
@@ -510,6 +531,29 @@ class TestInverseGamma:
         with pytest.raises(NotADistribution):
             ig_expected_deviation(InverseGammaFactor(0.5, 1.0))
 
+    @pytest.mark.parametrize("read, factor, value", [
+        pytest.param(InverseGammaFactor.mean, InverseGammaFactor(2.0, 1.0), None, id="mean-shape-1"),
+        pytest.param(InverseGammaFactor.mean, InverseGammaFactor(2.5, 1.0), 2.0, id="mean-shape-1.5"),
+        pytest.param(InverseGammaFactor.variance, InverseGammaFactor(3.0, 1.0), None, id="variance-shape-2"),
+        pytest.param(InverseGammaFactor.variance, InverseGammaFactor(4.0, 2.0), 1.0, id="variance-shape-3"),
+        pytest.param(lambda f: f.log_density(2.0), InverseGammaFactor(1.0, 1.0), None, id="density-shape-0"),
+        pytest.param(lambda f: f.log_density(2.0), InverseGammaFactor(2.0, 0.0), None, id="density-scale-0"),
+        pytest.param(lambda f: f.log_density(2.0), InverseGammaFactor(2.0, 1.0), -2.0 * math.log(2.0) - 0.5,
+                     id="density-shape-1"),
+    ])
+    def test_reads_at_their_bounds(self, read, factor, value):
+        """mean needs shape > 1, variance shape > 2, log_density a normalizable factor."""
+        if value is None:
+            with pytest.raises(NotADistribution):
+                read(factor)
+        else:
+            assert read(factor) == pytest.approx(value)
+
+    @pytest.mark.parametrize("shape, scale", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (1.0, -1.0)])
+    def test_normalized_needs_positive_parameters(self, shape, scale):
+        with pytest.raises(NotADistribution):
+            InverseGammaFactor.normalized(shape, scale)
+
     def test_normalized_convention(self):
         # normalized IG(a, b) stores exponent a + 1
         f = InverseGammaFactor.normalized(2.0, 3.0)
@@ -540,6 +584,11 @@ class TestUnscentedTransform:
         out = unscented_transform(g, lambda x: x * x)
         assert out.mu[0] == pytest.approx(1.0, rel=0.1)
         assert out.sigma[0, 0] == pytest.approx(2.0, rel=0.1)
+
+    def test_singular_covariance_has_no_square_root(self):
+        g = GaussianMoment([0.0, 0.0], [[1.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(NotPSD):
+            unscented_transform(g, lambda x: x)
 
     @given(seed=st.integers(0, 1000))
     @settings(max_examples=30, deadline=None)

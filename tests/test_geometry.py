@@ -161,6 +161,13 @@ class TestTriGrid:
         with pytest.raises(DepthTooLarge):
             TriGrid.strip(2**MAX_DEPTH + 1)
 
+    @pytest.mark.parametrize("make", [lambda: TriGrid(0, 1), lambda: TriGrid(2, 0), lambda: TriGrid(2, 3),
+                                      lambda: TriGrid.triangle(-1)],
+                             ids=["width-0", "rows-0", "rows-above-width", "depth-minus-1"])
+    def test_invalid_dimensions_raise(self, make):
+        with pytest.raises(ValueError):
+            make()
+
     def test_strip_is_chain(self):
         g = TriGrid.strip(8)
         assert g.n_surfels == 15

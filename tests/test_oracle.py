@@ -479,6 +479,14 @@ class TestCompareMarginals:
         rep = compare_marginals(res, belief)
         assert rep["h0"]["std_mean_discrepancy"] == pytest.approx(1.0, abs=0.05)
 
+    def test_undefined_deviation_variance_reads_infinite(self):
+        rng = np.random.default_rng(72)
+        res = self._result_from_samples(rng.normal(size=(200, 3)), rng.gamma(5.0, 0.1, size=200))
+        belief = self._belief_from_moments(np.zeros(3), np.eye(3), 2.0, 1.0)  # shape 2: mean 1, no variance
+        rep = compare_marginals(res, belief)
+        assert (rep["nu"]["belief_mean"], rep["nu"]["belief_std"], rep["nu"]["std_ratio"]) == (1.0, math.inf, math.inf)
+        assert all(math.isfinite(rep[k]["belief_std"]) for k in ("h0", "h_alpha", "h_beta"))
+
     def test_requires_enough_samples(self):
         res = self._result_from_samples(np.zeros((50, 3)), np.ones(50))
         belief = self._belief_from_moments(np.zeros(3), np.eye(3), 3.0, 1.0)

@@ -310,6 +310,26 @@ class TestScenarios:
         report = scenario_pushbroom(small_map(depth=3, tol=0.1), perlin_surface(seed=2), 6, seed=0)
         assert [s.total_kl for s in report.steps] == want
 
+    @pytest.mark.parametrize("name, runner", [("pushbroom", scenario_pushbroom), ("reobserve", scenario_reobserve)])
+    def test_steps_below_the_minimum_raise(self, name, runner):
+        least = simulate.MIN_STEPS[name]
+        stm = small_map(depth=1)
+        with pytest.raises(ValueError, match=f"steps must be >= {least}"):
+            runner(stm, perlin_surface(seed=1), least - 1)
+        assert not stm.states  # raised before the first batch
+
+    def test_an_improper_belief_change_has_no_kl(self):
+        stm = small_map(depth=1)
+        incremental_update(stm, sample_measurements(perlin_surface(seed=1), SUBMAP_TRIANGLE, 10.0,
+                                                    NoiseSpec.lidar_like(), 0, stm.grid.element_density))
+        first, *rest = sorted(stm.states)
+        improper = GaussianCanonical(np.zeros(3), -np.eye(3))
+        kls = simulate._belief_change_kls(stm, {first: improper})
+        assert kls[first] == 0.0
+        assert [kls[sid] for sid in rest] == [kl_gaussian(stm.states[sid].belief_h, stm.untouched.belief_h)
+                                              for sid in rest]
+        assert all(kls[sid] > 0.0 for sid in rest)
+
     def test_scenarios_run_on_a_strip(self):
         # a width-4 strip has 7 elements of area 1/32: density draws per element,
         # with (alpha, beta) noise too small to move a point across the strip's edge
