@@ -10,8 +10,9 @@ Exit codes: 0 success, 2 configuration error, 3 inference did not converge
 adaptation failure.
 
 Every run writes a manifest (config hash, seed, versions) next to its
-outputs; re-running with the same config and seed reproduces the outputs
-byte for byte.
+outputs: `stm build` once its inputs are read, `stm simulate` and `stm oracle`
+last, once their run has succeeded. Re-running with the same config and seed
+reproduces the outputs byte for byte.
 
 `stm build` carries its points as arrays: parse checks and the map into the
 submap frame are stacked, and one `MeasurementBatch` holds them all.
@@ -377,7 +378,6 @@ def _cmd_simulate(args) -> int:
     out = args.out
     if cfg.steps < MIN_STEPS.get(args.scenario, 0):
         raise ConfigError(f"steps must be >= {MIN_STEPS[args.scenario]} for scenario {args.scenario}")
-    write_manifest(out, f"simulate --scenario {args.scenario}", cfg)
     noise = cfg.noise()
 
     if args.scenario in MIN_STEPS:
@@ -391,6 +391,7 @@ def _cmd_simulate(args) -> int:
         _write_json(out + ".json", asdict(report), indent=2)
         export_ply(stm, out + ".ply")
         export_map_json(stm, out + ".map.json")
+        write_manifest(out, f"simulate --scenario {args.scenario}", cfg)
         return 0
 
     # accuracy2d: one profile over strips of 1..6 divisions; accuracy3d: full
@@ -427,6 +428,7 @@ def _cmd_simulate(args) -> int:
         })
     _write_csv(out + ".csv", rows)
     _write_json(out + ".json", {"rows": rows})
+    write_manifest(out, f"simulate --scenario {args.scenario}", cfg)
     return 0
 
 
@@ -499,7 +501,6 @@ def make_emulation_case(name: str) -> list[Measurement]:
 
 def _cmd_oracle(args) -> int:
     cfg = load_config(args.config)
-    write_manifest(args.out, f"oracle --case {args.case}", cfg)
     measurements = make_emulation_case(args.case)
     stm = cfg.new_map(TriGrid.triangle(0))
     incremental_update(stm, measurements)
@@ -512,6 +513,7 @@ def _cmd_oracle(args) -> int:
         return 5
     report = compare_marginals(result, stm.surfels[0])
     _write_json(args.out + ".json", {"case": args.case, "acceptance": result.acceptance, "variables": report})
+    write_manifest(args.out, f"oracle --case {args.case}", cfg)
     for name, row in report.items():
         print(f"{name}: chain {row['mh_mean']:+.5f} +- {row['mh_std']:.5f}, "
               f"belief {row['belief_mean']:+.5f} +- {row['belief_std']:.5f}, "

@@ -21,15 +21,17 @@ arrays only on read. Factors are immutable, so one factor object may have
 many holders.
 
 Map factors have at most three variables; there a Cholesky factor in Python
-floats costs less than a LAPACK call. `cholesky_flat` and `forward3` are the
-unblocked Cholesky step and its forward solve, unrolled for one to three
-variables; they serve `is_normalizable`, `kl_gaussian` (which also rejects
-near-zero pivots), the map's sepset messages and its refits.
+floats costs less than a LAPACK call. `cholesky_flat` is the unblocked
+Cholesky step unrolled for one to three variables; it serves
+`is_normalizable`. `kl_gaussian`, the map's sepset messages and its refits
+write the same step and its forward solve out as straight-line floats; the
+tests check each against the loops it unrolls, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cache
 from operator import add, sub
@@ -40,7 +42,8 @@ import numpy as np
 _JITTER_REL = 1e-12
 # Pivots of a 3x3 rank-one matrix in floats stay within 3.4 eps of their
 # diagonal entry (200,000 drawn w F F^T); `kl_gaussian` rejects below 16 eps.
-_RANK_RTOL = 16 * np.finfo(float).eps
+_RANK_RTOL = 16 * sys.float_info.epsilon
+_NOT_PD = "information matrix is not positive definite"
 
 
 class NotADistribution(Exception):
@@ -81,15 +84,6 @@ def cholesky_flat(o, rtol: float = 0.0) -> tuple | None:
     if not s > 0.0 or s <= rtol * o[5]:
         return None
     return l00, l10, l11, l20, l21, math.sqrt(s)
-
-
-def forward3(lower: tuple, v) -> tuple:
-    """Solve lower @ t = v for a 3-variable factor from `cholesky_flat`, each
-    row's products subtracted left to right."""
-    l00, l10, l11, l20, l21, l22 = lower
-    t0 = v[0] / l00
-    t1 = (v[1] - l10 * t0) / l11
-    return t0, t1, (v[2] - l20 * t0 - l21 * t1) / l22
 
 
 def cholesky_psd(a: np.ndarray) -> np.ndarray:
@@ -213,7 +207,7 @@ class GaussianCanonical:
 
     def to_moments(self) -> "GaussianMoment":
         if not self.is_normalizable():
-            raise NotADistribution("information matrix is not positive definite")
+            raise NotADistribution(_NOT_PD)
         sigma = inv_psd(self.omega)
         return GaussianMoment(sigma @ self.xi, sigma)
 
@@ -235,8 +229,10 @@ class GaussianMoment:
         sigma = _symmetrize(np.asarray(self.sigma, dtype=float))
         if sigma.shape != (mu.size, mu.size):
             raise ValueError("sigma shape does not match mu")
+        if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
+            raise ValueError("mu and sigma must be finite")
         eig_floor = -1e-10 * max(abs(np.trace(sigma)), 1.0)
-        if np.linalg.eigvalsh(sigma).min() < eig_floor:
+        if not np.linalg.eigvalsh(sigma).min() >= eig_floor:
             raise ValueError("covariance is not positive semidefinite")
         object.__setattr__(self, "mu", _read_only(mu))
         object.__setattr__(self, "sigma", _read_only(sigma))
@@ -307,26 +303,37 @@ def kl_gaussian(q: GaussianCanonical, p: GaussianCanonical) -> float:
     and the Mahalanobis term is |Lp^T (mu_p - mu_q)|^2 = |y_p - (Lq^-1 Lp)^T y_q|^2.
     A Cholesky pivot within rounding of its diagonal entry (_RANK_RTOL) makes
     a factor singular: rounding leaves some rank-one w F F^T a tiny pivot.
-    Map factors have one to three variables. Each size unrolls the loop of
-    the unblocked Cholesky step and its forward solve, with the same
-    operations in the same order, so the result is the loop's to the bit; the
-    0.0 * y terms keep the loop's NaNs.
+    Map factors have one to three variables. Each size is one straight-line
+    block: both factors by `cholesky_flat`'s steps (a for q, b for p), the
+    forward solves and the closed form, with the operations of the unblocked
+    loops in the same order, so the result is the loops' to the bit; the
+    0.0 * y terms keep the loops' NaNs. A pivot passes when it is > 0.0 and
+    > _RANK_RTOL times its diagonal entry, `cholesky_flat`'s test (neither
+    side can be NaN once the first holds); each step tests both factors.
     """
-    _same_size(q, p, "KL divergence")
-    n, x, z = q.n, q.t, p.t
-    if n == 0:
-        raise NotADistribution("a factor of no variables has no density")
-    if n > 3:
-        raise ValueError(f"KL divergence of {n} variables; map factors have one to three")
-    lq, lp = cholesky_flat(x[n:], _RANK_RTOL), cholesky_flat(z[n:], _RANK_RTOL)
-    if not (lq and lp):
-        raise NotADistribution("information matrix is not positive definite")
+    n, x, z, r = q.n, q.t, p.t, _RANK_RTOL
+    if n != p.n:
+        _same_size(q, p, "KL divergence")
     if n == 3:
-        (a00, _, a11, _, a21, a22), (b00, b10, b11, b20, b21, b22) = lq, lp
-        m00, m10, m20 = forward3(lq, (b00, b10, b20))  # the columns of Lq^-1 Lp
-        m11, m22 = b11 / a11, b22 / a22
-        m21 = (b21 - a21 * m11) / a22
-        (yq0, yq1, yq2), (yp0, yp1, yp2) = forward3(lq, x), forward3(lp, z)
+        if not (x[3] > 0.0 and x[3] > r * x[3] and z[3] > 0.0 and z[3] > r * z[3]):
+            raise NotADistribution(_NOT_PD)
+        a00, b00 = math.sqrt(x[3]), math.sqrt(z[3])
+        a10, b10 = x[4] / a00, z[4] / b00
+        sa, sb = x[6] - a10 * a10, z[6] - b10 * b10
+        if not (sa > 0.0 and sa > r * x[6] and sb > 0.0 and sb > r * z[6]):
+            raise NotADistribution(_NOT_PD)
+        a11, b11, a20, b20 = math.sqrt(sa), math.sqrt(sb), x[5] / a00, z[5] / b00
+        a21, b21 = (x[7] - a20 * a10) / a11, (z[7] - b20 * b10) / b11
+        sa, sb = x[8] - a20 * a20 - a21 * a21, z[8] - b20 * b20 - b21 * b21
+        if not (sa > 0.0 and sa > r * x[8] and sb > 0.0 and sb > r * z[8]):
+            raise NotADistribution(_NOT_PD)
+        a22, b22 = math.sqrt(sa), math.sqrt(sb)
+        m00, m11, m22 = b00 / a00, b11 / a11, b22 / a22  # Lq^-1 Lp
+        m10 = (b10 - a10 * m00) / a11
+        m20, m21 = (b20 - a20 * m00 - a21 * m10) / a22, (b21 - a21 * m11) / a22
+        yq0, yp0 = x[0] / a00, z[0] / b00
+        yq1, yp1 = (x[1] - a10 * yq0) / a11, (z[1] - b10 * yp0) / b11
+        yq2, yp2 = (x[2] - a20 * yq0 - a21 * yq1) / a22, (z[2] - b20 * yp0 - b21 * yp1) / b22
         d0 = yp0 - (m00 * yq0 + m10 * yq1 + m20 * yq2)
         d1 = yp1 - (0.0 * yq0 + m11 * yq1 + m21 * yq2)
         d2 = yp2 - (0.0 * yq0 + 0.0 * yq1 + m22 * yq2)
@@ -334,7 +341,14 @@ def kl_gaussian(q: GaussianCanonical, p: GaussianCanonical) -> float:
         kl = 0.5 * (m00 * m00 + m10 * m10 + m20 * m20 + m11 * m11 + m21 * m21 + m22 * m22
                     + (d0 * d0 + d1 * d1 + d2 * d2) - 3 + log_det_ratio)
     elif n == 2:
-        (a00, a10, a11), (b00, b10, b11) = lq, lp
+        if not (x[2] > 0.0 and x[2] > r * x[2] and z[2] > 0.0 and z[2] > r * z[2]):
+            raise NotADistribution(_NOT_PD)
+        a00, b00 = math.sqrt(x[2]), math.sqrt(z[2])
+        a10, b10 = x[3] / a00, z[3] / b00
+        sa, sb = x[4] - a10 * a10, z[4] - b10 * b10
+        if not (sa > 0.0 and sa > r * x[4] and sb > 0.0 and sb > r * z[4]):
+            raise NotADistribution(_NOT_PD)
+        a11, b11 = math.sqrt(sa), math.sqrt(sb)
         m00, m11 = b00 / a00, b11 / a11
         m10 = (b10 - a10 * m00) / a11
         yq0, yp0 = x[0] / a00, z[0] / b00
@@ -343,11 +357,17 @@ def kl_gaussian(q: GaussianCanonical, p: GaussianCanonical) -> float:
         d1 = yp1 - (0.0 * yq0 + m11 * yq1)
         log_det_ratio = 2.0 * (math.log(a00 / b00) + math.log(a11 / b11))
         kl = 0.5 * (m00 * m00 + m10 * m10 + m11 * m11 + (d0 * d0 + d1 * d1) - 2 + log_det_ratio)
-    else:
-        (a,), (b,) = lq, lp
+    elif n == 1:
+        if not (x[1] > 0.0 and x[1] > r * x[1] and z[1] > 0.0 and z[1] > r * z[1]):
+            raise NotADistribution(_NOT_PD)
+        a, b = math.sqrt(x[1]), math.sqrt(z[1])
         m = b / a
         d = z[0] / b - m * (x[0] / a)
         kl = 0.5 * (m * m + d * d - 1 + 2.0 * math.log(a / b))
+    elif n == 0:
+        raise NotADistribution("a factor of no variables has no density")
+    else:
+        raise ValueError(f"KL divergence of {n} variables; map factors have one to three")
     return max(kl, 0.0)
 
 
@@ -361,7 +381,7 @@ class InverseGammaFactor:
     @classmethod
     def normalized(cls, shape: float, scale: float) -> "InverseGammaFactor":
         """Normalized inverse-gamma with the given shape a and scale b."""
-        if shape <= 0.0 or scale <= 0.0:
+        if not (shape > 0.0 and scale > 0.0):
             raise NotADistribution("inverse-gamma needs shape > 0 and scale > 0")
         return cls(shape + 1.0, scale)
 

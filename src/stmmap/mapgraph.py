@@ -32,6 +32,7 @@ changes; validation and association run once per batch, stacked.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import numbers
 from collections import Counter
@@ -47,7 +48,6 @@ from .distributions import (
     GaussianCanonical,
     InverseGammaFactor,
     NotADistribution,
-    cholesky_flat,
     gauss_divide,
     gauss_marginalize,
     gauss_product,
@@ -258,7 +258,13 @@ def _ig_divergence(new: InverseGammaFactor, old: InverseGammaFactor) -> float:
     return max(abs(new.exponent - old.exponent), abs(new.scale - old.scale) / (1.0 + abs(old.scale)))
 
 
-_UPPER3 = upper_index(3)
+_U = upper_index(3)
+# For each kept `pos` of a sepset message: the kept and dropped heights, then the
+# places in a 3-variable t of the omega entries its Schur complement reads.
+_KEEP_TWO = {(a, b): (a, b, d, _U[d][d], _U[a][d], _U[b][d], _U[a][a], _U[a][b], _U[b][b])
+             for a, b, d in itertools.permutations(range(3))}
+_KEEP_ONE = {(k,): (k, d, e, _U[d][d], _U[d][e], _U[e][e], _U[k][d], _U[k][e], _U[k][k])
+             for k, d, e in ((0, 1, 2), (1, 0, 2), (2, 0, 1))}
 
 
 def neighbor_out_message(stm: STMMap, sid: int, link: tuple) -> GaussianCanonical:
@@ -275,24 +281,27 @@ def neighbor_out_message(stm: STMMap, sid: int, link: tuple) -> GaussianCanonica
     _, pos, _, key_in, _ = link
     reverse = stm.messages.get(key_in) or stm._vacuous[len(pos)]
     belief = stm.states.get(sid, stm.untouched).belief_h
-    x, r, u = belief.t, reverse.t, _UPPER3
+    x, r = belief.t, reverse.t
     if len(pos) == 2:
-        (a, b), d = pos, 3 - sum(pos)
-        if x[u[d][d]] > 0.0:
-            ld = math.sqrt(x[u[d][d]])
-            ya, yb, z = x[u[a][d]] / ld, x[u[b][d]] / ld, x[d] / ld
+        a, b, d, dd, ad, bd, aa, ab, bb = _KEEP_TWO[pos]
+        if x[dd] > 0.0:
+            ld = math.sqrt(x[dd])
+            ya, yb, z = x[ad] / ld, x[bd] / ld, x[d] / ld
             return GaussianCanonical.of((
-                x[a] - r[0] - (0.0 + ya * z), x[b] - r[1] - (0.0 + yb * z), x[u[a][a]] - r[2] - ya * ya,
-                x[u[a][b]] - r[3] - (0.0 + ya * yb), x[u[b][b]] - r[4] - yb * yb), 2)
+                x[a] - r[0] - (0.0 + ya * z), x[b] - r[1] - (0.0 + yb * z), x[aa] - r[2] - ya * ya,
+                x[ab] - r[3] - (0.0 + ya * yb), x[bb] - r[4] - yb * yb), 2)
     elif len(pos) == 1:
-        (k,), (d, e) = pos, [i for i in range(3) if i not in pos]
-        lower = cholesky_flat((x[u[d][d]], x[u[d][e]], x[u[e][e]]))
-        if lower is not None:
-            l00, l10, l11 = lower
-            y0, z0 = x[u[k][d]] / l00, x[d] / l00
-            y1, z1 = (x[u[k][e]] - l10 * y0) / l11, (x[e] - l10 * z0) / l11
-            return GaussianCanonical.of((x[k] - r[0] - (0.0 + y0 * z0 + y1 * z1),
-                                         x[u[k][k]] - r[1] - (y0 * y0 + y1 * y1)), 1)
+        k, d, e, dd, de, ee, kd, ke, kk = _KEEP_ONE[pos]
+        if x[dd] > 0.0:
+            l00 = math.sqrt(x[dd])
+            l10 = x[de] / l00
+            s = x[ee] - l10 * l10
+            if s > 0.0:
+                l11 = math.sqrt(s)
+                y0, z0 = x[kd] / l00, x[d] / l00
+                y1, z1 = (x[ke] - l10 * y0) / l11, (x[e] - l10 * z0) / l11
+                return GaussianCanonical.of((x[k] - r[0] - (0.0 + y0 * z0 + y1 * z1),
+                                             x[kk] - r[1] - (y0 * y0 + y1 * y1)), 1)
     return gauss_marginalize(gauss_divide(belief, reverse.embed(pos, 3)), pos)
 
 

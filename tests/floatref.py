@@ -1,7 +1,8 @@
 """Float references shared by the tests of the unrolled kernels: the loops
-`cholesky_flat`, `forward3`, `kl_gaussian` and the sepset messages unroll,
-and the calls that the straight-line cluster refits and the sweep's cluster
-test write out.
+`cholesky_flat`, `kl_gaussian` and the sepset messages unroll, the calls
+that the straight-line cluster refits and the sweep's cluster test write
+out, and `kl_gaussian` and `neighbor_out_message` as they were before their
+kernels were written out as one straight-line block per size.
 
 Every sum here adds its terms left to right from 0, as `sum()` did before
 Python 3.12. From 3.12 on, `sum()` of floats compensates its rounding, so a
@@ -17,12 +18,17 @@ import numpy as np
 
 from stmmap.distributions import (
     GaussianCanonical,
+    NotADistribution,
+    _RANK_RTOL,
+    _same_size,
     cholesky_flat,
     cholesky_psd,
-    forward3,
+    gauss_divide,
+    gauss_marginalize,
     ig_divide,
     ig_expected_deviation,
     ig_product,
+    upper_index,
 )
 from stmmap.mapgraph import _natural_divergence
 from stmmap.surfel import ALPHA_BETA_PRIOR_VAR, FALLBACKS, height_message
@@ -65,6 +71,23 @@ def forward_small(lower: list, v) -> list:
             x -= a * b
         t.append(x / row[-1])
     return t
+
+
+def forward3(lower: tuple, v) -> tuple:
+    """Solve lower @ t = v for a 3-variable factor from `cholesky_flat`, each
+    row's products subtracted left to right."""
+    l00, l10, l11, l20, l21, l22 = lower
+    t0 = v[0] / l00
+    t1 = (v[1] - l10 * t0) / l11
+    return t0, t1, (v[2] - l20 * t0 - l21 * t1) / l22
+
+
+def outcome(f, *args):
+    """f's result, or the type of what it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:  # compared, not handled
+        return type(exc)
 
 
 def same_bits(a, b) -> bool:
@@ -169,3 +192,96 @@ def cluster_converged(cluster, old_h: tuple, old_scale: float, tol: float) -> bo
     return (_natural_divergence(height_message(cluster, cluster.w), old_h, 3) < tol
             and _scale_change(cluster.nu_scale, old_scale) < tol)
 
+
+
+# `kl_gaussian` on `cholesky_flat` and `forward3`, and `neighbor_out_message`
+# on `cholesky_flat` and nested `upper_index` lookups, as they were before
+# each was written out as one straight-line block per size, kept verbatim:
+# the bit references of `tests/test_refit_bits.py`.
+def kl_gaussian(q: GaussianCanonical, p: GaussianCanonical) -> float:
+    """Exclusive KL divergence KL(q || p) for normalizable Gaussians of one scope.
+
+    With omega = L L^T and y = L^-1 xi: tr(omega_p sigma_q) = |Lq^-1 Lp|_F^2,
+    and the Mahalanobis term is |Lp^T (mu_p - mu_q)|^2 = |y_p - (Lq^-1 Lp)^T y_q|^2.
+    A Cholesky pivot within rounding of its diagonal entry (_RANK_RTOL) makes
+    a factor singular: rounding leaves some rank-one w F F^T a tiny pivot.
+    Map factors have one to three variables. Each size unrolls the loop of
+    the unblocked Cholesky step and its forward solve, with the same
+    operations in the same order, so the result is the loop's to the bit; the
+    0.0 * y terms keep the loop's NaNs.
+    """
+    _same_size(q, p, "KL divergence")
+    n, x, z = q.n, q.t, p.t
+    if n == 0:
+        raise NotADistribution("a factor of no variables has no density")
+    if n > 3:
+        raise ValueError(f"KL divergence of {n} variables; map factors have one to three")
+    lq, lp = cholesky_flat(x[n:], _RANK_RTOL), cholesky_flat(z[n:], _RANK_RTOL)
+    if not (lq and lp):
+        raise NotADistribution("information matrix is not positive definite")
+    if n == 3:
+        (a00, _, a11, _, a21, a22), (b00, b10, b11, b20, b21, b22) = lq, lp
+        m00, m10, m20 = forward3(lq, (b00, b10, b20))  # the columns of Lq^-1 Lp
+        m11, m22 = b11 / a11, b22 / a22
+        m21 = (b21 - a21 * m11) / a22
+        (yq0, yq1, yq2), (yp0, yp1, yp2) = forward3(lq, x), forward3(lp, z)
+        d0 = yp0 - (m00 * yq0 + m10 * yq1 + m20 * yq2)
+        d1 = yp1 - (0.0 * yq0 + m11 * yq1 + m21 * yq2)
+        d2 = yp2 - (0.0 * yq0 + 0.0 * yq1 + m22 * yq2)
+        log_det_ratio = 2.0 * (math.log(a00 / b00) + math.log(a11 / b11) + math.log(a22 / b22))
+        kl = 0.5 * (m00 * m00 + m10 * m10 + m20 * m20 + m11 * m11 + m21 * m21 + m22 * m22
+                    + (d0 * d0 + d1 * d1 + d2 * d2) - 3 + log_det_ratio)
+    elif n == 2:
+        (a00, a10, a11), (b00, b10, b11) = lq, lp
+        m00, m11 = b00 / a00, b11 / a11
+        m10 = (b10 - a10 * m00) / a11
+        yq0, yp0 = x[0] / a00, z[0] / b00
+        yq1, yp1 = (x[1] - a10 * yq0) / a11, (z[1] - b10 * yp0) / b11
+        d0 = yp0 - (m00 * yq0 + m10 * yq1)
+        d1 = yp1 - (0.0 * yq0 + m11 * yq1)
+        log_det_ratio = 2.0 * (math.log(a00 / b00) + math.log(a11 / b11))
+        kl = 0.5 * (m00 * m00 + m10 * m10 + m11 * m11 + (d0 * d0 + d1 * d1) - 2 + log_det_ratio)
+    else:
+        (a,), (b,) = lq, lp
+        m = b / a
+        d = z[0] / b - m * (x[0] / a)
+        kl = 0.5 * (m * m + d * d - 1 + 2.0 * math.log(a / b))
+    return max(kl, 0.0)
+
+
+_UPPER3 = upper_index(3)
+
+
+def neighbor_out_message(stm, sid: int, link: tuple) -> GaussianCanonical:
+    """Outgoing LBP message from surfel sid over one of its `STMMap.links`.
+
+    Marginal of the surfel height belief divided by the reverse message.
+    The dropped block is the belief's own, so the message is its Schur
+    complement, in closed form: the unblocked Cholesky step and its forward
+    solve unrolled, each sum of products added left to right from 0.0. A dropped
+    block without a Cholesky factor takes the generic path, with its jitter
+    retry and `SingularMarginalization`.
+    """
+    stm.message_count += 1
+    _, pos, _, key_in, _ = link
+    reverse = stm.messages.get(key_in) or stm._vacuous[len(pos)]
+    belief = stm.states.get(sid, stm.untouched).belief_h
+    x, r, u = belief.t, reverse.t, _UPPER3
+    if len(pos) == 2:
+        (a, b), d = pos, 3 - sum(pos)
+        if x[u[d][d]] > 0.0:
+            ld = math.sqrt(x[u[d][d]])
+            ya, yb, z = x[u[a][d]] / ld, x[u[b][d]] / ld, x[d] / ld
+            return GaussianCanonical.of((
+                x[a] - r[0] - (0.0 + ya * z), x[b] - r[1] - (0.0 + yb * z), x[u[a][a]] - r[2] - ya * ya,
+                x[u[a][b]] - r[3] - (0.0 + ya * yb), x[u[b][b]] - r[4] - yb * yb), 2)
+    elif len(pos) == 1:
+        (k,), (d, e) = pos, [i for i in range(3) if i not in pos]
+        lower = cholesky_flat((x[u[d][d]], x[u[d][e]], x[u[e][e]]))
+        if lower is not None:
+            l00, l10, l11 = lower
+            y0, z0 = x[u[k][d]] / l00, x[d] / l00
+            y1, z1 = (x[u[k][e]] - l10 * y0) / l11, (x[e] - l10 * z0) / l11
+            return GaussianCanonical.of((x[k] - r[0] - (0.0 + y0 * z0 + y1 * z1),
+                                         x[u[k][k]] - r[1] - (y0 * y0 + y1 * y1)), 1)
+    return gauss_marginalize(gauss_divide(belief, reverse.embed(pos, 3)), pos)

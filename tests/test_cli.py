@@ -547,6 +547,7 @@ class TestSimulateCommand:
         assert main(["simulate", "--scenario", "pushbroom", "--config", self._small_cfg(tmp_path),
                      "--out", str(tmp_path / "p")]) == 2
         assert capsys.readouterr().err == f"config error: {tmp_path / 'p.csv'}: Is a directory\n"
+        assert not (tmp_path / "p.manifest.json").exists()
 
     @pytest.mark.parametrize("scenario", sorted(MIN_STEPS))
     def test_steps_below_the_scenario_minimum_exit_2(self, tmp_path, capsys, scenario):
@@ -602,6 +603,7 @@ class TestOracleCommand:
         assert sorted(doc["variables"]) == ["h0", "h_alpha", "h_beta", "nu"]
         assert all(math.isfinite(v["mh_mean"]) for v in doc["variables"].values())
         assert len(capsys.readouterr().out.splitlines()) == 4
+        assert (tmp_path / "o.manifest.json").exists()
 
     def test_adaptation_failure_exit_5(self, tmp_path, monkeypatch, capsys):
         # the lidar chain of 4,000 iterations leaves the latent points at 0.02 acceptance
@@ -609,7 +611,7 @@ class TestOracleCommand:
                             lambda seed: ChainConfig(n_samples=4_000, adapt_interval=500, seed=3))
         assert main(["oracle", "--case", "lidar", "--out", str(tmp_path / "o")]) == 5
         assert "post-adaptation acceptance" in capsys.readouterr().err
-        assert not (tmp_path / "o.json").exists()
+        assert not list(tmp_path.glob("o.*"))  # no manifest of a run that failed
 
 
 class TestEmulationCases:

@@ -19,7 +19,6 @@ from stmmap.distributions import (
     _same_size,
     cholesky_flat,
     cholesky_psd,
-    forward3,
     gauss_divide,
     gauss_marginalize,
     gauss_product,
@@ -30,7 +29,7 @@ from stmmap.distributions import (
     solve_psd,
     unscented_transform,
 )
-from floatref import add_up, cholesky_small, forward_small, same_bits
+from floatref import add_up, cholesky_small, forward3, forward_small, outcome, same_bits
 
 
 def random_gaussian(rng, n):
@@ -114,6 +113,9 @@ class TestGaussianCanonical:
         (np.zeros(3), np.eye(2), "shape"),
         (np.zeros(2), np.diag([1.0, -1e-6]), "positive semidefinite"),
         (np.zeros(2), [[1.0, 2.0], [2.0, 1.0]], "positive semidefinite"),
+        (np.zeros(2), [[math.nan, 0.0], [0.0, 1.0]], "finite"),
+        ([math.nan], [[1.0]], "finite"),
+        (np.zeros(2), [[math.inf, 0.0], [0.0, 1.0]], "finite"),
     ])
     def test_invalid_moment_form_raises(self, mu, sigma, match):
         with pytest.raises(ValueError, match=match):
@@ -400,14 +402,6 @@ def reference_kl_loop(q: GaussianCanonical, p: GaussianCanonical) -> float:
     return max(kl, 0.0)
 
 
-def outcome(f, *args):
-    """f's result, or the type of what it raised."""
-    try:
-        return f(*args)
-    except Exception as exc:  # compared, not handled
-        return type(exc)
-
-
 KERNEL_KINDS = ["proper", "rank_one", "near_singular", "indefinite", "sparse", "infinite_xi"]
 
 
@@ -549,7 +543,8 @@ class TestInverseGamma:
         else:
             assert read(factor) == pytest.approx(value)
 
-    @pytest.mark.parametrize("shape, scale", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (1.0, -1.0)])
+    @pytest.mark.parametrize("shape, scale", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (1.0, -1.0),
+                                              (math.nan, 1.0), (1.0, math.nan)])
     def test_normalized_needs_positive_parameters(self, shape, scale):
         with pytest.raises(NotADistribution):
             InverseGammaFactor.normalized(shape, scale)

@@ -1,15 +1,19 @@
-"""The straight-line refit kernels and the sweep's cluster test, bit for bit
-against their references in `floatref`.
+"""The straight-line kernels, bit for bit against their references in
+`floatref`: the refits, the sweep's cluster test, the KL divergence and the
+sepset messages.
 
 `update_mean_plane_factor` and `update_planar_deviation_factor` must leave
 the same w, deviation scale, height belief and deviation belief as the calls
 they replaced, count the same jitter retries and raise the same exception;
 the test `run_inference` makes of each refitted cluster must decide as
-`floatref.cluster_converged`. A float difference that depends on the Python
-version shows here first.
+`floatref.cluster_converged`. `kl_gaussian` and `neighbor_out_message` must
+return the same floats or raise the same exception as the calls to
+`cholesky_flat` and `forward3` they replaced. A float difference that
+depends on the Python version shows here first.
 """
 
 import copy
+import itertools
 import math
 
 import numpy as np
@@ -20,11 +24,27 @@ from hypothesis import strategies as st
 import floatref
 import stmmap.mapgraph as mapgraph
 from batchref import one_cluster
-from floatref import same_bits
+from floatref import outcome, same_bits
 from stmmap.cli import make_emulation_case
-from stmmap.distributions import GaussianCanonical, InverseGammaFactor, NotADistribution, SingularMarginalization
+from stmmap.distributions import (
+    GaussianCanonical,
+    InverseGammaFactor,
+    NotADistribution,
+    SingularMarginalization,
+    _RANK_RTOL,
+    kl_gaussian,
+    scatter_index,
+    upper_index,
+)
 from stmmap.geometry import TriGrid
-from stmmap.mapgraph import ConvergenceConfig, PriorConfig, STMMap, incremental_update, run_inference
+from stmmap.mapgraph import (
+    ConvergenceConfig,
+    PriorConfig,
+    STMMap,
+    incremental_update,
+    neighbor_out_message,
+    run_inference,
+)
 from stmmap.surfel import (
     FALLBACKS,
     Measurement,
@@ -283,3 +303,215 @@ def test_sweep_cluster_test_matches_on_drawn_clusters(seed, tol, values):
         except (ArithmeticError, ValueError, NotADistribution, SingularMarginalization):
             checked.last = None  # the map is as it was before the update
         checked.settle()
+
+
+# The KL divergence and the sepset messages.
+def assert_same_kl(q: GaussianCanonical, p: GaussianCanonical) -> object:
+    """`kl_gaussian` of (q, p), (p, q) and (q, q), each the reference's float
+    to the bit or its exception; returns the outcome of (q, p)."""
+    for a, b in ((q, p), (p, q), (q, q)):
+        got, want = outcome(kl_gaussian, a, b), outcome(floatref.kl_gaussian, a, b)
+        if isinstance(want, float):
+            assert isinstance(got, float) and same_bits([got], [want]), (a.t, b.t)
+        else:
+            assert got is want, (a.t, b.t)
+    return outcome(kl_gaussian, q, p)
+
+
+def kl_factor(rng, n: int, kind: str) -> GaussianCanonical:
+    """An n-variable factor of the given kind, built in floats: proper, rank
+    one (w F F^T, as a height message), vacuous, indefinite, or proper with
+    zeros of either sign in about half of xi's and omega's off-diagonal
+    slots, subnormals in some slots, or NaN or +-inf in one slot."""
+    if kind == "vacuous":
+        return GaussianCanonical.vacuous(n)
+    if kind == "rank_one":
+        f, w, g = rng.normal(size=n).tolist(), 10.0 ** rng.uniform(-3, 14), rng.normal()
+        return GaussianCanonical.of((*(w * g * a for a in f), *(w * f[i] * f[j] for i in range(n)
+                                                                 for j in range(i, n))), n)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    eig = 10.0 ** rng.uniform(-8, 8) * 10.0 ** rng.uniform(0, 6, n)
+    if kind == "indefinite":
+        eig[rng.integers(n)] *= -1.0
+    omega = (q * eig) @ q.T
+    t = list(GaussianCanonical(rng.normal(size=n) * np.sqrt(abs(np.diag(omega))), omega).t)
+    if kind == "signed_zeros":
+        diagonal = {upper_index(n)[i][i] for i in range(n)}
+        for k in range(len(t)):
+            if k not in diagonal and rng.random() < 0.5:
+                t[k] = [0.0, -0.0][rng.integers(2)]
+    elif kind == "subnormal":
+        values = [5e-324, -5e-324, 2.2e-308, -1e-310, 1e-315]
+        for k in rng.choice(len(t), size=rng.integers(1, len(t) + 1), replace=False):
+            t[k] = values[rng.integers(len(values))]
+    elif kind == "non_finite":
+        t[rng.integers(len(t))] = [math.nan, math.inf, -math.inf][rng.integers(3)]
+    return GaussianCanonical.of(tuple(t), n)
+
+
+KL_KINDS = ["proper", "rank_one", "vacuous", "indefinite", "signed_zeros", "subnormal", "non_finite"]
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+       kinds=st.tuples(st.sampled_from(KL_KINDS), st.sampled_from(KL_KINDS + ["close"])))
+@settings(max_examples=600, deadline=None)
+def test_drawn_kl_matches_the_reference(seed, n, kinds):
+    # "close": an iterate a few ulps to 1e-3 away, the sweep's usual check
+    rng = np.random.default_rng(seed)
+    q = kl_factor(rng, n, kinds[0])
+    if kinds[1] == "close":
+        rel = 10.0 ** rng.uniform(-15, -3)
+        p = GaussianCanonical.of(tuple(x * (1.0 + rel * rng.normal()) for x in q.t), n)
+    else:
+        p = kl_factor(rng, n, kinds[1])
+    assert_same_kl(q, p)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kl_non_finite_slots_match_the_reference(n):
+    # NaN and +-inf in each slot of either factor, against proper ones
+    rng = np.random.default_rng(n)
+    outcomes = set()
+    for _ in range(10):
+        proper, other = kl_factor(rng, n, "proper"), kl_factor(rng, n, "proper")
+        for k, value in itertools.product(range(len(proper.t)), [math.nan, math.inf, -math.inf]):
+            bad = GaussianCanonical.of(tuple(value if j == k else x for j, x in enumerate(proper.t)), n)
+            outcomes.add(assert_same_kl(bad, other))
+            outcomes.add(assert_same_kl(other, bad))
+    # NaN omega fails a pivot test; a non-finite xi reaches the closed form
+    assert NotADistribution in outcomes
+    assert any(isinstance(o, float) and not math.isfinite(o) for o in outcomes)
+
+
+def near_rank_t(n: int, pivot: int, j: int, scale: float) -> tuple:
+    """The t of an n-variable factor whose pivot `pivot` (1 or 2) is 2 j
+    units of 2**-53 times its diagonal entry, all scaled by scale (a power of
+    two): 1 on the diagonal and 1 - j 2**-53 at one off-diagonal place, so
+    that the pivot is 1 - fl((1 - j 2**-53)**2), exactly. 16 eps is 32 units."""
+    c = 1.0 - j * 2.0**-53
+    rows = [[1.0 if r == s else 0.0 for s in range(n)] for r in range(n)]
+    rows[pivot][pivot - 1] = rows[pivot - 1][pivot] = c
+    omega = [scale * rows[r][s] for r in range(n) for s in range(r, n)]
+    return (*(0.5 * scale * (k + 1) for k in range(n)), *omega)
+
+
+@pytest.mark.parametrize("scale", [2.0**-1000, 2.0**-20, 1.0, 2.0**40, 2.0**1000])
+@pytest.mark.parametrize("n, pivot", [(2, 1), (3, 1), (3, 2)])
+def test_kl_pivots_at_the_rank_test_match_the_reference(n, pivot, scale):
+    # pivots of 30, 32 and 34 units against the test's 32: above it passes, at
+    # or below it the factor is rejected, in the kernel as in the reference
+    proper = GaussianCanonical(np.full(n, 0.1 * scale), scale * np.eye(n))
+    for j, accepted in ((15, False), (16, False), (17, True)):
+        s = 2 * j * 2.0**-53
+        assert (s > _RANK_RTOL) is accepted
+        near = GaussianCanonical.of(near_rank_t(n, pivot, j, scale), n)
+        got = assert_same_kl(near, proper)
+        assert (got is not NotADistribution) is accepted
+        assert_same_kl(proper, near)
+
+
+KEPT = [pos for k in (1, 2) for pos in itertools.permutations(range(3), k)]
+
+
+def message_outcome(fn, belief: GaussianCanonical, reverse, pos: tuple):
+    """fn's message from surfel 0 of a one-surfel map holding belief, over a
+    link with kept heights pos and reverse message reverse (None: none held,
+    so vacuous); the exception's type if it raised. Also checks that fn
+    counted the message."""
+    stm = STMMap(TriGrid.triangle(0), PriorConfig())
+    stm.surfels[0].belief_h = belief
+    if reverse is not None:
+        stm.messages[1, 0] = reverse
+    out = outcome(fn, stm, 0, (1, pos, scatter_index(pos, 3), (1, 0), (0, 1)))
+    assert stm.message_count == 1
+    return out
+
+
+def assert_same_message(belief: GaussianCanonical, reverse, pos: tuple) -> object:
+    got = message_outcome(neighbor_out_message, belief, reverse, pos)
+    want = message_outcome(floatref.neighbor_out_message, belief, reverse, pos)
+    if isinstance(want, GaussianCanonical):
+        assert isinstance(got, GaussianCanonical) and got.n == want.n == len(pos)
+        assert same_bits(got.t, want.t), (belief.t, reverse and reverse.t, pos)
+    else:
+        assert got is want
+    return got
+
+
+MESSAGE_KINDS = ["proper", "signed_zeros", "subnormal", "no_pivot", "non_finite"]
+
+
+def message_belief(rng, kind: str) -> GaussianCanonical:
+    """A 3-variable belief of the given kind: proper; with zeros of either
+    sign or subnormals in some slots; a diagonal entry at or below zero or an
+    indefinite 2x2 block, so no factor; or NaN or +-inf in one slot."""
+    base = "proper" if kind in ("no_pivot", "non_finite") else kind
+    t = list(kl_factor(rng, 3, base).t)
+    if kind == "no_pivot":
+        k = [3, 6, 8][rng.integers(3)]
+        t[k] = [0.0, -0.0, -abs(t[k]), 5e-324][rng.integers(4)]
+        t[7] = 10.0 * math.sqrt(abs(t[6] * t[8])) if rng.random() < 0.5 else t[7]
+    elif kind == "non_finite":
+        t[rng.integers(9)] = [math.nan, math.inf, -math.inf][rng.integers(3)]
+    return GaussianCanonical.of(tuple(t), 3)
+
+
+def message_reverse(rng, kind: str, m: int):
+    """A reverse message over m heights: none held ("missing"), or one of
+    `kl_factor`'s kinds, a proper one of either sign."""
+    if kind == "missing":
+        return None
+    g = kl_factor(rng, m, kind)
+    sign = -1.0 if kind == "proper" and rng.random() < 0.5 else 1.0
+    return GaussianCanonical.of(tuple(sign * x for x in g.t), m)
+
+
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(MESSAGE_KINDS),
+       reverse=st.sampled_from(["missing", "vacuous", "rank_one", "proper", "signed_zeros", "subnormal"]))
+@settings(max_examples=300, deadline=None)
+def test_drawn_messages_match_the_reference(seed, kind, reverse):
+    # every kept position pattern of one and two heights
+    rng = np.random.default_rng(seed)
+    belief = message_belief(rng, kind)
+    for pos in KEPT:
+        assert_same_message(belief, message_reverse(rng, reverse, len(pos)), pos)
+
+
+@pytest.mark.parametrize("pos", KEPT)
+def test_message_non_finite_slots_match_the_reference(pos):
+    # NaN and +-inf in each slot of the belief and of the reverse message
+    rng = np.random.default_rng(len(pos))
+    belief, reverse = message_belief(rng, "proper"), message_reverse(rng, "proper", len(pos))
+    outcomes = []
+    for k, value in itertools.product(range(9), [math.nan, math.inf, -math.inf]):
+        bad = GaussianCanonical.of(tuple(value if j == k else x for j, x in enumerate(belief.t)), 3)
+        outcomes.append(assert_same_message(bad, reverse, pos))
+    for k, value in itertools.product(range(len(reverse.t)), [math.nan, math.inf, -math.inf]):
+        bad = GaussianCanonical.of(tuple(value if j == k else x for j, x in enumerate(reverse.t)), len(pos))
+        outcomes.append(assert_same_message(belief, bad, pos))
+    # a non-finite dropped block has no factor: the generic path raises
+    assert SingularMarginalization in outcomes
+    assert any(isinstance(o, GaussianCanonical) for o in outcomes)
+
+
+@pytest.mark.parametrize("tol", [1e-7, 1e-3, 0.1])
+@pytest.mark.parametrize("case", ["stereo", "lidar"])
+def test_updates_match_the_reference_kernels(monkeypatch, case, tol):
+    # a map updated through the kernels and one through the references hold
+    # the same bits: every belief, every message and the report's counts
+    meas = make_emulation_case(case)
+    maps, reports = [], []
+    for kernels in ((kl_gaussian, neighbor_out_message), (floatref.kl_gaussian, floatref.neighbor_out_message)):
+        monkeypatch.setattr(mapgraph, "kl_gaussian", kernels[0])
+        monkeypatch.setattr(mapgraph, "neighbor_out_message", kernels[1])
+        stm = STMMap(TriGrid.triangle(2), PriorConfig(), window=2, convergence=ConvergenceConfig(kl_threshold=tol))
+        reports.append([incremental_update(stm, part) for part in (meas[::2], meas[1::2])])
+        maps.append(stm)
+    got, want = maps
+    assert [(r.sweeps, r.messages, r.active_per_sweep) for r in reports[0]] == \
+        [(r.sweeps, r.messages, r.active_per_sweep) for r in reports[1]]
+    assert got.states.keys() == want.states.keys() and got.messages.keys() == want.messages.keys()
+    for sid, state in got.states.items():
+        assert same_bits(state.belief_h.t, want.states[sid].belief_h.t)
+    for key, msg in got.messages.items():
+        assert same_bits(msg.t, want.messages[key].t)

@@ -6,7 +6,6 @@ from typing import Union
 import numpy as np
 import pytest
 
-import stmmap.distributions as distributions
 import stmmap.simulate as simulate
 from stmmap.baseline import ElevationMap
 from stmmap.distributions import GaussianCanonical, kl_gaussian
@@ -284,14 +283,13 @@ class TestScenarios:
         assert all(kl > 0.0 for kl in want)
 
     def test_step_kl_factors_each_changed_belief_once(self, monkeypatch):
-        # the step KLs take two scalar Cholesky factors per changed surfel,
-        # one per belief, and keep the bits of the checked-first reference
+        # the step KLs take one KL per changed surfel and keep the bits of the
+        # checked-first reference
         calls, want = [0], []
-        factor = distributions.cholesky_flat
 
-        def counted(o, *rtol):
+        def counted(q, p):
             calls[0] += 1
-            return factor(o, *rtol)
+            return kl_gaussian(q, p)
 
         def kls(stm, before):  # before: the beliefs of the states held before the step
             initial = stm.untouched.belief_h
@@ -300,9 +298,9 @@ class TestScenarios:
             want.append(float(reference_belief_change_kls(stm, every).sum()))
             calls[0] = 0
             with monkeypatch.context() as m:
-                m.setattr(distributions, "cholesky_flat", counted)
+                m.setattr(simulate, "kl_gaussian", counted)
                 got = belief_change_kls(stm, before)
-            assert calls[0] == 2 * changed > 0
+            assert calls[0] == changed > 0
             return got
 
         belief_change_kls = simulate._belief_change_kls
