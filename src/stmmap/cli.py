@@ -10,9 +10,10 @@ Exit codes: 0 success, 2 configuration error, 3 inference did not converge
 adaptation failure.
 
 Every run writes a manifest (config hash, seed, versions) next to its
-outputs: `stm build` once its inputs are read, `stm simulate` and `stm oracle`
-last, once their run has succeeded. Re-running with the same config and seed
-reproduces the outputs byte for byte.
+outputs once its update or chain has returned: `stm build` before its exports,
+`stm simulate` and `stm oracle` last. An update that raises thus leaves no
+file. Re-running with the same config and seed reproduces the outputs byte
+for byte.
 
 `stm build` carries its points as arrays: parse checks and the map into the
 submap frame are stacked, and one `MeasurementBatch` holds them all.
@@ -40,6 +41,7 @@ from .mapgraph import (
     PriorConfig,
     STMMap,
     incremental_update,
+    positive_definite,
     query_map,
 )
 from .oracle import AdaptationFailed, ChainConfig, compare_marginals, run_mh
@@ -289,7 +291,9 @@ def parse_points_csv(path: str) -> ParseResult:
     4-column isotropic form x,y,z,sigma. Malformed rows, including rows
     with a NaN or infinite field, are skipped with line-numbered warnings in
     line order, each naming the first of: a field that is not a number, a
-    non-finite value, the column count, sigma or the covariance (checked stacked).
+    non-finite value, the column count, sigma or the covariance (checked stacked,
+    by the map's rule `positive_definite`, so that in an identity frame the map
+    takes every covariance this passes).
     """
     rows, lines, faults = [], [], {}
     n_rows = 0
@@ -328,7 +332,7 @@ def parse_points_csv(path: str) -> ParseResult:
     else:
         covs = vals[:, [3, 6, 7, 6, 4, 8, 7, 8, 5]].reshape(-1, 3, 3)
         bad = finite.copy()
-        bad[finite] = np.linalg.eigvalsh(covs[finite]).min(axis=1) <= 0
+        bad[finite] = ~positive_definite(covs[finite])
         fault = "covariance is not positive definite"
     faults.update({lines[i]: "non-finite value" for i in np.flatnonzero(~finite)})
     faults.update({lines[i]: fault for i in np.flatnonzero(bad)})
@@ -444,7 +448,6 @@ def _cmd_build(args) -> int:
         irf = make_relative_irf(*landmarks)
     except DegenerateLandmarks as exc:
         raise ConfigError(f"submap frame: {exc}") from exc
-    write_manifest(args.out, "build", cfg)
     for w in parsed.warnings:
         print(w, file=sys.stderr)
     b_inv = np.linalg.inv(irf.basis)
@@ -457,6 +460,7 @@ def _cmd_build(args) -> int:
     t0 = time.perf_counter()
     report = incremental_update(stm, MeasurementBatch(means, covs, np.arange(n_points)))
     elapsed = time.perf_counter() - t0
+    write_manifest(args.out, "build", cfg)
     n_outside, n_rejected = report.n_skipped_outside, sum(report.n_rejected.values())
     n_used = n_points - n_outside - n_rejected
     per_meas_ms = 1e3 * elapsed / max(n_used, 1)

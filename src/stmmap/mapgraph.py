@@ -549,17 +549,28 @@ def run_inference(stm: STMMap, batch) -> ConvergenceReport:
     )
 
 
+def positive_definite(covs: np.ndarray) -> np.ndarray:
+    """Mask of the symmetric matrices of a stack that have a Cholesky factor (no
+    jitter) and no eigenvalue <= 0: the one positive-definiteness rule for
+    measurement covariances. Either test alone passes some rank-deficient
+    matrices that the other fails; one with a factor but an eigenvalue of
+    -1.1e-17 made a depth-0 update raise."""
+    ok = _stacked(np.linalg.cholesky, covs)[1]
+    ok[ok] = np.linalg.eigvalsh(covs[ok]).min(axis=1) > 0
+    return ok
+
+
 def validate_batch(batch: MeasurementBatch) -> tuple[MeasurementBatch, dict]:
     """The measurements a map can take, and counts of the others by reason:
     a non-finite value, an asymmetric covariance, or a covariance without a
-    Cholesky factor (no jitter)."""
+    Cholesky factor or with an eigenvalue <= 0 (`positive_definite`)."""
     means, covs = batch.means, batch.covs
     with np.errstate(invalid="ignore"):
         finite = np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))
         asym = abs(covs - covs.swapaxes(1, 2)).max(axis=(1, 2)) > 1e-9 * abs(covs).max(axis=(1, 2))
     reasons = np.where(finite, np.where(asym, "asymmetric_cov", ""), "non_finite").astype(object)
     rest = np.flatnonzero(reasons == "")
-    reasons[rest[~_stacked(np.linalg.cholesky, covs[rest])[1]]] = "cov_not_positive_definite"
+    reasons[rest[~positive_definite(covs[rest])]] = "cov_not_positive_definite"
     keep = reasons == ""
     return MeasurementBatch(means[keep], covs[keep], batch.ids[keep]), dict(Counter(r for r in reasons if r))
 

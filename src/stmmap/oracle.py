@@ -1,4 +1,4 @@
-"""Metropolis-Hastings sampler of the exact surfel posterior.
+"""Metropolis-within-Gibbs sampler of the exact surfel posterior.
 
 Independent reference implementation used to validate the variational
 surfel updates: it samples the joint over the vertex heights h, the
@@ -23,9 +23,9 @@ from .surfel import ALPHA_BETA_PRIOR_VAR, MeasurementBatch, SurfelState
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-# Starting random-walk proposal stds: the heights, log nu and the latent points.
-# Burn-in adapts them toward a 0.23-0.44 acceptance rate and then freezes them.
-START_STDS = {"h0": 0.1, "ha": 0.1, "hb": 0.1, "lognu": 0.3, "m": 0.05}
+# The latent points' starting random-walk proposal std. Burn-in adapts it toward
+# a 0.23-0.44 acceptance rate and then freezes it.
+START_STDS = {"m": 0.05}
 
 
 class AdaptationFailed(Exception):
@@ -34,7 +34,7 @@ class AdaptationFailed(Exception):
 
 @dataclass
 class ChainConfig:
-    """Random-walk chain settings; the proposals start at `START_STDS`."""
+    """Chain settings; the latent points' proposal starts at `START_STDS`."""
 
     n_samples: int = 500_000
     burn_in: float = 0.2
@@ -129,43 +129,38 @@ def run_mh(
     prior: PriorConfig,
     config: ChainConfig = None,
 ) -> ChainResult:
-    """Component-wise Gaussian random-walk Metropolis over (h, log nu, m).
+    """Metropolis-within-Gibbs over (h, nu, m): exact draws of the heights and
+    the deviation, and a Gaussian random walk for the latent points.
 
     The measurements are a `MeasurementBatch` or a list of `Measurement`;
     one that `validate_batch` rejects raises ValueError before any draw.
 
-    nu is sampled on the log scale with the Jacobian correction, which
-    keeps proposals unconstrained. The latent points m_i are conditionally
-    independent given (h, nu), so their accept/reject steps are vectorized
-    across measurements. Burn-in adapts the proposal stds toward a
-    0.23-0.44 acceptance rate, then freezes them.
+    With C the n x 3 design matrix of rows (1 - alpha_i - beta_i, alpha_i,
+    beta_i) of the latent points, Lambda the prior precision of h and
+    r = gamma - C h the residuals, each iteration draws, in this order:
 
-    The chain carries sufficient statistics of its current state instead
-    of evaluating the log joint. With C the n x 3 design matrix of rows
-    (1 - alpha_i - beta_i, alpha_i, beta_i) and r = gamma - C h the
-    residuals, these are G = C'C, s = C'r, SS = r.r and Lambda h (the
-    prior precision times h), so a height or log-nu move costs a few
-    scalar operations. The latent-point move takes each row's m-only log
-    density (its measurement and the latent alpha/beta prior, both centered
-    on z_i) as one quadratic form in m_i - z_i, whose matrix folds
-    1/ALPHA_BETA_PRIOR_VAR into the first two diagonal entries of the
-    measurement precision, and caches it where a row is accepted. Its
-    residuals are r = m @ (h0 - ha, h0 - hb, 1) - h0, and a row's log ratio
-    subtracts (r_new - r)(r_new + r) / (2 nu). The points are stored by
-    coordinate in the 5 x n rows (1, alpha, beta, gamma, r); one product
-    of these with their transpose gives the sums of products of 1, alpha,
-    beta and r, which the fixed map (1, alpha, beta) -> (1 - alpha - beta,
-    alpha, beta) turns into G, s and SS. Two invariants hold:
+    - h from its Gaussian conditional N(P^-1 c, P^-1), with P = Lambda + G / nu,
+      G = C'C and c = C'gamma / nu: one 3 x 3 Cholesky factor of P in floats,
+      a forward solve, three standard normals added, a back solve;
+    - nu from its inverse-gamma conditional, (b_p + SS / 2) / Gamma(a_p + n / 2),
+      with SS = r.r at the new h;
+    - with n > 0, n x 3 normals and n uniforms for the latent points m_i, which
+      are conditionally independent given (h, nu), so their accept/reject steps
+      are vectorized across measurements. Burn-in adapts their proposal std
+      toward a 0.23-0.44 acceptance rate, then freezes it; a post-burn-in rate
+      outside [0.05, 0.9] raises AdaptationFailed.
 
-    - The draw order and the proposals are fixed. Each iteration draws a
-      normal and a uniform for each height, then for log nu, then n x 3
-      normals and n uniforms for the latent points, and proposes
-      h[k] + d, u + d and m + noise. A seed thus gives the chain that
-      evaluating the full log joint gives, unless an accept test lands
-      within rounding of its threshold.
-    - After every latent-point move, r, s, SS, G and Lambda h are
-      recomputed from the state, so the rounding of the incremental
-      updates never outlives one iteration.
+    The latent-point move takes each row's m-only log density (its
+    measurement and the latent alpha/beta prior, both centered on z_i) as one
+    quadratic form in m_i - z_i, whose matrix folds 1/ALPHA_BETA_PRIOR_VAR
+    into the first two diagonal entries of the measurement precision, and
+    caches it where a row is accepted. Its residuals are
+    r = m @ (h0 - ha, h0 - hb, 1) - h0, and a row's log ratio subtracts
+    (r_new - r)(r_new + r) / (2 nu). The points are stored by coordinate in
+    the 4 x n rows (1, alpha, beta, gamma); after every latent-point move one
+    product of these with their transpose gives the sums of products of 1,
+    alpha, beta and gamma, which the fixed map (1, alpha, beta) ->
+    (1 - alpha - beta, alpha, beta) turns into G and C'gamma.
     """
     if config is None:
         config = ChainConfig()
@@ -179,42 +174,27 @@ def run_mh(
                          + np.diag([1.0 / ALPHA_BETA_PRIOR_VAR] * 2 + [0.0]))
 
     # state; m holds the latent points by coordinate, as rows 1-3 of the
-    # rows (1, alpha, beta, gamma, r), whose products give G, s and SS
-    rows = np.ones((5, n))
-    m, r = rows[1:4], rows[4]
+    # rows (1, alpha, beta, gamma), whose products give G and C'gamma
+    rows = np.ones((4, n))
+    m = rows[1:]
     m[:] = z = batch.means.T.copy()
     h = [0.0, 0.0, 0.0] if n == 0 else [float(np.mean(z[2]))] * 3
-    u = math.log(prior.b_p / prior.a_p) if n == 0 else math.log(
-        max(float(np.var(z[2])), 1e-4)
-    )
-    nu = math.exp(u)
-    m_prop = np.empty_like(m)
+    nu = prior.b_p / prior.a_p if n == 0 else max(float(np.var(z[2])), 1e-4)
+    m_prop, r = np.empty_like(m), np.empty(n)
     cur = np.zeros(n)  # each row's m-only log density term; 0 at m = z
     w = np.ones(3)  # r = gamma - C h = w @ m - h0, with w = (h0 - ha, h0 - hb, 1)
-    gram, s, lam_hh = [[0.0] * 3 for _ in range(3)], [0.0] * 3, [0.0] * 3
 
-    def refresh() -> float:
-        # every statistic again from the state and its residuals r; returns SS
-        lam_hh[:] = [row[0] * h[0] + row[1] * h[1] + row[2] * h[2] for row in lam]
-        if n == 0:
-            return 0.0
-        (n1, sa, sb, _, sr), (_, saa, sab, _, sar), (_, _, sbb, _, sbr), _, (*_, srr) = (
-            rows @ rows.T).tolist()
+    def stats() -> tuple[list, list]:
+        # G and C'gamma of the latent points
+        (n1, sa, sb, sg), (_, saa, sab, sag), (_, _, sbb, sbg), _ = (rows @ rows.T).tolist()
         # (1, alpha, beta) -> (1 - alpha - beta, alpha, beta)
         g01, g02 = sa - saa - sab, sb - sab - sbb
         g00 = n1 - sa - sb - g01 - g02
-        gram[:] = [[g00, g01, g02], [g01, saa, sab], [g02, sab, sbb]]
-        s[:] = [sr - sar - sbr, sar, sbr]
-        return srr
+        return [[g00, g01, g02], [g01, saa, sab], [g02, sab, sbb]], [sg - sag - sbg, sag, sbg]
 
-    r[:] = z[2] - h[0]  # the heights start equal
-    ss = refresh()
+    gram, cg = stats()
     half_n_a = 0.5 * n + prior.a_p
-
-    stds = dict(START_STDS)
-    acc = dict.fromkeys(stds, 0)
-    # every variable is tried once an iteration, each latent point too
-    per_iteration = {k: n if k == "m" else 1 for k in stds}
+    std, acc = START_STDS["m"], 0
 
     n_burn = int(config.burn_in * config.n_samples)
     kept = len(range(n_burn, config.n_samples, config.thinning))
@@ -222,61 +202,51 @@ def run_mh(
     kept_nu = np.empty(kept)
 
     for it in range(config.n_samples):
-        # vertex heights, one scalar at a time
-        for k, name in enumerate(("h0", "ha", "hb")):
-            hk = h[k] + rng.normal(0.0, stds[name])
-            d = hk - h[k]  # the step as stored, not as drawn
-            d_ss = d * (d * gram[k][k] - 2.0 * s[k])
-            delta = -0.5 * d_ss / nu - 0.5 * d * (2.0 * lam_hh[k] + d * lam[k][k])
-            if math.log(rng.random()) < delta:
-                h[k] = hk
-                ss += d_ss
-                for j in range(3):
-                    s[j] -= d * gram[j][k]
-                    lam_hh[j] += d * lam[j][k]
-                acc[name] += 1
-        # log deviation: IG prior on nu plus the log-scale Jacobian term
-        u_prop = u + rng.normal(0.0, stds["lognu"])
-        nu_prop = math.exp(u_prop)
-        delta = -half_n_a * (u_prop - u) - (0.5 * ss + prior.b_p) * (
-            1.0 / nu_prop - 1.0 / nu
-        )
-        if math.log(rng.random()) < delta:
-            u, nu = u_prop, nu_prop
-            acc["lognu"] += 1
+        # heights: P = L L', y = L^-1 c + e with e standard normal, h = L'^-1 y
+        t = 1.0 / nu
+        l00 = math.sqrt(lam[0][0] + gram[0][0] * t)
+        l10 = (lam[1][0] + gram[1][0] * t) / l00
+        l20 = (lam[2][0] + gram[2][0] * t) / l00
+        l11 = math.sqrt(lam[1][1] + gram[1][1] * t - l10 * l10)
+        l21 = (lam[2][1] + gram[2][1] * t - l20 * l10) / l11
+        l22 = math.sqrt(lam[2][2] + gram[2][2] * t - l20 * l20 - l21 * l21)
+        y0 = cg[0] * t / l00
+        y1 = (cg[1] * t - l10 * y0) / l11
+        y2 = (cg[2] * t - l20 * y0 - l21 * y1) / l22
+        e0, e1, e2 = rng.standard_normal(3).tolist()
+        h2 = (y2 + e2) / l22
+        h1 = (y1 + e1 - l21 * h2) / l11
+        h = [(y0 + e0 - l10 * h1 - l20 * h2) / l00, h1, h2]
+        # deviation, from the residuals at the new heights
+        w[:2] = h[0] - h[1], h[0] - h[2]
+        np.subtract(w.dot(m), h[0], out=r)
+        nu = (prior.b_p + 0.5 * float(r.dot(r))) / rng.gamma(half_n_a)
         # all latent points at once (conditionally independent)
         if n > 0:
-            np.add(m, rng.normal(0.0, stds["m"], size=(n, 3)).T, out=m_prop)
+            np.add(m, rng.normal(0.0, std, size=(n, 3)).T, out=m_prop)
             dz = m_prop - z
             new = np.einsum("in,nij,jn->n", dz, half_lam_m, dz)
-            w[:2] = h[0] - h[1], h[0] - h[2]
-            np.subtract(w.dot(m), h[0], out=r)
             r_new = w.dot(m_prop) - h[0]
             take = np.log(rng.random(n)) < (new - cur) - (0.5 / nu) * (r_new - r) * (r_new + r)
             np.copyto(m, m_prop, where=take)
             np.copyto(cur, new, where=take)
-            np.copyto(r, r_new, where=take)
-            acc["m"] += int(np.count_nonzero(take))
-        ss = refresh()
+            acc += int(np.count_nonzero(take))
+            gram, cg = stats()
 
-        if it < n_burn and (it + 1) % config.adapt_interval == 0:
-            for k in stds:
-                if per_iteration[k] == 0:
-                    continue
-                rate = acc[k] / (config.adapt_interval * per_iteration[k])
+            if it < n_burn and (it + 1) % config.adapt_interval == 0:
+                rate = acc / (config.adapt_interval * n)
                 if not 0.23 <= rate <= 0.44:
                     # smooth multiplicative step toward ~0.33 acceptance
-                    stds[k] *= math.exp(2.0 * (rate - 0.335))
-                acc[k] = 0
+                    std *= math.exp(2.0 * (rate - 0.335))
+                acc = 0
         if it == n_burn - 1:
-            acc = dict.fromkeys(stds, 0)
+            acc = 0
         if it >= n_burn and (it - n_burn) % config.thinning == 0:
             j = (it - n_burn) // config.thinning
             kept_h[j] = h
             kept_nu[j] = nu
 
-    rates = {k: acc[k] / ((config.n_samples - n_burn) * per_iteration[k])
-             for k in stds if per_iteration[k] > 0}
+    rates = {"m": acc / ((config.n_samples - n_burn) * n)} if n > 0 else {}
     for k, rate in rates.items():
         if not 0.05 <= rate <= 0.9:
             raise AdaptationFailed(
@@ -287,7 +257,7 @@ def run_mh(
         h_samples=kept_h,
         nu_samples=kept_nu,
         acceptance=rates,
-        proposal_stds=dict(stds),
+        proposal_stds={"m": std},
     )
 
 

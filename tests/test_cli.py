@@ -19,6 +19,7 @@ from stmmap.cli import (
     parse_points_csv,
     write_manifest,
 )
+from stmmap.distributions import SingularMarginalization
 from stmmap.geometry import MAX_DEPTH
 from stmmap.mapgraph import incremental_update
 from stmmap.oracle import ChainConfig
@@ -441,6 +442,42 @@ class TestBuildCommand:
         assert out[1].startswith("ingested 30 of 31 points (0 rows skipped, 0 outside the submap, "
                                  "1 rejected by the map)")
 
+    def test_parser_and_map_share_one_definiteness_rule(self, tmp_path, capsys):
+        # two rank-deficient covariances: the first has a Cholesky factor but an
+        # eigenvalue of -1.1e-17, the second no factor but eigenvalues > 0. In an
+        # identity frame the map sees the CSV's own matrices, and the parser
+        # warns, by line number, about each row the map would not take.
+        factor = [[0.1374603057125131, -0.3213001973172262, 0.4558287383674801],
+                  [-0.3213001973172262, 0.7617043601591322, -0.9445650347146318],
+                  [0.4558287383674801, -0.9445650347146318, 2.8778984561812555]]
+        no_factor = [[1.1880067641954772, 1.281952002210307, -0.9540550932671584],
+                     [1.281952002210307, 1.3945296789144381, -1.026683129299515],
+                     [-0.9540550932671584, -1.026683129299515, 0.76688322232458]]
+        rows = ["x,y,z,sxx,syy,szz,sxy,sxz,syz"] + ["0.2,0.3,0.1,0.01,0.01,0.01,0,0,0"] * 20
+        for x, c in ((0.3, factor), (0.4, no_factor)):
+            rows.append(",".join(repr(v) for v in (x, 0.1, 0.1, c[0][0], c[1][1], c[2][2],
+                                                   c[0][1], c[0][2], c[1][2])))
+        pts = tmp_path / "pts.csv"
+        pts.write_text("\n".join(rows) + "\n")
+        assert main(["build", "--points", str(pts), "--global-frame", "0,0,1,1", "--depth", "0",
+                     "--out", str(tmp_path / "m")]) == 0
+        out, err = capsys.readouterr()
+        assert err == "".join(f"{pts}:{line}: skipping row: covariance is not positive definite\n"
+                              for line in (22, 23))
+        assert out.startswith("ingested 20 of 20 points (2 rows skipped, 0 outside the submap, "
+                              "0 rejected by the map)")
+
+    def test_an_update_that_raises_leaves_no_file(self, tmp_path, monkeypatch):
+        def update(stm, batch):
+            raise SingularMarginalization("non-finite 3x3 block")
+
+        monkeypatch.setattr(cli, "incremental_update", update)
+        write_plane_points(tmp_path / "pts.csv", np.random.default_rng(8), n=20)
+        with pytest.raises(SingularMarginalization):
+            main(["build", "--points", str(tmp_path / "pts.csv"), "--global-frame", "0,0,1,1",
+                  "--depth", "1", "--out", str(tmp_path / "m")])
+        assert not list(tmp_path.glob("m.*"))
+
     @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, -1])
     def test_depth_flag_is_validated(self, tmp_path, capsys, depth):
         pts = tmp_path / "pts.csv"
@@ -599,7 +636,7 @@ class TestOracleCommand:
                             lambda seed: ChainConfig(n_samples=5_000, adapt_interval=500, seed=seed))
         assert main(["oracle", "--case", "lidar", "--out", str(tmp_path / "o")]) == 0
         doc = json.loads((tmp_path / "o.json").read_text())
-        assert doc["case"] == "lidar"
+        assert (doc["case"], list(doc["acceptance"])) == ("lidar", ["m"])
         assert sorted(doc["variables"]) == ["h0", "h_alpha", "h_beta", "nu"]
         assert all(math.isfinite(v["mh_mean"]) for v in doc["variables"].values())
         assert len(capsys.readouterr().out.splitlines()) == 4

@@ -1116,6 +1116,14 @@ SINGULAR_COV = np.array([
     [-0.0031768363768153473, -0.003222481615708486, 0.0028731895074164326],
 ])
 
+# eigenvalues 3.3, 0.45 and -1.1e-17, yet a Cholesky factor: admitted into a
+# depth-0 map in its own frame, it made the update raise SingularMarginalization
+RANK_DEFICIENT_COV = np.array([
+    [0.1374603057125131, -0.3213001973172262, 0.4558287383674801],
+    [-0.3213001973172262, 0.7617043601591322, -0.9445650347146318],
+    [0.4558287383674801, -0.9445650347146318, 2.8778984561812555],
+])
+
 
 class TestValidateBatch:
     BAD = {
@@ -1126,6 +1134,7 @@ class TestValidateBatch:
         "negative_cov": ([0.2, 0.1, 0.0], -np.eye(3) * 1e-4, "cov_not_positive_definite"),
         "zero_cov": ([0.2, 0.1, 0.0], np.zeros((3, 3)), "cov_not_positive_definite"),
         "indefinite_cov": ([0.2, 0.1, 0.0], np.diag([1e-4, -1e-4, 1e-4]), "cov_not_positive_definite"),
+        "rank_deficient_cov": ([0.3, 0.1, 0.1], RANK_DEFICIENT_COV, "cov_not_positive_definite"),
         "asymmetric_cov": ([0.2, 0.1, 0.0], np.array([[1e-4, 5e-5, 0], [0, 1e-4, 0], [0, 0, 1e-4]]),
                            "asymmetric_cov"),
         # eigenvalues 1e-2, 1e-2 and 1.3e-18: a Cholesky factor, but no LU
@@ -1208,7 +1217,7 @@ class TestValidateBatch:
         rows.append(Measurement([0.2, 0.1, 0.0], np.eye(3) * 1e-4, 99))
         valid, rejected = validate_batch(MeasurementBatch.of(rows))
         assert valid.ids.tolist() == [list(self.BAD).index("singular_cov"), 99]
-        assert rejected == {"non_finite": 4, "cov_not_positive_definite": 3, "asymmetric_cov": 1}
+        assert rejected == {"non_finite": 4, "cov_not_positive_definite": 4, "asymmetric_cov": 1}
         empty, none = validate_batch(MeasurementBatch.of([]))
         assert none == {} and empty.means.shape == (0, 3) and empty.covs.shape == (0, 3, 3)
         report = run_inference(STMMap(TriGrid.triangle(1), PriorConfig()), rows)

@@ -11,7 +11,6 @@ from stmmap.distributions import GaussianMoment, inv_psd
 from stmmap.mapgraph import PriorConfig
 from stmmap.oracle import (
     _LOG_2PI,
-    START_STDS,
     AdaptationFailed,
     ChainConfig,
     ChainResult,
@@ -58,9 +57,19 @@ def random_measurements(n, seed):
     return out
 
 
-# The sampler as it was before it carried sufficient statistics: every move
-# evaluates the log-likelihood of both states in full. Kept verbatim as the
-# reference that run_mh must reproduce draw for draw.
+def batch_means(x, batches=10):
+    """A chain's mean and its batch-means Monte Carlo standard error."""
+    means = x[: len(x) - len(x) % batches].reshape(batches, -1).mean(axis=1)
+    return float(x.mean()), float(means.std(ddof=1) / math.sqrt(batches))
+
+
+# The random-walk sampler as it was before it carried sufficient statistics
+# and drew h and nu from their conditionals: every move evaluates the
+# log-likelihood of both states in full. Kept verbatim, with its own starting
+# proposal stds, as the reference that run_mh must agree with in distribution.
+START_STDS = {"h0": 0.1, "ha": 0.1, "hb": 0.1, "lognu": 0.3, "m": 0.05}
+
+
 def reference_run_mh(
     measurements: list[Measurement],
     prior: PriorConfig,
@@ -314,41 +323,54 @@ class TestRunMH:
         np.testing.assert_array_equal(r1.h_samples, r2.h_samples)
         np.testing.assert_array_equal(r1.nu_samples, r2.nu_samples)
 
-    # (case, chain seed, iterations) by test id: every case at seed 12, two
-    # more seeds, the benchmark's lidar chain (adaptation every 500
-    # iterations, thinning 10) and a 100-point batch
-    SAME_CHAIN = {
-        "stereo": ("stereo", 12, 5_000),
-        "lidar": ("lidar", 12, 5_000),
-        "random": ("random", 12, 5_000),
-        "prior_only": ("prior_only", 12, 5_000),
-        "lidar-seed13": ("lidar", 13, 5_000),
-        "lidar-seed14": ("lidar", 14, 5_000),
-        "random-seed13": ("random", 13, 5_000),
-        "random-seed14": ("random", 14, 5_000),
-        "lidar-benchmark": ("lidar", 11, 20_000),
-        "random100": ("random100", 12, 5_000),
-    }
+    # iterations by case: each chain's 10 batches of retained draws are more
+    # than ten times the longest integrated autocorrelation time measured
+    # for either sampler (stereo's h0, about 400 iterations)
+    AGREE = {"stereo": 60_000, "lidar": 20_000, "random": 20_000, "prior_only": 20_000}
 
-    @pytest.mark.parametrize("key", list(SAME_CHAIN))
-    def test_same_chain_as_reference(self, key):
-        case, seed, n_samples = self.SAME_CHAIN[key]
+    @pytest.mark.parametrize("case", list(AGREE))
+    def test_agrees_in_distribution_with_reference(self, case):
+        # the chains differ draw for draw, but each marginal mean of (h0,
+        # h_alpha, h_beta, nu) lies within 3 batch-means Monte Carlo
+        # standard errors of their difference
         prior = PriorConfig()
         if case in ("stereo", "lidar"):
             meas = make_emulation_case(case)
         elif case == "random":
             meas = random_measurements(5, 61)
-        elif case == "random100":
-            meas = random_measurements(100, 62)
         else:
             meas = []
             prior = PriorConfig(rho=0.0, sigma2=1.0, a_p=3.0, b_p=2.0)
-        cfg = ChainConfig(n_samples=n_samples, adapt_interval=500, thinning=10, seed=seed)
+        cfg = ChainConfig(n_samples=self.AGREE[case], adapt_interval=500, thinning=1, seed=12)
         ours, ref = run_mh(meas, prior, cfg), reference_run_mh(meas, prior, cfg)
-        np.testing.assert_array_equal(ours.h_samples, ref.h_samples)
-        np.testing.assert_array_equal(ours.nu_samples, ref.nu_samples)
-        assert ours.acceptance == ref.acceptance
-        assert ours.proposal_stds == ref.proposal_stds
+        for x, y in zip(np.column_stack([ours.h_samples, ours.nu_samples]).T,
+                        np.column_stack([ref.h_samples, ref.nu_samples]).T):
+            (mx, sx), (my, sy) = batch_means(x), batch_means(y)
+            assert abs(mx - my) < 3 * math.hypot(sx, sy), (mx, sx, my, sy)
+        assert (list(ours.acceptance), list(ours.proposal_stds)) == (["m"] if meas else [], ["m"])
+
+    def test_prior_only_draws_are_exact(self):
+        # without measurements h and nu are independent draws from their
+        # priors: no lag-1 correlation, and the moments of N(0, Sigma_h)
+        # and IG(a_p, b_p) within 4 standard errors
+        prior = PriorConfig(rho=0.5, sigma2=2.0, a_p=6.0, b_p=5.0)
+        res = run_mh([], prior, ChainConfig(n_samples=40_000, thinning=1, seed=3))
+        assert res.acceptance == {}
+        x = np.column_stack([res.h_samples, res.nu_samples])
+        n = len(x)
+        d = x - x.mean(axis=0)
+        lag1 = (d[1:] * d[:-1]).mean(axis=0) / d.var(axis=0)
+        assert np.all(abs(lag1) < 4 / math.sqrt(n)), lag1
+        sigma, (a, b) = prior.height_covariance(), (prior.a_p, prior.b_p)
+        mean = [0.0, 0.0, 0.0, b / (a - 1)]
+        assert np.all(abs(x.mean(axis=0) - mean) < 4 * x.std(axis=0) / math.sqrt(n))
+        for i in range(3):
+            for j in range(3):
+                se = math.sqrt((sigma[i, i] * sigma[j, j] + sigma[i, j] ** 2) / n)
+                assert abs(np.mean(x[:, i] * x[:, j]) - sigma[i, j]) < 4 * se
+        sq = d[:, 3] ** 2
+        nu_var = b * b / ((a - 1) ** 2 * (a - 2))
+        assert abs(sq.mean() - nu_var) < 4 * sq.std() / math.sqrt(n)
 
     def test_batch_and_list_give_equal_chains(self):
         meas, prior = make_emulation_case("lidar"), PriorConfig()
